@@ -3,7 +3,7 @@
 Per frame, four hazard costmaps (depth confidence, flatness, steepness,
 energy) fuse into a decision map from which dense candidate sites are
 filtered by score and UAV footprint; sites are lifted into the world
-frame, deduplicated in a k-d-tree registry and clustered into a sparse
+frame, deduplicated in a site registry and clustered into a sparse
 ranked list. A synthetic scene renderer provides exact ground truth for
 testing, and a benchmark harness times every stage.
 """

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -202,7 +201,7 @@ def _cmd_cluster(args) -> int:
         registry = SiteRegistry.load(args.sites)
     except FileNotFoundError as exc:
         raise OSError(f"sites file not found: {args.sites}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise OSError(f"{args.sites}: malformed registry snapshot ({exc})") from exc
     clusters = cluster_sites(registry, config.cluster_dist_m,
                              config.cluster_z_m, config.cluster_metric)

@@ -1,11 +1,8 @@
 """Exact Euclidean distance transform of binary images.
 
-Two-pass formulation: the first pass finds, per row, the distance to the
-nearest set pixel within that row; the second pass computes, per column,
-the lower envelope of the parabolas rooted at those squared distances.
-All arithmetic stays in integers (the envelope bookkeeping uses float64
-ratios of small integers, which are compared exactly), so the squared
-output is exact.
+Wraps ``scipy.ndimage.distance_transform_edt`` (the exact linear-time
+EDT of Maurer, Qi & Raghavan, TPAMI 2003). The squared distance is
+formed in int64 from the returned nearest-pixel indices, so it is exact.
 
 A virtual one-pixel ring of set pixels surrounds the image, guaranteeing
 a finite result even for an all-zero input.
@@ -14,8 +11,7 @@ a finite result even for an all-zero input.
 from __future__ import annotations
 
 import numpy as np
-
-_FAR = np.int64(1) << 40
+from scipy import ndimage
 
 
 def squared_distance_transform(bits: np.ndarray) -> np.ndarray:
@@ -26,82 +22,13 @@ def squared_distance_transform(bits: np.ndarray) -> np.ndarray:
     h, w = b.shape
     padded = np.ones((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = b != 0
-    row_dist = _nearest_in_row(padded)
-    d2 = _envelope_transform(row_dist * row_dist)
-    return d2[1 : h + 1, 1 : w + 1]
+    iy, ix = ndimage.distance_transform_edt(~padded, return_distances=False,
+                                            return_indices=True)
+    dy = iy[1:-1, 1:-1].astype(np.int64) - np.arange(1, h + 1)[:, None]
+    dx = ix[1:-1, 1:-1].astype(np.int64) - np.arange(1, w + 1)[None, :]
+    return dy * dy + dx * dx
 
 
 def distance_transform(bits: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance (float64) to the nearest set pixel."""
     return np.sqrt(squared_distance_transform(bits).astype(np.float64))
-
-
-def _nearest_in_row(mask: np.ndarray) -> np.ndarray:
-    """Per pixel, |dx| to the nearest set pixel in the same row."""
-    n = mask.shape[1]
-    idx = np.arange(n, dtype=np.int64)
-    left = np.where(mask, idx, np.int64(-1))
-    np.maximum.accumulate(left, axis=1, out=left)
-    d_left = np.where(left >= 0, idx - left, _FAR)
-    right = np.where(mask, idx, np.int64(2 * n))
-    right = np.minimum.accumulate(right[:, ::-1], axis=1)[:, ::-1]
-    d_right = np.where(right < 2 * n, right - idx, _FAR)
-    return np.minimum(d_left, d_right)
-
-
-def _envelope_transform(f: np.ndarray) -> np.ndarray:
-    """min_y' ((y - y')^2 + f[y', x]) along axis 0, all columns at once.
-
-    Batched lower-envelope-of-parabolas construction. The stack state at
-    the top (root row, its f value, its break point) is cached per column
-    so the common no-pop step runs without gathers; the data-dependent
-    pops touch only the affected column subset.
-    """
-    n, m = f.shape
-    cols = np.arange(m)
-    top = np.zeros(m, dtype=np.int64)          # stack height - 1 per column
-    roots = np.zeros((n, m), dtype=np.int64)   # parabola root rows
-    bounds = np.full((n + 1, m), np.inf)       # envelope break points
-    bounds[0] = -np.inf
-    top_root = np.zeros(m, dtype=np.int64)     # roots[top] per column
-    top_f = f[0].astype(np.float64)            # f[roots[top]] per column
-    top_bound = np.full(m, -np.inf)            # bounds[top] per column
-    ff = f.astype(np.float64)
-    for q in range(1, n):
-        fq = ff[q]
-        qq = float(q * q)
-        s = (fq + qq - (top_f + top_root * top_root)) / (2.0 * (q - top_root))
-        act = np.nonzero((s <= top_bound) & (top > 0))[0]
-        while act.size:
-            top[act] -= 1
-            vk = roots[top[act], act]
-            top_root[act] = vk
-            top_f[act] = ff[vk, act]
-            top_bound[act] = bounds[top[act], act]
-            s_act = (fq[act] + qq - (top_f[act] + vk * vk)) / (2.0 * (q - vk))
-            s[act] = s_act
-            act = act[(s_act <= top_bound[act]) & (top[act] > 0)]
-        top += 1
-        roots[top, cols] = q
-        bounds[top, cols] = s
-        bounds[top + 1, cols] = np.inf
-        top_root[:] = q
-        top_f[:] = fq
-        top_bound[:] = s
-
-    out = np.empty_like(f)
-    top[:] = 0
-    cur_root = roots[0, cols]
-    cur_f = f[cur_root, cols]
-    bound_above = bounds[1, cols].copy()
-    for q in range(n):
-        act = np.nonzero(bound_above < q)[0]
-        while act.size:
-            top[act] += 1
-            cur_root[act] = roots[top[act], act]
-            cur_f[act] = f[cur_root[act], act]
-            bound_above[act] = bounds[top[act] + 1, act]
-            act = act[bound_above[act] < q]
-        dq = q - cur_root
-        out[q] = dq * dq + cur_f
-    return out

@@ -294,8 +294,13 @@ def pixel_to_world(pixel: tuple[int, int], frame: DepthFrame) -> np.ndarray:
 # --- file interchange -------------------------------------------------------
 
 def load_intrinsics(path) -> CameraIntrinsics:
+    """Read intrinsics JSON; OSError naming the path if it is malformed."""
     with open(path, "r", encoding="utf-8") as f:
-        return CameraIntrinsics.from_json_obj(json.load(f))
+        try:
+            return CameraIntrinsics.from_json_obj(json.load(f))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise OSError(f"{path}: malformed intrinsics "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
@@ -304,19 +309,26 @@ def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 
 
 def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
-    """Read a JSONL pose stream into {frame_id: (t_sec, pose)}."""
+    """Read a JSONL pose stream into {frame_id: (t_sec, pose)}.
+
+    A malformed line raises OSError naming the path and line number.
+    """
     records: dict[int, tuple[float, Pose]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            pose = Pose.from_quaternion(
-                float(obj["qw"]), float(obj["qx"]), float(obj["qy"]),
-                float(obj["qz"]),
-                (float(obj["tx"]), float(obj["ty"]), float(obj["tz"])))
-            records[int(obj["frame_id"])] = (float(obj["t_sec"]), pose)
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                pose = Pose.from_quaternion(
+                    float(obj["qw"]), float(obj["qx"]), float(obj["qy"]),
+                    float(obj["qz"]),
+                    (float(obj["tx"]), float(obj["ty"]), float(obj["tz"])))
+                records[int(obj["frame_id"])] = (float(obj["t_sec"]), pose)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise OSError(f"{path}:{lineno}: malformed pose record "
+                              f"({type(exc).__name__}: {exc})") from exc
     return records
 
 

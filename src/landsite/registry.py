@@ -1,12 +1,13 @@
 """Global world-frame site registry and its agglomerative clustering.
 
-The registry keeps every accepted landing site in a k-d tree and refuses
-new sites that fall within ``dedup_radius`` of an existing one, so the
-stored set is always sparse. Clustering is single linkage realized as
-connected components of the pairwise linkability relation: two sites
-link when their horizontal separation is within the distance threshold
-and their height difference within the z threshold (a config switch
-makes the distance criterion fully 3-D instead).
+The registry keeps every accepted landing site, with all positions in one
+contiguous (N, 3) array, and refuses new sites that fall within
+``dedup_radius`` of an existing one, so the stored set is always sparse.
+Clustering is single linkage realized as connected components of the
+pairwise linkability relation: two sites link when their horizontal
+separation is within the distance threshold and their height difference
+within the z threshold (a config switch makes the distance criterion
+fully 3-D instead).
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
@@ -24,8 +25,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kdtree import KDTree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +52,8 @@ class LandingSite:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LandingSite":
-        return cls(position=np.array([obj["x"], obj["y"], obj["z"]]),
+        return cls(position=np.array([float(obj["x"]), float(obj["y"]),
+                                      float(obj["z"])]),
                    score=float(obj["score"]), frame_id=int(obj["frame_id"]),
                    timestamp=float(obj["timestamp"]))
 
@@ -71,70 +74,49 @@ class ClusterSite:
 
 
 class SiteRegistry:
-    """Deduplicated global list of landing sites over a k-d tree."""
+    """Deduplicated global list of landing sites."""
 
     def __init__(self, dedup_radius: float):
         if not dedup_radius > 0:
             raise ValueError("dedup radius must be positive")
         self.dedup_radius = float(dedup_radius)
         self.sites: list[LandingSite] = []
-        self._tree = KDTree()
+        # Rows [0, len(sites)) hold the positions; capacity doubles on demand.
+        self._pos = np.empty((16, 3))
 
     def __len__(self) -> int:
         return len(self.sites)
 
     def positions(self) -> np.ndarray:
-        if not self.sites:
-            return np.zeros((0, 3))
-        return np.array([s.position for s in self.sites])
+        """Read-only (N, 3) view of the stored positions, in insertion order."""
+        view = self._pos[: len(self.sites)]
+        view.flags.writeable = False
+        return view
 
     def insert(self, site: LandingSite) -> bool:
         """Insert unless an existing site lies strictly closer than the radius."""
         if not np.all(np.isfinite(site.position)):
             raise ValueError("site position must be finite")
-        hit = self._tree.nearest(site.position)
-        if hit is not None:
-            _, d2 = hit
-            if d2 < self.dedup_radius * self.dedup_radius:
-                return False
+        hit = self._nearest_d2(site.position)
+        if hit is not None and hit[1] < self.dedup_radius * self.dedup_radius:
+            return False
         self._accept(site)
         return True
-
-    def insert_batch(self, sites: list[LandingSite]) -> list[bool]:
-        """Insert many sites with semantics identical to sequential insert().
-
-        Equivalent to ``[self.insert(s) for s in sites]``, vectorized.
-        """
-        if not sites:
-            return []
-        pos = np.array([s.position for s in sites])
-        return self._insert_positions(pos, lambda i: sites[i])
 
     def insert_positions(self, positions: np.ndarray, scores: np.ndarray,
                          frame_id: int, timestamp: float) -> list[bool]:
         """Batch-insert raw position/score arrays from one frame.
 
-        Same dedup semantics as sequential insert(); LandingSite records
-        are only materialized for accepted positions.
+        Greedy batch dedup, exactly equivalent to sequential insert(): a
+        candidate is accepted iff it is not within the dedup radius of any
+        previously accepted site (existing or earlier in the batch); taking
+        the first surviving candidate and discarding its ball realizes
+        exactly that order. LandingSite records are only materialized for
+        accepted positions.
         """
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         if len(pos) == 0:
             return []
-
-        def make(i: int) -> LandingSite:
-            return LandingSite(position=pos[i], score=float(scores[i]),
-                               frame_id=frame_id, timestamp=timestamp)
-
-        return self._insert_positions(pos, make)
-
-    def _insert_positions(self, pos: np.ndarray, make_site) -> list[bool]:
-        """Greedy batch dedup, exactly equivalent to inserting in order.
-
-        A candidate is accepted iff it is not within the dedup radius of
-        any previously accepted site (existing or earlier in the batch);
-        taking the first surviving candidate and discarding its ball
-        realizes exactly that order.
-        """
         if not np.all(np.isfinite(pos)):
             raise ValueError("site position must be finite")
         flags = [False] * len(pos)
@@ -154,21 +136,46 @@ class SiteRegistry:
         while order.size:
             first = int(order[0])
             flags[first] = True
-            self._accept(make_site(first))
+            self._accept(LandingSite(position=pos[first],
+                                     score=float(scores[first]),
+                                     frame_id=frame_id, timestamp=timestamp))
             d2 = _pairwise_d2(pos[order], pos[first][None, :])[:, 0]
             order = order[~(d2 < r2)]
         return flags
 
     def _accept(self, site: LandingSite) -> None:
-        self._tree.insert(site.position)
+        n = len(self.sites)
+        if n == len(self._pos):
+            self._pos = np.concatenate([self._pos, np.empty_like(self._pos)])
+        self._pos[n] = site.position
         self.sites.append(site)
+
+    def _nearest_d2(self, query) -> tuple[int, float] | None:
+        """Index and squared distance of the closest stored site.
+
+        Squares accumulate in x, y, z order; ties go to the lowest index.
+        None if empty, or if no distance is finite (a non-finite query).
+        """
+        pos = self.positions()
+        if len(pos) == 0:
+            return None
+        q = np.asarray(query, dtype=np.float64).reshape(3)
+        dx = q[0] - pos[:, 0]
+        dy = q[1] - pos[:, 1]
+        dz = q[2] - pos[:, 2]
+        d2 = dx * dx + dy * dy + dz * dz
+        idx = int(np.argmin(d2))
+        if not d2[idx] < np.inf:
+            return None
+        return idx, float(d2[idx])
 
     def nearest(self, query) -> tuple[LandingSite, float] | None:
         """Closest stored site and its Euclidean distance, or None if empty.
 
-        Exact; ties resolve to the earliest-inserted site.
+        Exact; ties resolve to the earliest-inserted site. A non-finite
+        query also gives None.
         """
-        hit = self._tree.nearest(query)
+        hit = self._nearest_d2(query)
         if hit is None:
             return None
         idx, d2 = hit
@@ -180,9 +187,16 @@ class SiteRegistry:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
+        """Rebuild a registry from a snapshot.
+
+        A non-numeric or non-finite position raises ValueError (TypeError
+        for a null or nested value).
+        """
         reg = cls(float(obj["dedup_radius_m"]))
         for rec in obj["sites"]:
             reg._accept(LandingSite.from_json_obj(rec))
+        if not np.all(np.isfinite(reg.positions())):
+            raise ValueError("site positions must be finite")
         return reg
 
     def save(self, path) -> None:
@@ -226,44 +240,32 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     pos = registry.positions()
     scores = np.array([s.score for s in registry.sites])
 
-    parent = list(range(n))
+    # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
+    # tree only prefilters (radius widened past rounding), the canonical
+    # arithmetic below decides.
+    reach = np.sqrt(dist_th * dist_th + z_th * z_th) * (1 + 1e-9)
+    pairs = cKDTree(pos).query_pairs(reach, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dx = pos[i, 0] - pos[j, 0]
+    dy = pos[i, 1] - pos[j, 1]
+    dz = pos[i, 2] - pos[j, 2]
+    xy2 = dx * dx + dy * dy
+    if metric == "xy":
+        link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+    else:
+        link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+    graph = coo_matrix((np.ones(int(link.sum()), dtype=bool),
+                        (i[link], j[link])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist2 = dist_th * dist_th
-    for start in range(0, n, 512):
-        block = pos[start : start + 512]
-        dx = block[:, 0][:, None] - pos[:, 0][None, :]
-        dy = block[:, 1][:, None] - pos[:, 1][None, :]
-        dz = block[:, 2][:, None] - pos[:, 2][None, :]
-        xy2 = dx * dx + dy * dy
-        if metric == "xy":
-            link = (xy2 <= dist2) & (np.abs(dz) <= z_th)
-        else:
-            link = (xy2 + dz * dz <= dist2) & (np.abs(dz) <= z_th)
-        rows, cols = np.nonzero(link)
-        for r, c in zip(rows, cols):
-            i, j = find(start + int(r)), find(int(c))
-            if i != j:
-                if i < j:
-                    parent[j] = i
-                else:
-                    parent[i] = j
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    # A stable sort keeps each group's members in ascending index order,
+    # which fixes the summation order of centroids and mean scores.
+    order = np.argsort(labels, kind="stable")
     clusters = []
-    for members in groups.values():
-        idx = np.array(members)
-        centroid = pos[idx].mean(axis=0)
-        clusters.append(ClusterSite(centroid=centroid,
+    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        clusters.append(ClusterSite(centroid=pos[idx].mean(axis=0),
                                     mean_score=float(scores[idx].mean()),
-                                    member_count=len(members)))
+                                    member_count=len(idx)))
     clusters.sort(key=lambda c: (-c.mean_score, -c.member_count,
                                  c.centroid[0], c.centroid[1], c.centroid[2]))
     return clusters

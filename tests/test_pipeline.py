@@ -332,6 +332,48 @@ class TestCli:
         assert cli_main(["cluster", "--sites", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "c.json")]) == 2
 
+    @pytest.mark.parametrize("damage", ["truncated_pose_line",
+                                        "non_utf8_pose_line",
+                                        "intrinsics_missing_key"])
+    def test_malformed_stream_metadata_exits_2(self, tmp_path, capsys, damage):
+        stream = self._synth(tmp_path, frames=2)
+        if damage == "truncated_pose_line":
+            path = stream / "frames.jsonl"
+            lines = path.read_text().splitlines()
+            path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+            where = f"{path}:2"
+        elif damage == "non_utf8_pose_line":
+            path = stream / "frames.jsonl"
+            with open(path, "ab") as f:
+                f.write(b"\xff\xfe\n")
+            where = f"{path}:3"
+        else:
+            path = stream / "intrinsics.json"
+            obj = json.loads(path.read_text())
+            del obj["fx"]
+            path.write_text(json.dumps(obj))
+            where = str(path)
+        capsys.readouterr()
+        assert cli_main(["detect", "--in", str(stream), "--profile", "sim",
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), "a"])
+    def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys, x):
+        path = tmp_path / "sites.json"
+        path.write_text(json.dumps({"dedup_radius_m": 0.5, "sites": [
+            {"x": x, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+             "timestamp": 0.0}]}))
+        capsys.readouterr()
+        assert cli_main(["cluster", "--sites", str(path),
+                         "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed registry snapshot")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_custom_config_used(self, tmp_path):
         cfg = get_profile("sim")
         path = tmp_path / "custom.json"

@@ -25,6 +25,24 @@ def registry_with(positions, scores=None, dedup_radius=1e-9):
     return reg
 
 
+def assert_brute_force_partition(positions, scores, dist_th, z_th, metric):
+    """cluster_sites gives the oracle's partition, with exact summaries."""
+    clusters = cluster_sites(registry_with(positions, scores), dist_th, z_th,
+                             metric=metric)
+    labels = brute_force_partition(positions, dist_th, z_th, metric=metric)
+    assert sum(c.member_count for c in clusters) == len(positions)
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    expect = sorted(
+        (tuple(positions[idx].mean(axis=0)), float(scores[idx].mean()),
+         len(idx))
+        for idx in (np.array(g) for g in groups.values()))
+    got = sorted((tuple(c.centroid), c.mean_score, c.member_count)
+                 for c in clusters)
+    assert got == expect
+
+
 class TestInsert:
     def test_empty_registry_accepts_anything(self):
         reg = SiteRegistry(0.5)
@@ -47,7 +65,8 @@ class TestInsert:
         with pytest.raises(ValueError):
             reg.insert(site(np.nan, 0, 0))
         with pytest.raises(ValueError):
-            reg.insert_batch([site(np.inf, 0, 0)])
+            reg.insert_positions(np.array([[np.inf, 0.0, 0.0]]), np.ones(1),
+                                 frame_id=0, timestamp=0.0)
 
     def test_matches_linear_scan_reference(self):
         rng = np.random.default_rng(21)
@@ -68,6 +87,14 @@ class TestInsert:
         assert d.min() >= 0.4
 
 
+def insert_all(reg, points, scores=None, frame_id=0, timestamp=0.0):
+    pos = np.array(points, dtype=float).reshape(-1, 3)
+    if scores is None:
+        scores = np.full(len(pos), 0.8)
+    return reg.insert_positions(pos, scores, frame_id=frame_id,
+                                timestamp=timestamp)
+
+
 class TestInsertBatch:
     @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
                               st.floats(-2, 2)), max_size=60))
@@ -75,9 +102,8 @@ class TestInsertBatch:
     def test_equivalent_to_sequential(self, points):
         seq = SiteRegistry(0.5)
         batch = SiteRegistry(0.5)
-        sites = [site(*p) for p in points]
-        expect = [seq.insert(s) for s in sites]
-        got = batch.insert_batch([site(*p) for p in points])
+        expect = [seq.insert(site(*p)) for p in points]
+        got = insert_all(batch, points)
         assert got == expect
         assert np.array_equal(seq.positions(), batch.positions())
 
@@ -88,23 +114,24 @@ class TestInsertBatch:
         for _ in range(5):
             chunk = rng.uniform(-2, 2, (400, 3))
             expect = [seq.insert(site(*p)) for p in chunk]
-            got = batch.insert_batch([site(*p) for p in chunk])
+            got = insert_all(batch, chunk)
             assert got == expect
         assert np.array_equal(seq.positions(), batch.positions())
 
-    def test_insert_positions_matches_site_batch(self):
+    def test_records_match_sequential_insert(self):
         rng = np.random.default_rng(24)
         pos = rng.uniform(-2, 2, (300, 3))
         scores = rng.uniform(0, 1, 300)
         a = SiteRegistry(0.5)
-        flags_a = a.insert_positions(pos, scores, frame_id=3, timestamp=0.5)
+        flags_a = insert_all(a, pos, scores, frame_id=3, timestamp=0.5)
         b = SiteRegistry(0.5)
-        flags_b = b.insert_batch([
-            LandingSite(position=p, score=float(s), frame_id=3, timestamp=0.5)
-            for p, s in zip(pos, scores)])
+        flags_b = [b.insert(LandingSite(position=p, score=float(s), frame_id=3,
+                                        timestamp=0.5))
+                   for p, s in zip(pos, scores)]
         assert flags_a == flags_b
         assert np.array_equal(a.positions(), b.positions())
-        assert [s.score for s in a.sites] == [s.score for s in b.sites]
+        assert [s.to_json_obj() for s in a.sites] == \
+            [s.to_json_obj() for s in b.sites]
 
 
 class TestNearest:
@@ -175,22 +202,40 @@ class TestClustering:
         rng = np.random.default_rng(41)
         positions = rng.uniform(-2, 2, (200, 3))
         scores = rng.uniform(0, 1, 200)
-        reg = registry_with(positions, scores)
         for metric in ("xy", "xyz"):
-            clusters = cluster_sites(reg, 0.45, 0.3, metric=metric)
-            labels = brute_force_partition(positions, 0.45, 0.3, metric=metric)
-            assert sum(c.member_count for c in clusters) == 200
-            # identical partition: per-group summaries must match exactly
-            groups: dict[int, list[int]] = {}
-            for i, lab in enumerate(labels):
-                groups.setdefault(lab, []).append(i)
-            expect = sorted(
-                (tuple(positions[idx].mean(axis=0)), float(scores[idx].mean()),
-                 len(idx))
-                for idx in (np.array(g) for g in groups.values()))
-            got = sorted((tuple(c.centroid), c.mean_score, c.member_count)
-                         for c in clusters)
-            assert got == expect
+            assert_brute_force_partition(positions, scores, 0.45, 0.3, metric)
+
+    def test_links_exactly_at_thresholds(self):
+        far = np.nextafter(0.5, 1.0)
+        above = np.nextafter(0.25, 1.0)
+        for metric in ("xy", "xyz"):
+            # horizontal separation exactly dist_th, then one ulp beyond
+            assert len(cluster_sites(registry_with(
+                [(1.0, 2.0, 0.0), (1.5, 2.0, 0.0)]), 0.5, 0.25, metric)) == 1
+            assert len(cluster_sites(registry_with(
+                [(0.0, 2.0, 0.0), (far, 2.0, 0.0)]), 0.5, 0.25, metric)) == 2
+            # height difference exactly z_th, then one ulp beyond
+            assert len(cluster_sites(registry_with(
+                [(1.0, 2.0, 0.0), (1.0, 2.0, 0.25)]), 0.5, 0.25, metric)) == 1
+            assert len(cluster_sites(registry_with(
+                [(1.0, 2.0, 0.0), (1.0, 2.0, above)]), 0.5, 0.25, metric)) == 2
+        # both at once: 3-D separation is exactly sqrt(dist^2 + z^2)
+        corner = registry_with([(1.0, 2.0, 0.0), (1.5, 2.0, 0.25)])
+        assert len(cluster_sites(corner, 0.5, 0.25, "xy")) == 1
+        assert len(cluster_sites(corner, 0.5, 0.25, "xyz")) == 2
+
+    def test_jittered_grid_matches_brute_force_partition(self):
+        # 0.5 m grid with dyadic jitter, so many pairs sit exactly at or
+        # one jitter step around the 0.5 m / 0.01 m sim thresholds
+        rng = np.random.default_rng(42)
+        gx, gy = np.meshgrid(np.arange(16) * 0.5, np.arange(16) * 0.5)
+        positions = np.column_stack([gx.ravel(), gy.ravel(),
+                                     np.zeros(gx.size)])
+        positions[:, :2] += rng.integers(-2, 3, (gx.size, 2)) * 2.0 ** -8
+        positions[:, 2] += rng.integers(-2, 3, gx.size) * 0.005
+        scores = rng.uniform(0, 1, len(positions))
+        for metric in ("xy", "xyz"):
+            assert_brute_force_partition(positions, scores, 0.5, 0.01, metric)
 
     @given(st.permutations(list(range(40))))
     @settings(max_examples=25, deadline=None)
@@ -259,4 +304,12 @@ class TestSnapshot:
         assert np.array_equal(loaded.nearest(q)[0].position,
                               reg.nearest(q)[0].position)
 
-
+    @pytest.mark.parametrize("x", [float("nan"), float("-inf"), "a", None])
+    def test_rejects_nonfinite_or_nonnumeric_position(self, x):
+        obj = {"dedup_radius_m": 0.5, "sites": [
+            {"x": 1.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+             "timestamp": 0.0},
+            {"x": x, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+             "timestamp": 0.0}]}
+        with pytest.raises((TypeError, ValueError)):
+            SiteRegistry.from_json_obj(obj)
