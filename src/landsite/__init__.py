@@ -28,7 +28,7 @@ from .costmaps import (
     steepness_map,
     surface_normals,
 )
-from .detection import CandidateSite, candidates_to_world, dense_candidates
+from .detection import Candidates, dense_candidates
 from .errors import ConfigError
 from .geometry import (
     CameraIntrinsics,
@@ -36,10 +36,8 @@ from .geometry import (
     Pose,
     backproject,
     camera_pose,
-    pixel_to_world,
     project_points,
     project_uav_radius,
-    transform_points,
 )
 from .pipeline import (
     FrameMaps,
@@ -66,18 +64,17 @@ from .scene_synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryMap", "Box", "CameraIntrinsics", "CandidateSite", "ClusterSite",
+    "BinaryMap", "Box", "CameraIntrinsics", "Candidates", "ClusterSite",
     "ConfigError", "Costmap", "CostmapKind", "DepthFrame", "FrameMaps",
     "FusionWeights", "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER", "LandingSite", "NormalMap", "PROFILES",
     "PipelineConfig", "PipelineResult", "Pose", "SceneSpec", "SiteRegistry",
     "Sphere", "StageStat", "TiltedPlane", "TimingReport", "backproject",
-    "bench", "camera_pose", "candidates_to_world", "canny_edges",
+    "bench", "camera_pose", "canny_edges",
     "canonical_camera", "canonical_scenes", "cluster_sites", "decision_map",
     "default_intrinsics", "dense_candidates", "depth_confidence_map",
     "distance_transform", "energy_map", "evaluate_costmaps", "flatness_map",
-    "get_profile", "minmax_normalize", "pixel_to_world", "project_points",
+    "get_profile", "minmax_normalize", "project_points",
     "project_uav_radius", "read_frame_stream", "render_depth", "run_pipeline",
-    "steepness_map", "surface_normals", "transform_points",
-    "write_frame_stream",
+    "steepness_map", "surface_normals", "write_frame_stream",
 ]

@@ -109,8 +109,8 @@ def _cmd_detect(args) -> int:
     write_outputs(args.out, result)
     n_candidates = sum(len(f.candidates) for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "
-          f"candidates: {n_candidates}  sites: {len(result.registry)}  "
-          f"clusters: {len(result.clusters)}")
+          f"empty: {result.frames_empty}  candidates: {n_candidates}  "
+          f"sites: {len(result.registry)}  clusters: {len(result.clusters)}")
     return 0
 
 

@@ -8,34 +8,41 @@ global registry and clustering do the sparsification.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costmaps import Costmap, FusionWeights
 from .geometry import DepthFrame, project_uav_radius
-from .registry import LandingSite
-
-log = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
-class CandidateSite:
-    """A pixel-level detection in one frame."""
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """One frame's candidate pixels as parallel columns, in raster order.
 
-    x: int
-    y: int
-    depth: float
-    score: float
-    flat_radius_px: float
-    frame_id: int
+    Row i is the pixel (xs[i], ys[i]) with its depth (m), fused score and
+    un-normalized flat radius (px).
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    depth: np.ndarray
+    score: np.ndarray
+    flat_radius_px: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.xs)
 
 
-def candidate_indices(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
-                      weights: FusionWeights, uav_radius: float,
-                      safety_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(ys, xs) of all pixels passing the score and footprint tests, raster order."""
+def dense_candidates(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
+                     weights: FusionWeights, uav_radius: float,
+                     safety_factor: float = 1.0) -> Candidates:
+    """All pixels passing both the score and the footprint test.
+
+    ``flat_raw`` must be the un-normalized flatness map (pixels). The
+    footprint test requires flat_raw >= safety_factor * projected UAV
+    radius at the pixel's depth. Only valid pixels can pass.
+    """
     if decision.shape != frame.shape or flat_raw.shape != frame.shape:
         raise ValueError("costmaps are not aligned with the frame")
     ok = decision.valid & flat_raw.valid & frame.valid
@@ -45,67 +52,28 @@ def candidate_indices(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
             uav_radius, frame.depth[ok], frame.intrinsics)
     passing = (ok & (decision.values >= weights.decision_threshold)
                & (flat_raw.values >= required))
-    return np.nonzero(passing)
+    ys, xs = np.nonzero(passing)
+    return Candidates(xs=xs, ys=ys, depth=frame.depth[ys, xs],
+                      score=decision.values[ys, xs],
+                      flat_radius_px=flat_raw.values[ys, xs])
 
 
-def dense_candidates(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
-                     weights: FusionWeights, uav_radius: float,
-                     safety_factor: float = 1.0) -> list[CandidateSite]:
-    """All pixels passing both the score and the footprint test.
+def world_positions(cands: Candidates, frame: DepthFrame) -> np.ndarray:
+    """Back-project candidate pixels and lift them to the world frame, (N, 3).
 
-    ``flat_raw`` must be the un-normalized flatness map (pixels). The
-    footprint test requires flat_raw >= safety_factor * projected UAV
-    radius at the pixel's depth. Candidates are emitted in raster order.
+    Raises ValueError if any row lies outside the image or on an invalid
+    depth pixel; ``dense_candidates`` never emits such rows.
     """
-    ys, xs = candidate_indices(decision, flat_raw, frame, weights, uav_radius,
-                               safety_factor)
-    return build_candidates(xs, ys, frame, decision, flat_raw)
-
-
-def build_candidates(xs: np.ndarray, ys: np.ndarray, frame: DepthFrame,
-                     decision: Costmap, flat_raw: Costmap) -> list[CandidateSite]:
-    frame_id = frame.frame_id
-    return [
-        CandidateSite(x, y, d, s, f, frame_id)
-        for x, y, d, s, f in zip(
-            xs.tolist(), ys.tolist(), frame.depth[ys, xs].tolist(),
-            decision.values[ys, xs].tolist(), flat_raw.values[ys, xs].tolist())
-    ]
-
-
-def world_positions(xs: np.ndarray, ys: np.ndarray, depths: np.ndarray,
-                    frame: DepthFrame) -> np.ndarray:
-    """Back-project pixel batches and lift them to the world frame, (N, 3)."""
-    intr = frame.intrinsics
-    p_cam = np.empty((len(xs), 3))
-    p_cam[:, 0] = depths * (np.asarray(xs, dtype=np.float64) - intr.cx) / intr.fx
-    p_cam[:, 1] = depths * (np.asarray(ys, dtype=np.float64) - intr.cy) / intr.fy
-    p_cam[:, 2] = depths
-    return frame.pose_world_from_camera.apply(p_cam)
-
-
-def candidates_to_world(candidates: list[CandidateSite],
-                        frame: DepthFrame) -> tuple[list[LandingSite], int]:
-    """Lift candidates to world-frame landing sites.
-
-    Candidates at invalid pixels are skipped; returns (sites, skipped).
-    """
-    if not candidates:
-        return [], 0
     h, w = frame.shape
-    xs = np.array([c.x for c in candidates])
-    ys = np.array([c.y for c in candidates])
-    usable = (0 <= xs) & (xs < w) & (0 <= ys) & (ys < h)
-    usable[usable] &= frame.valid[ys[usable], xs[usable]]
-    skipped = int((~usable).sum())
-    if skipped:
-        log.warning("skipped %d candidate(s) at invalid pixels", skipped)
-    xs, ys = xs[usable], ys[usable]
-    world = world_positions(xs, ys, frame.depth[ys, xs], frame)
-    kept = (c for c, u in zip(candidates, usable) if u)
-    sites = [
-        LandingSite(position=pos, score=c.score, frame_id=c.frame_id,
-                    timestamp=frame.timestamp)
-        for pos, c in zip(world, kept)
-    ]
-    return sites, skipped
+    inside = (cands.xs >= 0) & (cands.xs < w) & (cands.ys >= 0) & (cands.ys < h)
+    n_bad = len(cands) - np.count_nonzero(
+        frame.valid[cands.ys[inside], cands.xs[inside]])
+    if n_bad:
+        raise ValueError(f"{n_bad} of {len(cands)} candidates lie outside "
+                         f"the image or on invalid depth")
+    intr = frame.intrinsics
+    p_cam = np.empty((len(cands), 3))
+    p_cam[:, 0] = cands.depth * (cands.xs.astype(np.float64) - intr.cx) / intr.fx
+    p_cam[:, 1] = cands.depth * (cands.ys.astype(np.float64) - intr.cy) / intr.fy
+    p_cam[:, 2] = cands.depth
+    return frame.pose_world_from_camera.apply(p_cam)

@@ -219,13 +219,6 @@ class DepthFrame:
     def shape(self) -> tuple[int, int]:
         return self.depth.shape
 
-    def clip_range(self, d_min: float, d_max: float) -> "DepthFrame":
-        """New frame with depths outside [d_min, d_max] marked invalid."""
-        ok = self.valid & (self.depth >= d_min) & (self.depth <= d_max)
-        return DepthFrame(self.depth, ok, self.intrinsics,
-                          self.pose_world_from_camera, self.frame_id,
-                          self.timestamp)
-
 
 def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
     """Lift a depth frame to a camera-frame point grid.
@@ -242,11 +235,6 @@ def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
     pts[..., 2] = frame.depth
     pts[~frame.valid] = 0.0
     return pts, frame.valid.copy()
-
-
-def transform_points(points: np.ndarray, pose: Pose) -> np.ndarray:
-    """Apply a rigid transform elementwise to points of shape (..., 3)."""
-    return pose.apply(points)
 
 
 def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -275,22 +263,6 @@ def project_uav_radius(uav_radius: float, depth, intrinsics: CameraIntrinsics):
     return float(r) if np.isscalar(depth) or d.ndim == 0 else r
 
 
-def pixel_to_world(pixel: tuple[int, int], frame: DepthFrame) -> np.ndarray:
-    """World-frame 3D point observed at an (x, y) pixel. Raises on invalid pixels."""
-    x, y = int(pixel[0]), int(pixel[1])
-    h, w = frame.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise ValueError(f"pixel ({x}, {y}) outside image")
-    if not frame.valid[y, x]:
-        raise ValueError(f"pixel ({x}, {y}) has no valid depth")
-    intr = frame.intrinsics
-    d = frame.depth[y, x]
-    p_cam = np.array([d * (x - intr.cx) / intr.fx,
-                      d * (y - intr.cy) / intr.fy,
-                      d])
-    return frame.pose_world_from_camera.apply(p_cam)
-
-
 # --- file interchange -------------------------------------------------------
 
 def load_intrinsics(path) -> CameraIntrinsics:
@@ -311,7 +283,8 @@ def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
     """Read a JSONL pose stream into {frame_id: (t_sec, pose)}.
 
-    A malformed line raises OSError naming the path and line number.
+    A malformed line, including one with a non-finite ``t_sec``, raises
+    OSError naming the path and line number.
     """
     records: dict[int, tuple[float, Pose]] = {}
     with open(path, "rb") as f:
@@ -325,7 +298,10 @@ def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
                     float(obj["qw"]), float(obj["qx"]), float(obj["qy"]),
                     float(obj["qz"]),
                     (float(obj["tx"]), float(obj["ty"]), float(obj["tz"])))
-                records[int(obj["frame_id"])] = (float(obj["t_sec"]), pose)
+                t_sec = float(obj["t_sec"])
+                if not math.isfinite(t_sec):
+                    raise ValueError(f"t_sec must be finite, got {t_sec}")
+                records[int(obj["frame_id"])] = (t_sec, pose)
             except (KeyError, TypeError, ValueError) as exc:
                 raise OSError(f"{path}:{lineno}: malformed pose record "
                               f"({type(exc).__name__}: {exc})") from exc

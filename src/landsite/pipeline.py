@@ -26,8 +26,7 @@ from . import costmaps as cm
 from . import formats
 from .config import PipelineConfig
 from .errors import ConfigError
-from .detection import CandidateSite, build_candidates, candidate_indices, \
-    world_positions
+from .detection import Candidates, dense_candidates, world_positions
 from .geometry import DepthFrame, load_intrinsics, load_pose_records, \
     save_intrinsics, save_pose_records
 from .registry import SiteRegistry, cluster_sites
@@ -54,9 +53,8 @@ class FrameMaps:
 @dataclass(eq=False)
 class FrameResult:
     frame_id: int
-    candidates: list[CandidateSite]
+    candidates: Candidates
     inserted: int
-    skipped_candidates: int
 
 
 @dataclass(eq=False)
@@ -65,6 +63,7 @@ class PipelineResult:
     registry: SiteRegistry | None = None
     clusters: list = field(default_factory=list)
     frames_failed: int = 0
+    frames_empty: int = 0
 
 
 class _StageClock:
@@ -132,30 +131,28 @@ def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
                  timings: dict[str, float] | None = None) -> FrameResult:
     """Dense detection for one frame, including registry aggregation.
 
-    Candidate pixels are valid by construction, so none are skipped when
-    lifting to the world frame; positions and scores go to the registry
-    in raster order, matching sequential insertion semantics.
+    Candidate positions and scores go to the registry in raster order,
+    matching sequential insertion semantics.
     """
-    weights = config.fusion_weights()
     clock = _StageClock(timings)
     clock.start()
-    ys, xs = candidate_indices(maps.decision, maps.flatness_raw, frame,
-                               weights, config.uav_radius_m,
-                               config.safety_factor)
-    candidates = build_candidates(xs, ys, frame, maps.decision,
-                                  maps.flatness_raw)
-    world = world_positions(xs, ys, frame.depth[ys, xs], frame)
-    flags = registry.insert_positions(world, maps.decision.values[ys, xs],
-                                      frame.frame_id, frame.timestamp)
+    candidates = dense_candidates(maps.decision, maps.flatness_raw, frame,
+                                  config.fusion_weights(), config.uav_radius_m,
+                                  config.safety_factor)
+    flags = registry.insert_positions(world_positions(candidates, frame),
+                                      candidates.score, frame.frame_id,
+                                      frame.timestamp)
     clock.stop("dense_detection")
     return FrameResult(frame_id=frame.frame_id, candidates=candidates,
-                       inserted=sum(flags), skipped_candidates=0)
+                       inserted=sum(flags))
 
 
 def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResult:
     """Process a frame iterable end to end.
 
     Returns per-frame candidates, the final registry and its clusters.
+    A frame with no valid depth pixel is processed like any other (it
+    yields no candidates) but logged and counted in ``frames_empty``.
     With ``dump_dir`` set, the exact stage arrays used for the decisions
     are written there per frame (PFM for scalar fields, PGM for binary).
     """
@@ -170,6 +167,9 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
             log.warning("frame %s failed: %s", getattr(frame, "frame_id", "?"), exc)
             result.frames_failed += 1
             continue
+        if not frame.valid.any():
+            log.warning("frame %s has no valid depth pixel", frame.frame_id)
+            result.frames_empty += 1
         if dump_dir is not None:
             dump_costmaps(dump_dir, frame.frame_id, maps)
         result.frames.append(detect_frame(config, frame, maps, registry))
@@ -210,13 +210,23 @@ def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps,
 
 
 def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
+    """One JSON object per candidate, frames in order, rows in raster order.
+
+    The lines are byte-identical to ``json.dumps`` of each row's dict:
+    ``json.dumps`` writes a finite float as ``float.__repr__``, which is
+    what ``!r`` gives, and every column is finite because NaN fails the
+    ``>=`` gates of ``dense_candidates`` (depth is finite on valid pixels,
+    the score lies in [0, 1] and the flat radius is an EDT distance).
+    """
     with open(path, "w", encoding="utf-8") as f:
         for fr in frame_results:
-            for c in fr.candidates:
-                obj = {"frame_id": c.frame_id, "px": c.x, "py": c.y,
-                       "depth_m": c.depth, "score": c.score,
-                       "flat_radius_px": c.flat_radius_px}
-                f.write(json.dumps(obj) + "\n")
+            c = fr.candidates
+            f.writelines(
+                f'{{"frame_id": {fr.frame_id}, "px": {x}, "py": {y}, '
+                f'"depth_m": {d!r}, "score": {s!r}, "flat_radius_px": {r!r}}}\n'
+                for x, y, d, s, r in zip(c.xs.tolist(), c.ys.tolist(),
+                                         c.depth.tolist(), c.score.tolist(),
+                                         c.flat_radius_px.tolist()))
 
 
 def write_sites_json(path, registry: SiteRegistry) -> None:

@@ -22,6 +22,7 @@ between insertions and the object can be handed across threads freely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,14 +190,17 @@ class SiteRegistry:
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
         """Rebuild a registry from a snapshot.
 
-        A non-numeric or non-finite position raises ValueError (TypeError
-        for a null or nested value).
+        A non-numeric or non-finite position, score or timestamp raises
+        ValueError (TypeError for a null or nested value).
         """
         reg = cls(float(obj["dedup_radius_m"]))
         for rec in obj["sites"]:
             reg._accept(LandingSite.from_json_obj(rec))
         if not np.all(np.isfinite(reg.positions())):
             raise ValueError("site positions must be finite")
+        if not all(math.isfinite(s.score) and math.isfinite(s.timestamp)
+                   for s in reg.sites):
+            raise ValueError("site scores and timestamps must be finite")
         return reg
 
     def save(self, path) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landsite.detection import Candidates
 from landsite.geometry import CameraIntrinsics, DepthFrame, Pose
 
 
@@ -32,5 +33,19 @@ def make_frame(intrinsics_small):
                           intrinsics=intr,
                           pose_world_from_camera=pose or Pose.identity(),
                           frame_id=frame_id, timestamp=timestamp)
+
+    return _make
+
+
+@pytest.fixture
+def candidates_at():
+    """Build Candidates at (x, y) pixels of a frame, with the frame's depth."""
+
+    def _make(frame, pixels, score=0.8, flat_radius_px=5.0):
+        xs = np.array([p[0] for p in pixels], dtype=np.intp)
+        ys = np.array([p[1] for p in pixels], dtype=np.intp)
+        return Candidates(xs=xs, ys=ys, depth=frame.depth[ys, xs],
+                          score=np.full(len(xs), score),
+                          flat_radius_px=np.full(len(xs), flat_radius_px))
 
     return _make

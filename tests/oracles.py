@@ -8,6 +8,7 @@ conventions tap for tap so the comparison is exact.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 
@@ -153,6 +154,20 @@ def homogeneous_pixel_to_world(pixel, depth, intrinsics, rotation,
     m[:3, :3] = rotation
     m[:3, 3] = translation
     return (m @ p_cam)[:3]
+
+
+def json_dumps_candidates_jsonl(frame_results) -> str:
+    """Reference candidates.jsonl text: one ``json.dumps`` call per row."""
+    lines = []
+    for fr in frame_results:
+        c = fr.candidates
+        for i in range(len(c)):
+            obj = {"frame_id": fr.frame_id, "px": int(c.xs[i]),
+                   "py": int(c.ys[i]), "depth_m": float(c.depth[i]),
+                   "score": float(c.score[i]),
+                   "flat_radius_px": float(c.flat_radius_px[i])}
+            lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
 
 
 def linear_scan_nearest(points, query):

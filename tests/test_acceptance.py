@@ -173,14 +173,12 @@ def test_criterion_5_canonical_scene_end_to_end():
     cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
                              SIM.fusion_weights(), SIM.uav_radius_m,
                              SIM.safety_factor)
-    assert cands, "ROOF_EDGE produced no candidates"
+    assert len(cands) > 0, "ROOF_EDGE produced no candidates"
     edge_mask = ss.edge_mask_from_prim_ids(truth)
     edge_dist = np.sqrt(
         squared_distance_transform(edge_mask.astype(np.uint8)).astype(float))
-    worst_cross = 0.0
-    for c in cands:
-        worst_cross = max(worst_cross,
-                          c.flat_radius_px - float(edge_dist[c.y, c.x]))
+    worst_cross = max(0.0, float(np.max(
+        cands.flat_radius_px - edge_dist[cands.ys, cands.xs])))
     assert worst_cross <= 1.5
     print(f"\n[PASS] criterion 5: pad centroid {pad_dist:.3f} m from center "
           f"(tol 0.5); steep-wall/tree sites {wall_sites}/{tree_sites}; "

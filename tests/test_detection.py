@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from landsite.costmaps import Costmap, CostmapKind, FusionWeights
-from landsite.detection import (
-    CandidateSite,
-    candidates_to_world,
-    dense_candidates,
-)
+from landsite.detection import Candidates, dense_candidates, world_positions
 from landsite.geometry import (
     CameraIntrinsics,
     DepthFrame,
@@ -17,7 +13,8 @@ from landsite.geometry import (
     project_uav_radius,
 )
 from landsite import scene_synth as ss
-from landsite.pipeline import evaluate_costmaps
+from landsite.pipeline import detect_frame, evaluate_costmaps
+from landsite.registry import SiteRegistry
 from landsite.config import get_profile
 
 from oracles import brute_force_squared_edt
@@ -40,12 +37,13 @@ class TestScoreThreshold:
         decision, flat = _maps(frame, 0.73, 1000.0)
         cands = dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13)
         assert len(cands) == 48 * 64
-        assert all(c.score == 0.73 for c in cands[:5])
+        assert np.all(cands.score[:5] == 0.73)
 
     def test_score_below_threshold_is_dropped(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
         decision, flat = _maps(frame, 0.71, 1000.0)
-        assert dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13) == []
+        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS,
+                                    0.13)) == 0
 
     def test_score_at_threshold_is_emitted(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
@@ -62,8 +60,8 @@ class TestFootprintFilter:
         assert len(dense_candidates(decision, flat_pass, frame, SIM_WEIGHTS,
                                     0.13)) == 48 * 64
         _, flat_fail = _maps(frame, 0.9, required - 1e-9)
-        assert dense_candidates(decision, flat_fail, frame, SIM_WEIGHTS,
-                                0.13) == []
+        assert len(dense_candidates(decision, flat_fail, frame, SIM_WEIGHTS,
+                                    0.13)) == 0
 
     def test_safety_factor_scales_requirement(self, make_frame,
                                               intrinsics_small):
@@ -72,8 +70,8 @@ class TestFootprintFilter:
         decision, flat = _maps(frame, 0.9, 1.5 * required)
         assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13,
                                     safety_factor=1.5)) == 48 * 64
-        assert dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13,
-                                safety_factor=1.6) == []
+        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13,
+                                    safety_factor=1.6)) == 0
 
     def test_misaligned_grids_rejected(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
@@ -119,18 +117,18 @@ class TestPadSceneFootprint:
             brute_force_squared_edt(transitions.astype(np.uint8)).astype(float))
         required = project_uav_radius(config.uav_radius_m, frame.depth, intr)
 
-        for c in cands:
-            assert gt_dist[c.y, c.x] >= required[c.y, c.x] - 1.5
+        ys, xs = cands.ys, cands.xs
+        assert np.all(gt_dist[ys, xs] >= required[ys, xs] - 1.5)
 
         lo = int(((gt_dist >= required + 1.5) & frame.valid).sum())
         hi = int(((gt_dist >= required - 1.5) & frame.valid).sum())
         assert lo <= len(cands) <= hi
 
-        pad_cands = [c for c in cands if truth.safe_mask[c.y, c.x]]
+        n_pad = int(truth.safe_mask[ys, xs].sum())
         pad_lo = ((gt_dist >= required + 1.5) & truth.safe_mask).sum()
         pad_hi = ((gt_dist >= required - 1.5) & truth.safe_mask).sum()
-        assert pad_lo <= len(pad_cands) <= pad_hi
-        assert len(pad_cands) > 0
+        assert pad_lo <= n_pad <= pad_hi
+        assert n_pad > 0
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +153,13 @@ class TestRubbleInvariants:
         cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
                                  config.fusion_weights(), config.uav_radius_m,
                                  config.safety_factor)
-        assert cands
+        assert len(cands) > 0
         # primitive order in the scene: 0 ground, 1 safe pad,
         # 2 slab tilted 25 degrees, 3 canopy sphere, 4 tall block
-        hit_ids = {int(truth.prim_id[c.y, c.x]) for c in cands}
+        hit_ids = set(truth.prim_id[cands.ys, cands.xs].tolist())
         assert 2 not in hit_ids, "candidate on the 25-degree slab"
         assert 3 not in hit_ids, "candidate on the sphere canopy"
-        assert any(truth.safe_mask[c.y, c.x] for c in cands), \
+        assert truth.safe_mask[cands.ys, cands.xs].any(), \
             "no candidate on the flat pad"
 
 
@@ -189,51 +187,68 @@ class TestMonotonicity:
 
 
 class TestCandidatesToWorld:
-    def test_identity_pose_principal_point(self):
+    def test_identity_pose_principal_point(self, candidates_at):
         intr = CameraIntrinsics(fx=80, fy=80, cx=32, cy=24, width=64,
                                 height=48)
         depth = np.full((48, 64), 4.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
                            Pose.identity())
-        cands = [CandidateSite(32, 24, 4.0, 0.9, 10.0, 0)]
-        sites, skipped = candidates_to_world(cands, frame)
-        assert skipped == 0
-        assert np.allclose(sites[0].position, [0, 0, 4.0])
-        assert sites[0].score == 0.9
+        world = world_positions(candidates_at(frame, [(32, 24)]), frame)
+        assert np.allclose(world[0], [0, 0, 4.0])
 
-    def test_nadir_sites_land_on_ground(self):
+    def test_nadir_sites_land_on_ground(self, candidates_at):
         intr = ss.default_intrinsics()
         scene = ss.SceneSpec(primitives=(ss.GroundPlane(z=0.0),))
         frame, _ = ss.render_depth(scene, intr, camera_pose((0, 0, 10.0)))
-        cands = [CandidateSite(x, y, float(frame.depth[y, x]), 0.8, 5.0, 0)
-                 for x, y in [(10, 10), (320, 240), (600, 400)]]
-        sites, skipped = candidates_to_world(cands, frame)
-        assert skipped == 0
-        for site in sites:
-            assert abs(site.position[2]) < 1e-9
+        cands = candidates_at(frame, [(10, 10), (320, 240), (600, 400)])
+        for position in world_positions(cands, frame):
+            assert abs(position[2]) < 1e-9
 
-    def test_batch_cardinality(self, make_frame):
+    def test_batch_cardinality(self, make_frame, candidates_at):
         frame = make_frame(np.full((48, 64), 3.0))
-        cands = [CandidateSite(x, y, 3.0, 0.8, 5.0, 0)
-                 for y in range(0, 48, 7) for x in range(0, 64, 7)]
-        sites, skipped = candidates_to_world(cands, frame)
-        assert len(sites) == len(cands)
-        assert skipped == 0
+        cands = candidates_at(frame, [(x, y) for y in range(0, 48, 7)
+                                      for x in range(0, 64, 7)])
+        assert world_positions(cands, frame).shape == (len(cands), 3)
+        assert world_positions(candidates_at(frame, []), frame).shape == (0, 3)
 
     def test_invalid_pixels_skipped_with_count(self, make_frame):
         depth = np.full((48, 64), 3.0)
         depth[5, 5] = np.nan
         frame = make_frame(depth)
-        cands = [CandidateSite(5, 5, 3.0, 0.8, 5.0, 0),
-                 CandidateSite(10, 10, 3.0, 0.8, 5.0, 0),
-                 CandidateSite(200, 3, 3.0, 0.8, 5.0, 0)]
-        sites, skipped = candidates_to_world(cands, frame)
-        assert len(sites) == 1
-        assert skipped == 2
+        # lifting rows at an invalid and an out-of-image pixel is refused,
+        # and the error counts them
+        xs, ys = np.array([5, 10, 200]), np.array([5, 10, 3])
+        bad = Candidates(xs=xs, ys=ys, depth=np.full(3, 3.0),
+                         score=np.full(3, 0.8), flat_radius_px=np.full(3, 5.0))
+        with pytest.raises(ValueError, match="2 of 3"):
+            world_positions(bad, frame)
+        # dense_candidates skips the invalid pixel even where the maps,
+        # valid and passing everywhere, would let it through
+        everywhere = np.ones(frame.shape, bool)
+        decision = Costmap(np.full(frame.shape, 0.9), everywhere,
+                           CostmapKind.DECISION)
+        flat = Costmap(np.full(frame.shape, 1000.0), everywhere,
+                       CostmapKind.FLATNESS)
+        cands = dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13)
+        assert len(cands) == 48 * 64 - 1
+        assert not np.any((cands.xs == 5) & (cands.ys == 5))
+        assert world_positions(cands, frame).shape == (48 * 64 - 1, 3)
 
-    def test_preserves_frame_id_and_timestamp(self, make_frame):
-        frame = make_frame(np.full((48, 64), 3.0), frame_id=7, timestamp=1.25)
-        cands = [CandidateSite(10, 10, 3.0, 0.8, 5.0, 7)]
-        sites, _ = candidates_to_world(cands, frame)
-        assert sites[0].frame_id == 7
-        assert sites[0].timestamp == 1.25
+    def test_preserves_frame_id_and_timestamp(self):
+        intr = ss.default_intrinsics()
+        frame, _ = ss.render_depth(ss.canonical_scenes()["FLAT_PAD"], intr,
+                                   ss.canonical_camera("FLAT_PAD"),
+                                   frame_id=7, timestamp=1.25)
+        config = get_profile("sim")
+        registry = SiteRegistry(config.dedup_radius_m)
+        result = detect_frame(config, frame, evaluate_costmaps(config, frame),
+                              registry)
+        assert result.frame_id == 7
+        assert result.inserted == len(registry) > 0
+        assert all(s.frame_id == 7 and s.timestamp == 1.25
+                   for s in registry.sites)
+        # the first candidate in raster order always enters an empty registry
+        cands = result.candidates
+        assert registry.sites[0].score == cands.score[0]
+        assert np.array_equal(registry.sites[0].position,
+                              world_positions(cands, frame)[0])

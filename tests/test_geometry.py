@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landsite.detection import world_positions
 from landsite.geometry import (
     CameraIntrinsics,
     DepthFrame,
@@ -11,12 +12,10 @@ from landsite.geometry import (
     camera_pose,
     load_intrinsics,
     load_pose_records,
-    pixel_to_world,
     project_points,
     project_uav_radius,
     save_intrinsics,
     save_pose_records,
-    transform_points,
 )
 
 from oracles import homogeneous_pixel_to_world
@@ -75,7 +74,7 @@ class TestPose:
     def test_inverse_round_trip(self, q, t):
         pose = Pose.from_quaternion(*q, t)
         pts = np.array([[0.3, -0.7, 2.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        back = transform_points(transform_points(pts, pose), pose.inverse())
+        back = pose.inverse().apply(pose.apply(pts))
         assert np.max(np.abs(back - pts)) < 1e-9
 
 
@@ -129,7 +128,7 @@ class TestBackprojection:
 class TestTransformPoints:
     def test_identity(self):
         pts = np.array([[1.0, 2.0, 3.0]])
-        assert np.allclose(transform_points(pts, Pose.identity()), pts)
+        assert np.allclose(Pose.identity().apply(pts), pts)
 
     def test_pure_translation(self):
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 5.0]))
@@ -174,37 +173,43 @@ class TestProjectUavRadius:
 
 
 class TestPixelToWorld:
-    def test_identity_pose_principal_point(self):
+    """Pixel -> world lifting, as ``world_positions`` does it for candidates."""
+
+    def test_identity_pose_principal_point(self, candidates_at):
         intr = CameraIntrinsics(fx=80, fy=80, cx=32, cy=24, width=64, height=48)
         depth = np.full((48, 64), 3.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
                            Pose.identity())
-        assert np.allclose(pixel_to_world((32, 24), frame), [0, 0, 3.0])
+        world = world_positions(candidates_at(frame, [(32, 24)]), frame)
+        assert np.allclose(world[0], [0, 0, 3.0])
 
-    def test_nadir_camera_hits_origin(self):
+    def test_nadir_camera_hits_origin(self, candidates_at):
         intr = CameraIntrinsics(fx=80, fy=80, cx=32, cy=24, width=64, height=48)
         depth = np.full((48, 64), 10.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
                            camera_pose((0, 0, 10.0)))
-        assert np.allclose(pixel_to_world((32, 24), frame), [0, 0, 0],
-                           atol=1e-12)
+        world = world_positions(candidates_at(frame, [(32, 24)]), frame)
+        assert np.allclose(world[0], [0, 0, 0], atol=1e-12)
 
-    def test_invalid_pixel_raises(self, make_frame):
+    def test_invalid_pixel_raises(self, make_frame, candidates_at):
         depth = np.full((48, 64), 3.0)
         depth[5, 7] = np.nan
         frame = make_frame(depth)
         with pytest.raises(ValueError):
-            pixel_to_world((7, 5), frame)
+            world_positions(candidates_at(frame, [(7, 5)]), frame)
 
-    def test_composed_rotation_matches_homogeneous_oracle(self, intrinsics_small):
+    def test_composed_rotation_matches_homogeneous_oracle(self, intrinsics_small,
+                                                          candidates_at):
         pose = Pose.from_quaternion(0.9, 0.2, -0.3, 0.1, (1.5, -2.0, 7.0))
         depth = np.full((48, 64), 4.2)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intrinsics_small,
                            pose)
-        for pixel in [(0, 0), (63, 47), (20, 33), (31, 23)]:
+        pixels = [(0, 0), (63, 47), (20, 33), (31, 23)]
+        world = world_positions(candidates_at(frame, pixels), frame)
+        for pixel, got in zip(pixels, world):
             expect = homogeneous_pixel_to_world(pixel, 4.2, intrinsics_small,
                                                 pose.rotation, pose.translation)
-            assert np.allclose(pixel_to_world(pixel, frame), expect, atol=1e-12)
+            assert np.allclose(got, expect, atol=1e-12)
 
 
 class TestDepthFrame:
@@ -221,15 +226,6 @@ class TestDepthFrame:
         valid = np.ones((48, 64), bool)
         with pytest.raises(ValueError):
             DepthFrame(depth, valid, intrinsics_small, Pose.identity())
-
-    def test_clip_range(self, make_frame):
-        depth = np.full((48, 64), 5.0)
-        depth[0, 0] = 25.0
-        depth[0, 1] = 0.01
-        frame = make_frame(depth).clip_range(0.05, 20.0)
-        assert not frame.valid[0, 0]
-        assert not frame.valid[0, 1]
-        assert frame.valid[10, 10]
 
 
 class TestPoseStream:

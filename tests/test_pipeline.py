@@ -7,15 +7,20 @@ from landsite import scene_synth as ss
 from landsite.bench import STAGES, bench
 from landsite.cli import main as cli_main
 from landsite.config import PROFILES, PipelineConfig, get_profile
+from landsite.detection import Candidates
 from landsite.errors import ConfigError
-from landsite.formats import read_values_pfm
-from landsite.geometry import project_uav_radius
+from landsite.formats import read_values_pfm, write_pfm
+from landsite.geometry import DepthFrame, project_uav_radius
 from landsite.pipeline import (
+    FrameResult,
     read_frame_stream,
     run_pipeline,
+    write_candidates_jsonl,
     write_frame_stream,
     write_outputs,
 )
+
+from oracles import json_dumps_candidates_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,16 @@ class TestFrameStream:
         loaded = list(read_frame_stream(stream, 0.05, 20.0))
         assert [f.frame_id for f in loaded] == [0, 2]
 
+    def test_out_of_range_depth_invalid_on_read(self, tmp_path, make_frame):
+        depth = np.full((48, 64), 5.0)
+        depth[0, 0] = 25.0
+        depth[0, 1] = 0.01
+        write_frame_stream(tmp_path / "s", [make_frame(depth)])
+        (frame,) = read_frame_stream(tmp_path / "s", 0.05, 20.0)
+        assert not frame.valid[0, 0]
+        assert not frame.valid[0, 1]
+        assert frame.valid[10, 10]
+
     def test_missing_stream_raises(self, tmp_path):
         with pytest.raises(OSError):
             list(read_frame_stream(tmp_path / "nope", 0.05, 20.0))
@@ -175,7 +190,7 @@ class TestRunPipeline:
         decision, dec_valid = read_values_pfm(tmp_path / "maps" / "000000_decision.pfm")
         flat, flat_valid = read_values_pfm(tmp_path / "maps" / "000000_flatness_raw.pfm")
         cands = result.frames[0].candidates
-        assert cands
+        assert len(cands) > 0
         # dumps are the decision arrays themselves, float32-quantized
         from landsite.pipeline import evaluate_costmaps as _eval
         maps = _eval(config, frame)
@@ -188,14 +203,28 @@ class TestRunPipeline:
         req[frame.valid] = required
         # float32 dump quantization allows half-ulp slack
         eps = 1e-6
-        for c in cands:
-            assert dec_valid[c.y, c.x] and flat_valid[c.y, c.x]
-            assert decision[c.y, c.x] >= config.decision_threshold - eps
-            assert flat[c.y, c.x] >= req[c.y, c.x] - eps
+        ys, xs = cands.ys, cands.xs
+        assert np.all(dec_valid[ys, xs] & flat_valid[ys, xs])
+        assert np.all(decision[ys, xs] >= config.decision_threshold - eps)
+        assert np.all(flat[ys, xs] >= req[ys, xs] - eps)
         # and the in-memory values pass exactly
-        for c in cands:
-            assert c.score >= config.decision_threshold
-            assert c.flat_radius_px >= req[c.y, c.x]
+        assert np.all(cands.score >= config.decision_threshold)
+        assert np.all(cands.flat_radius_px >= req[ys, xs])
+
+    def test_empty_frame_warned_and_counted(self, caplog):
+        frame = render_canonical("FLAT_PAD")
+        empty = DepthFrame(np.zeros(frame.shape), np.zeros(frame.shape, bool),
+                           frame.intrinsics, frame.pose_world_from_camera,
+                           frame_id=1)
+        once = run_pipeline(get_profile("sim"), [frame])
+        with caplog.at_level("WARNING", logger="landsite.pipeline"):
+            result = run_pipeline(get_profile("sim"), [frame, empty])
+        assert result.frames_empty == 1 and result.frames_failed == 0
+        assert "frame 1 has no valid depth pixel" in caplog.text
+        # still processed, so the outputs are those of the good frame alone
+        assert [f.frame_id for f in result.frames] == [0, 1]
+        assert len(result.frames[1].candidates) == 0
+        assert result.registry.to_json_obj() == once.registry.to_json_obj()
 
     def test_all_outputs_written(self, tmp_path):
         frame = render_canonical("FLAT_PAD")
@@ -212,6 +241,47 @@ class TestRunPipeline:
         line = (tmp_path / "candidates.jsonl").read_text().splitlines()[0]
         assert set(json.loads(line)) == {"frame_id", "px", "py", "depth_m",
                                          "score", "flat_radius_px"}
+
+
+def _candidates(xs, ys, depth, score, flat_radius_px):
+    return Candidates(xs=np.array(xs, dtype=np.intp),
+                      ys=np.array(ys, dtype=np.intp),
+                      depth=np.array(depth, dtype=np.float64),
+                      score=np.array(score, dtype=np.float64),
+                      flat_radius_px=np.array(flat_radius_px, dtype=np.float64))
+
+
+class TestWriteCandidates:
+    """``write_candidates_jsonl`` against one ``json.dumps`` call per row."""
+
+    def _assert_matches_oracle(self, path, frame_results):
+        write_candidates_jsonl(path, frame_results)
+        expect = json_dumps_candidates_jsonl(frame_results).encode("utf-8")
+        assert path.read_bytes() == expect
+
+    def test_awkward_floats_empty_and_several_frames(self, tmp_path):
+        awkward = [0.1, 1e-05, 1e16, 5e-324, 57.0, 4.800000190734863]
+        frames = [
+            FrameResult(0, _candidates(range(6), [0, 0, 1, 1, 2, 479], awkward,
+                                       awkward[::-1], awkward[2:] + awkward[:2]),
+                        inserted=1),
+            FrameResult(3, _candidates([], [], [], [], []), inserted=0),
+            FrameResult(12, _candidates([639, 5], [0, 7], [19.999999, 0.05],
+                                        [1.0, 0.72], [1e-300, 123456789.5]),
+                        inserted=2),
+        ]
+        self._assert_matches_oracle(tmp_path / "candidates.jsonl", frames)
+
+    def test_no_frames(self, tmp_path):
+        self._assert_matches_oracle(tmp_path / "candidates.jsonl", [])
+
+    def test_rubble_frames(self, tmp_path):
+        frames = [render_canonical("RUBBLE", frame_id=i, camera_xy=(0.4 * i, 0))
+                  for i in range(2)]
+        result = run_pipeline(get_profile("sim"), frames)
+        assert sum(len(f.candidates) for f in result.frames) > 0
+        self._assert_matches_oracle(tmp_path / "candidates.jsonl",
+                                    result.frames)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +404,7 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncated_pose_line",
                                         "non_utf8_pose_line",
+                                        "nan_t_sec",
                                         "intrinsics_missing_key"])
     def test_malformed_stream_metadata_exits_2(self, tmp_path, capsys, damage):
         stream = self._synth(tmp_path, frames=2)
@@ -347,6 +418,13 @@ class TestCli:
             with open(path, "ab") as f:
                 f.write(b"\xff\xfe\n")
             where = f"{path}:3"
+        elif damage == "nan_t_sec":
+            path = stream / "frames.jsonl"
+            lines = path.read_text().splitlines()
+            obj = json.loads(lines[1])
+            obj["t_sec"] = float("nan")
+            path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
+            where = f"{path}:2"
         else:
             path = stream / "intrinsics.json"
             obj = json.loads(path.read_text())
@@ -373,6 +451,33 @@ class TestCli:
         assert err.startswith(f"error: {path}: malformed registry snapshot")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("field", ["score", "timestamp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_score_or_timestamp_snapshot_exits_2(self, tmp_path,
+                                                            capsys, field,
+                                                            value):
+        site = {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+                "timestamp": 0.0}
+        site[field] = value
+        path = tmp_path / "sites.json"
+        path.write_text(json.dumps({"dedup_radius_m": 0.5, "sites": [site]}))
+        capsys.readouterr()
+        assert cli_main(["cluster", "--sites", str(path),
+                         "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed registry snapshot")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_detect_reports_empty_frames(self, tmp_path, capsys):
+        stream = self._synth(tmp_path, frames=2)
+        write_pfm(stream / "000001.pfm", np.zeros((480, 640)))
+        capsys.readouterr()
+        assert cli_main(["detect", "--in", str(stream), "--profile", "sim",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith(
+            "frames: 2 (failed: 0)  empty: 1  candidates: ")
 
     def test_custom_config_used(self, tmp_path):
         cfg = get_profile("sim")
