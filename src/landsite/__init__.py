@@ -23,7 +23,6 @@ from .costmaps import (
     depth_confidence_map,
     distance_transform,
     energy_map,
-    flatness_map,
     minmax_normalize,
     steepness_map,
     surface_normals,
@@ -73,7 +72,7 @@ __all__ = [
     "bench", "camera_pose", "canny_edges",
     "canonical_camera", "canonical_scenes", "cluster_sites", "decision_map",
     "default_intrinsics", "dense_candidates", "depth_confidence_map",
-    "distance_transform", "energy_map", "evaluate_costmaps", "flatness_map",
+    "distance_transform", "energy_map", "evaluate_costmaps",
     "get_profile", "minmax_normalize", "project_points",
     "project_uav_radius", "read_frame_stream", "render_depth", "run_pipeline",
     "steepness_map", "surface_normals", "write_frame_stream",

@@ -1,22 +1,21 @@
 """Per-stage wall-clock benchmark over a frame set.
 
-Each repetition is a full pass over the frames with a fresh registry, so
-dedup behavior (and therefore dense-detection cost) is identical across
-repetitions. Clustering is timed per invocation, once per frame over the
-registry accumulated so far; the report states mean and standard
-deviation per stage across all frame passes, in milliseconds.
+Each repetition is one ``run_pipeline`` pass (fresh registry, so dedup
+and its cost repeat exactly; failed and empty frames are handled as in
+``detect``). Costmap and dense-detection rows are each frame's
+``stage_ms``; clustering is the pass's one ``cluster_ms`` split evenly
+over its frames. The report gives mean and standard deviation per stage
+over all frames of all passes, in milliseconds.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import time
+import statistics
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .pipeline import detect_frame, evaluate_costmaps
-from .registry import SiteRegistry, cluster_sites
+from .pipeline import run_pipeline
 
 STAGES = ("depth_accuracy", "flatness", "steepness", "energy", "final",
           "dense_detection", "clustering")
@@ -88,13 +87,8 @@ def _fmt(s: StageStat) -> str:
 
 
 def _mean_std(samples: list[float]) -> StageStat:
-    n = len(samples)
-    mean = sum(samples) / n
-    if n > 1:
-        var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    else:
-        var = 0.0
-    return StageStat(mean_ms=mean, std_ms=math.sqrt(var))
+    std = statistics.stdev(samples) if len(samples) > 1 else 0.0
+    return StageStat(mean_ms=statistics.fmean(samples), std_ms=std)
 
 
 def bench(config: PipelineConfig, frames, repetitions: int = 1) -> TimingReport:
@@ -105,20 +99,15 @@ def bench(config: PipelineConfig, frames, repetitions: int = 1) -> TimingReport:
     if not frames:
         raise ValueError("benchmark needs at least one frame")
     per_stage: dict[str, list[float]] = {name: [] for name in STAGES}
-    totals: list[float] = []
     for _ in range(repetitions):
-        registry = SiteRegistry(config.dedup_radius_m)
-        for frame in frames:
-            timings: dict[str, float] = {}
-            maps = evaluate_costmaps(config, frame, timings)
-            detect_frame(config, frame, maps, registry, timings)
-            t0 = time.perf_counter()
-            cluster_sites(registry, config.cluster_dist_m, config.cluster_z_m,
-                          config.cluster_metric)
-            timings["clustering"] = (time.perf_counter() - t0) * 1e3
-            for name in STAGES:
-                per_stage[name].append(timings[name])
-            totals.append(sum(timings[name] for name in STAGES))
+        result = run_pipeline(config, frames)
+        for fr in result.frames:
+            for name, ms in fr.stage_ms.items():
+                per_stage[name].append(ms)
+            per_stage["clustering"].append(result.cluster_ms / len(result.frames))
+    if not per_stage["clustering"]:
+        raise ValueError("every frame failed; nothing to time")
+    totals = [sum(row) for row in zip(*per_stage.values())]
     return TimingReport(
         stages={name: _mean_std(per_stage[name]) for name in STAGES},
         total=_mean_std(totals),

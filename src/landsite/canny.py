@@ -50,19 +50,6 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate1d_clamped(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    r = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    p = np.pad(img, pad, mode="edge")
-    out = np.zeros_like(img)
-    n = img.shape[axis]
-    for j, kj in enumerate(kernel):
-        view = p[j : j + n, :] if axis == 0 else p[:, j : j + n]
-        out += kj * view
-    return out
-
-
 def _correlate2d_clamped(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     kh, kw = kernel.shape
     p = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
@@ -91,8 +78,8 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
     h, w = d.shape
 
     k = gaussian_kernel(GAUSSIAN_SIGMA)
-    smoothed = _correlate1d_clamped(d, k, axis=0)
-    smoothed = _correlate1d_clamped(smoothed, k, axis=1)
+    smoothed = _correlate2d_clamped(d, k[:, None])
+    smoothed = _correlate2d_clamped(smoothed, k[None, :])
 
     gx = _correlate2d_clamped(smoothed, SOBEL_X)
     gy = _correlate2d_clamped(smoothed, SOBEL_Y)
@@ -130,10 +117,5 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
 
     invalid = ~np.asarray(valid, dtype=bool)
     if invalid.any():
-        ip = np.pad(invalid, 1, mode="constant")
-        forced = np.zeros_like(invalid)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                forced |= _shifted(ip, dy, dx, h, w)
-        edges = edges | forced
+        edges = edges | ndimage.binary_dilation(invalid, np.ones((3, 3), bool))
     return edges.astype(np.uint8)

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,9 +22,18 @@ from .config import PipelineConfig, get_profile
 from .errors import ConfigError
 from .geometry import camera_pose
 from .pipeline import dump_costmaps, evaluate_costmaps, read_frame_stream, \
-    run_pipeline, write_frame_stream, write_outputs
+    run_pipeline, write_clusters_json, write_frame_stream, write_outputs
 from .registry import SiteRegistry, cluster_sites
-from .pipeline import write_clusters_json
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,12 +87,12 @@ def _build_parser() -> _Parser:
                    help="custom scene JSON instead of a canonical scene")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--spacing-m", type=float, default=0.5,
+    p.add_argument("--spacing-m", type=_finite, default=0.5,
                    help="camera step along +x between frames")
-    p.add_argument("--height-m", type=float, default=None,
+    p.add_argument("--height-m", type=_finite, default=None,
                    help="camera height override")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--noise-sigma-m", type=float, default=None,
+    p.add_argument("--noise-sigma-m", type=_finite, default=None,
                    help="override the scene's depth noise")
     p.add_argument("--ground-truth", action="store_true",
                    help="also dump safe mask and primitive ids per frame")
@@ -128,6 +138,12 @@ def _cmd_costmap(args) -> int:
 def _cmd_synth(args) -> int:
     if (args.scene is None) == (args.scene_file is None):
         raise ConfigError("give exactly one of --scene or --scene-file")
+    if args.frames < 1:
+        raise ConfigError("--frames must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    if args.noise_sigma_m is not None and args.noise_sigma_m < 0:
+        raise ConfigError("--noise-sigma-m must be >= 0")
     if args.scene_file is not None:
         try:
             scene = scene_synth.load_scene(args.scene_file)
@@ -143,8 +159,6 @@ def _cmd_synth(args) -> int:
         scene = scene_synth.SceneSpec(primitives=scene.primitives,
                                       noise_sigma=args.noise_sigma_m,
                                       seed=args.seed)
-    if args.frames < 1:
-        raise ConfigError("--frames must be >= 1")
 
     intrinsics = scene_synth.default_intrinsics()
     rate_hz = 20.0

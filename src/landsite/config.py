@@ -18,6 +18,10 @@ from .costmaps import FusionWeights
 from .errors import ConfigError
 
 
+# Accepted Python types per field annotation; bool is rejected everywhere.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     profile: str
@@ -40,6 +44,10 @@ class PipelineConfig:
     d_max_m: float
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         self.fusion_weights()  # validates weights, threshold, tolerance
         if not (0 < self.canny_low_m <= self.canny_high_m):
             raise ConfigError("need 0 < canny_low_m <= canny_high_m")

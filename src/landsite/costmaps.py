@@ -136,12 +136,6 @@ def distance_transform(edges: BinaryMap) -> Costmap:
     return Costmap(d, np.ones_like(d, dtype=bool), CostmapKind.FLATNESS)
 
 
-def flatness_map(frame: DepthFrame, canny_low: float, canny_high: float) -> Costmap:
-    """Inscribed-circle radius (pixels) of the level region around each pixel."""
-    flat = distance_transform(canny_edges(frame, canny_low, canny_high))
-    return Costmap(flat.values, frame.valid.copy(), CostmapKind.FLATNESS)
-
-
 def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
     """World-frame unit normals from box-averaged central-difference tangents.
 

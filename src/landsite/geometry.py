@@ -283,8 +283,9 @@ def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
     """Read a JSONL pose stream into {frame_id: (t_sec, pose)}.
 
-    A malformed line, including one with a non-finite ``t_sec``, raises
-    OSError naming the path and line number.
+    A malformed line, including one with a non-finite ``t_sec`` or a
+    ``frame_id`` already seen, raises OSError naming the path and line
+    number.
     """
     records: dict[int, tuple[float, Pose]] = {}
     with open(path, "rb") as f:
@@ -301,7 +302,10 @@ def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
                 t_sec = float(obj["t_sec"])
                 if not math.isfinite(t_sec):
                     raise ValueError(f"t_sec must be finite, got {t_sec}")
-                records[int(obj["frame_id"])] = (t_sec, pose)
+                frame_id = int(obj["frame_id"])
+                if frame_id in records:
+                    raise ValueError(f"repeated frame_id {frame_id}")
+                records[frame_id] = (t_sec, pose)
             except (KeyError, TypeError, ValueError) as exc:
                 raise OSError(f"{path}:{lineno}: malformed pose record "
                               f"({type(exc).__name__}: {exc})") from exc

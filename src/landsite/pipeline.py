@@ -48,6 +48,7 @@ class FrameMaps:
     flatness: cm.Costmap
     energy: cm.Costmap
     decision: cm.Costmap
+    stage_ms: dict[str, float]  # costmap stages
 
 
 @dataclass(eq=False)
@@ -55,6 +56,8 @@ class FrameResult:
     frame_id: int
     candidates: Candidates
     inserted: int
+    # FrameMaps.stage_ms plus dense_detection (select, lift and insert)
+    stage_ms: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -64,87 +67,73 @@ class PipelineResult:
     clusters: list = field(default_factory=list)
     frames_failed: int = 0
     frames_empty: int = 0
+    cluster_ms: float = 0.0  # the one cluster_sites call, at the end
 
 
 class _StageClock:
-    """Accumulates wall-clock stage durations (milliseconds)."""
+    """Lap timer: each ``lap`` records the milliseconds since the last one."""
 
-    def __init__(self, sink: dict[str, float] | None):
-        self.sink = sink
-        self._t0 = 0.0
+    def __init__(self):
+        self.ms: dict[str, float] = {}
+        self._t0 = time.perf_counter()
 
-    def start(self):
-        if self.sink is not None:
-            self._t0 = time.perf_counter()
-
-    def stop(self, stage: str):
-        if self.sink is not None:
-            self.sink[stage] = self.sink.get(stage, 0.0) \
-                + (time.perf_counter() - self._t0) * 1e3
+    def lap(self, stage: str) -> None:
+        t = time.perf_counter()
+        self.ms[stage] = (t - self._t0) * 1e3
+        self._t0 = t
 
 
-def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame,
-                      timings: dict[str, float] | None = None) -> FrameMaps:
-    """Run the costmap stages for one frame.
-
-    When ``timings`` is given, per-stage durations (ms) are accumulated
-    into it under the keys depth_accuracy, flatness, steepness, energy
-    and final.
-    """
+def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
+    """Run the costmap stages for one frame, timing each into ``stage_ms``."""
     weights = config.fusion_weights()
-    clock = _StageClock(timings)
+    clock = _StageClock()
 
-    clock.start()
     depth_conf_raw = cm.depth_confidence_map(frame)
-    clock.stop("depth_accuracy")
+    clock.lap("depth_accuracy")
 
-    clock.start()
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
     flat = cm.distance_transform(edges)
     flat_raw = cm.Costmap(flat.values, frame.valid.copy(), cm.CostmapKind.FLATNESS)
-    clock.stop("flatness")
+    clock.lap("flatness")
 
-    clock.start()
     normals = cm.surface_normals(frame, config.smoothing_window_px)
     steep = cm.steepness_map(normals, weights.slope_tolerance)
-    clock.stop("steepness")
+    clock.lap("steepness")
 
-    clock.start()
     energy_raw = cm.energy_map(frame)
-    clock.stop("energy")
+    clock.lap("energy")
 
-    clock.start()
     depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
     flat_norm = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
     energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
     decision = cm.decision_map(depth_conf, flat_norm, steep, energy, weights)
-    clock.stop("final")
+    clock.lap("final")
 
     return FrameMaps(depth_confidence_raw=depth_conf_raw, edges=edges,
                      flatness_raw=flat_raw, normals=normals, steepness=steep,
                      energy_raw=energy_raw, depth_confidence=depth_conf,
-                     flatness=flat_norm, energy=energy, decision=decision)
+                     flatness=flat_norm, energy=energy, decision=decision,
+                     stage_ms=clock.ms)
 
 
 def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
-                 registry: SiteRegistry,
-                 timings: dict[str, float] | None = None) -> FrameResult:
+                 registry: SiteRegistry) -> FrameResult:
     """Dense detection for one frame, including registry aggregation.
 
     Candidate positions and scores go to the registry in raster order,
     matching sequential insertion semantics.
     """
-    clock = _StageClock(timings)
-    clock.start()
+    clock = _StageClock()
     candidates = dense_candidates(maps.decision, maps.flatness_raw, frame,
                                   config.fusion_weights(), config.uav_radius_m,
                                   config.safety_factor)
     flags = registry.insert_positions(world_positions(candidates, frame),
                                       candidates.score, frame.frame_id,
                                       frame.timestamp)
-    clock.stop("dense_detection")
+    clock.lap("dense_detection")
     return FrameResult(frame_id=frame.frame_id, candidates=candidates,
-                       inserted=sum(flags))
+                       inserted=sum(flags),
+                       stage_ms={**maps.stage_ms, **clock.ms})
 
 
 def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResult:
@@ -173,8 +162,10 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
         if dump_dir is not None:
             dump_costmaps(dump_dir, frame.frame_id, maps)
         result.frames.append(detect_frame(config, frame, maps, registry))
+    t0 = time.perf_counter()
     result.clusters = cluster_sites(registry, config.cluster_dist_m,
                                     config.cluster_z_m, config.cluster_metric)
+    result.cluster_ms = (time.perf_counter() - t0) * 1e3
     return result
 
 

@@ -97,8 +97,10 @@ class SceneSpec:
     def __post_init__(self):
         if not self.primitives:
             raise ValueError("scene needs at least one primitive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.primitives = tuple(self.primitives)
 
 
@@ -417,5 +419,10 @@ def save_scene(path, scene: SceneSpec) -> None:
 
 
 def load_scene(path) -> SceneSpec:
+    """Read a scene JSON; malformed content raises OSError naming the path."""
     with open(path, "r", encoding="utf-8") as f:
-        return scene_from_json_obj(json.load(f))
+        try:
+            return scene_from_json_obj(json.load(f))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise OSError(f"{path}: malformed scene "
+                          f"({type(exc).__name__}: {exc})") from exc

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landsite.config import get_profile
 from landsite.costmaps import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
@@ -18,13 +19,13 @@ from landsite.costmaps import (
     depth_confidence_map,
     distance_transform,
     energy_map,
-    flatness_map,
     minmax_normalize,
     steepness_map,
     surface_normals,
 )
 from landsite.errors import ConfigError
 from landsite.geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose
+from landsite.pipeline import evaluate_costmaps
 
 SIM_WEIGHTS = FusionWeights(depth_confidence=0.05, flatness=0.4,
                             steepness=0.4, energy=0.15,
@@ -90,7 +91,7 @@ class TestFlatness:
         depth = np.full((480, 640), 5.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intrinsics_vga,
                            Pose.identity())
-        flat = flatness_map(frame, 0.05, 0.2)
+        flat = distance_transform(canny_edges(frame, 0.05, 0.2))
         # no interior edges: nearest site is the virtual border ring
         assert flat.values.max() == 240.0
         assert flat.values[239, 319] == 240.0
@@ -108,7 +109,7 @@ class TestFlatness:
         frame = make_frame(depth)
         edges = canny_edges(frame, 0.05, 0.2)
         col = int(np.nonzero(edges.bits[24])[0][0])
-        flat = flatness_map(frame, 0.05, 0.2)
+        flat = distance_transform(edges)
         assert flat.values[24, col] == 0.0
         assert flat.values[24, col + 1] == 1.0
         assert flat.values[24, col - 1] == 1.0
@@ -117,7 +118,7 @@ class TestFlatness:
         rng = np.random.default_rng(3)
         depth = 3.0 + 0.5 * (rng.random((48, 64)) < 0.02)
         frame = make_frame(depth)
-        composed = flatness_map(frame, 0.05, 0.2)
+        composed = evaluate_costmaps(get_profile("sim"), frame).flatness_raw
         staged = distance_transform(canny_edges(frame, 0.05, 0.2))
         assert np.array_equal(composed.values, staged.values)
         assert np.array_equal(composed.valid, frame.valid)
@@ -402,8 +403,8 @@ class TestValidityPropagation:
         frame_b = DepthFrame(depth_b, valid, intrinsics_small, pose)
         for frame in (frame_a, frame_b):
             assert frame.depth[13, 17] == 0.0
-        flat_a = flatness_map(frame_a, 0.05, 0.2)
-        flat_b = flatness_map(frame_b, 0.05, 0.2)
+        flat_a = distance_transform(canny_edges(frame_a, 0.05, 0.2))
+        flat_b = distance_transform(canny_edges(frame_b, 0.05, 0.2))
         assert np.array_equal(flat_a.values, flat_b.values)
 
     def test_decision_never_valid_where_depth_invalid(self, intrinsics_small):
@@ -413,7 +414,8 @@ class TestValidityPropagation:
         frame = DepthFrame(depth, valid, intrinsics_small,
                            camera_pose((0, 0, 4.0)))
         jde = minmax_normalize(depth_confidence_map(frame), HIGHER_IS_BETTER)
-        jfl = minmax_normalize(flatness_map(frame, 0.05, 0.2), HIGHER_IS_BETTER)
+        jfl = minmax_normalize(evaluate_costmaps(get_profile("sim"), frame)
+                               .flatness_raw, HIGHER_IS_BETTER)
         jn = steepness_map(surface_normals(frame, 3), math.radians(15))
         jec = minmax_normalize(energy_map(frame), LOWER_IS_BETTER)
         decision = decision_map(jde, jfl, jn, jec, SIM_WEIGHTS)

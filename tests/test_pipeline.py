@@ -11,8 +11,12 @@ from landsite.detection import Candidates
 from landsite.errors import ConfigError
 from landsite.formats import read_values_pfm, write_pfm
 from landsite.geometry import DepthFrame, project_uav_radius
+from landsite.registry import SiteRegistry, cluster_sites
+from landsite import pipeline
 from landsite.pipeline import (
     FrameResult,
+    detect_frame,
+    evaluate_costmaps,
     read_frame_stream,
     run_pipeline,
     write_candidates_jsonl,
@@ -83,6 +87,8 @@ class TestConfig:
         ("smoothing_window_px", 4), ("uav_radius_m", -1.0),
         ("d_min_m", 0.0), ("cluster_metric", "spherical"),
         ("weight_energy", 0.5), ("slope_tolerance_deg", 0.0),
+        ("smoothing_window_px", 3.5), ("weight_flatness", "a"),
+        ("d_max_m", None), ("uav_radius_m", True), ("profile", 1),
     ])
     def test_validation_rejects_bad_values(self, field, value):
         obj = get_profile("sim").to_json_obj()
@@ -226,6 +232,17 @@ class TestRunPipeline:
         assert len(result.frames[1].candidates) == 0
         assert result.registry.to_json_obj() == once.registry.to_json_obj()
 
+    def test_stage_timings_recorded(self):
+        frames = [render_canonical("FLAT_PAD", frame_id=i, camera_xy=(0.3 * i, 0))
+                  for i in range(2)]
+        result = run_pipeline(get_profile("sim"), frames)
+        for fr in result.frames:
+            assert set(fr.stage_ms) == {"depth_accuracy", "flatness",
+                                        "steepness", "energy", "final",
+                                        "dense_detection"}
+            assert all(ms >= 0 for ms in fr.stage_ms.values())
+        assert result.cluster_ms >= 0
+
     def test_all_outputs_written(self, tmp_path):
         frame = render_canonical("FLAT_PAD")
         result = run_pipeline(get_profile("sim"), [frame])
@@ -322,6 +339,59 @@ class TestBench:
             bench(get_profile("sim"), [frame], repetitions=0)
 
 
+class TestBenchRunsPipeline:
+    """``bench`` drives ``run_pipeline``, so it handles frames like ``detect``."""
+
+    def test_empty_frame_warned_like_detect(self, caplog):
+        frame = render_canonical("FLAT_PAD")
+        empty = DepthFrame(np.zeros(frame.shape), np.zeros(frame.shape, bool),
+                           frame.intrinsics, frame.pose_world_from_camera,
+                           frame_id=1)
+        with caplog.at_level("WARNING", logger="landsite.pipeline"):
+            report = bench(get_profile("sim"), [frame, empty])
+        assert "frame 1 has no valid depth pixel" in caplog.text
+        assert report.n_frames == 2
+        means = [s.mean_ms for s in report.stages.values()]
+        assert report.total.mean_ms == pytest.approx(sum(means), rel=1e-9)
+
+    def test_failed_frames_skipped_and_all_failed_rejected(self, monkeypatch,
+                                                            caplog):
+        frames = [render_canonical("FLAT_PAD", frame_id=i) for i in range(2)]
+        evaluate = pipeline.evaluate_costmaps
+
+        def fail_frame_1(config, frame):
+            if frame.frame_id == 1:
+                raise ValueError("injected")
+            return evaluate(config, frame)
+
+        monkeypatch.setattr(pipeline, "evaluate_costmaps", fail_frame_1)
+        with caplog.at_level("WARNING", logger="landsite.pipeline"):
+            report = bench(get_profile("sim"), frames, repetitions=2)
+        assert "frame 1 failed: injected" in caplog.text
+        assert all(np.isfinite(s.mean_ms) for s in report.stages.values())
+        with pytest.raises(ValueError, match="every frame failed"):
+            bench(get_profile("sim"), frames[1:], repetitions=2)
+
+
+def test_outside_timing_harness_calls():
+    """The exact calls the out-of-package benchmark makes keep working."""
+    config = get_profile("sim")
+    frame = render_canonical("FLAT_PAD")
+    maps = evaluate_costmaps(config, frame)
+    reg = SiteRegistry(config.dedup_radius_m)
+    result = detect_frame(config, frame, maps, reg)
+    assert result.inserted == len(reg) > 0
+    pos = reg.positions() + [0.0, 0.0, 0.01]
+    scores = np.full(len(pos), 0.9)
+    flags = reg.insert_positions(pos, scores, 1, 0.05)
+    assert len(flags) == len(pos) and not any(flags)
+    q = pos[0]
+    assert np.array_equal(reg.nearest(q)[0].position, reg.positions()[0])
+    clusters = cluster_sites(reg, config.cluster_dist_m, config.cluster_z_m,
+                             config.cluster_metric)
+    assert sum(c.member_count for c in clusters) == len(reg)
+
+
 class TestCli:
     def _synth(self, tmp_path, scene="flat_pad", frames=1):
         stream = tmp_path / "stream"
@@ -405,6 +475,7 @@ class TestCli:
     @pytest.mark.parametrize("damage", ["truncated_pose_line",
                                         "non_utf8_pose_line",
                                         "nan_t_sec",
+                                        "repeated_frame_id",
                                         "intrinsics_missing_key"])
     def test_malformed_stream_metadata_exits_2(self, tmp_path, capsys, damage):
         stream = self._synth(tmp_path, frames=2)
@@ -425,6 +496,13 @@ class TestCli:
             obj["t_sec"] = float("nan")
             path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
             where = f"{path}:2"
+        elif damage == "repeated_frame_id":
+            path = stream / "frames.jsonl"
+            lines = path.read_text().splitlines()
+            obj = json.loads(lines[1])
+            obj["frame_id"] = 0
+            path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
+            where = f"{path}:2"
         else:
             path = stream / "intrinsics.json"
             obj = json.loads(path.read_text())
@@ -437,6 +515,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if damage == "repeated_frame_id":
+            assert "repeated frame_id 0" in err
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), "a"])
     def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys, x):
@@ -469,6 +549,54 @@ class TestCli:
         assert err.startswith(f"error: {path}: malformed registry snapshot")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("case,code", [
+        ("spacing_nan", 1), ("height_inf", 1), ("negative_noise", 1),
+        ("negative_seed", 1),
+        ("scene_bad_json", 2), ("scene_no_primitives", 2),
+        ("scene_nan_noise", 2), ("scene_negative_seed", 2),
+        ("config_weight_str", 1), ("config_d_max_null", 1),
+        ("config_window_float", 1),
+    ])
+    def test_bad_user_input_one_line_error(self, tmp_path, capsys, case, code):
+        out = str(tmp_path / "out")
+        synth = ["synth", "--scene", "flat_pad", "--out", out]
+        path = tmp_path / "input.json"
+        if case == "spacing_nan":
+            argv = synth + ["--spacing-m", "nan"]
+        elif case == "height_inf":
+            argv = synth + ["--height-m", "inf"]
+        elif case == "negative_noise":
+            argv = synth + ["--noise-sigma-m", "-1"]
+        elif case == "negative_seed":
+            argv = synth + ["--seed", "-1"]
+        elif case.startswith("scene_"):
+            scene = ss.scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"])
+            if case == "scene_no_primitives":
+                scene["primitives"] = []
+            elif case == "scene_nan_noise":
+                scene["noise_sigma_m"] = float("nan")
+            elif case == "scene_negative_seed":
+                scene["seed"] = -1
+            path.write_text("{" if case == "scene_bad_json" else json.dumps(scene))
+            argv = ["synth", "--scene-file", str(path), "--out", out]
+        else:
+            field, value = {"config_weight_str": ("weight_flatness", "a"),
+                            "config_d_max_null": ("d_max_m", None),
+                            "config_window_float": ("smoothing_window_px", 3.5),
+                            }[case]
+            obj = get_profile("sim").to_json_obj()
+            obj[field] = value
+            path.write_text(json.dumps(obj))
+            argv = ["detect", "--in", str(tmp_path), "--config", str(path),
+                    "--out", out]
+        capsys.readouterr()
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if case.startswith("scene_"):
+            assert err.startswith(f"error: {path}: ")
 
     def test_detect_reports_empty_frames(self, tmp_path, capsys):
         stream = self._synth(tmp_path, frames=2)
