@@ -144,6 +144,10 @@ def _cmd_synth(args) -> int:
         raise ConfigError("--seed must be >= 0")
     if args.noise_sigma_m is not None and args.noise_sigma_m < 0:
         raise ConfigError("--noise-sigma-m must be >= 0")
+    if args.height_m is not None and args.height_m <= 0:
+        raise ConfigError("--height-m must be > 0")
+    if not math.isfinite((args.frames - 1) * args.spacing_m):
+        raise ConfigError("--spacing-m times --frames overflows")
     if args.scene_file is not None:
         try:
             scene = scene_synth.load_scene(args.scene_file)
@@ -170,9 +174,12 @@ def _cmd_synth(args) -> int:
         per_frame = scene_synth.SceneSpec(primitives=scene.primitives,
                                           noise_sigma=scene.noise_sigma,
                                           seed=scene.seed + i)
-        frame, truth = scene_synth.render_depth(per_frame, intrinsics, pose,
-                                                frame_id=i,
-                                                timestamp=i / rate_hz)
+        try:
+            frame, truth = scene_synth.render_depth(per_frame, intrinsics, pose,
+                                                    frame_id=i,
+                                                    timestamp=i / rate_hz)
+        except ValueError as exc:  # the camera sits inside a solid
+            raise ConfigError(f"frame {i}: {exc}") from exc
         frames.append(frame)
         truths.append(truth)
     write_frame_stream(args.out, frames)
@@ -211,12 +218,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_cluster(args) -> int:
     config = _resolve_config(args)
-    try:
-        registry = SiteRegistry.load(args.sites)
-    except FileNotFoundError as exc:
-        raise OSError(f"sites file not found: {args.sites}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OSError(f"{args.sites}: malformed registry snapshot ({exc})") from exc
+    registry = SiteRegistry.load(args.sites)
     clusters = cluster_sites(registry, config.cluster_dist_m,
                              config.cluster_z_m, config.cluster_metric)
     write_clusters_json(args.out, clusters)

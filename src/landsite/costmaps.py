@@ -16,7 +16,6 @@ its inputs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +31,12 @@ HIGHER_IS_BETTER = "higher_is_better"
 LOWER_IS_BETTER = "lower_is_better"
 
 
-class CostmapKind(enum.Enum):
-    DEPTH_CONFIDENCE = "depth_confidence"
-    FLATNESS = "flatness"
-    STEEPNESS = "steepness"
-    ENERGY = "energy"
-    DECISION = "decision"
-
-
 @dataclass(eq=False)
 class Costmap:
     """Scalar score grid with a validity mask."""
 
     values: np.ndarray
     valid: np.ndarray
-    kind: CostmapKind
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -118,7 +108,7 @@ class FusionWeights:
 def depth_confidence_map(frame: DepthFrame) -> Costmap:
     """Score -depth^2: nearer measurements are trusted more."""
     values = np.where(frame.valid, -frame.depth * frame.depth, 0.0)
-    return Costmap(values, frame.valid.copy(), CostmapKind.DEPTH_CONFIDENCE)
+    return Costmap(values, frame.valid.copy())
 
 
 def canny_edges(frame: DepthFrame, low: float, high: float) -> BinaryMap:
@@ -133,7 +123,7 @@ def distance_transform(edges: BinaryMap) -> Costmap:
     everywhere; see :mod:`landsite.edt`.
     """
     d = edt.distance_transform(edges.bits)
-    return Costmap(d, np.ones_like(d, dtype=bool), CostmapKind.FLATNESS)
+    return Costmap(d, np.ones_like(d, dtype=bool))
 
 
 def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
@@ -242,7 +232,7 @@ def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:
     theta = np.arccos(cos_theta)
     values = np.exp(-(theta * theta) / (2.0 * slope_tolerance * slope_tolerance))
     values[~normals.valid] = 0.0
-    return Costmap(values, normals.valid.copy(), CostmapKind.STEEPNESS)
+    return Costmap(values, normals.valid.copy())
 
 
 def energy_map(frame: DepthFrame) -> Costmap:
@@ -255,7 +245,7 @@ def energy_map(frame: DepthFrame) -> Costmap:
     dist = np.sqrt(points[..., 0] * points[..., 0]
                    + points[..., 1] * points[..., 1]
                    + points[..., 2] * points[..., 2])
-    return Costmap(dist, valid, CostmapKind.ENERGY)
+    return Costmap(dist, valid)
 
 
 def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
@@ -278,7 +268,7 @@ def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
             out[ok] = (vals - lo) / (hi - lo)
         else:
             out[ok] = (hi - vals) / (hi - lo)
-    return Costmap(out, ok.copy(), costmap.kind)
+    return Costmap(out, ok.copy())
 
 
 def decision_map(depth_confidence: Costmap, flatness: Costmap,
@@ -299,4 +289,4 @@ def decision_map(depth_confidence: Costmap, flatness: Costmap,
              + weights.steepness * steepness.values
              + weights.energy * energy.values)
     fused[~ok] = 0.0
-    return Costmap(fused, ok, CostmapKind.DECISION)
+    return Costmap(fused, ok)

@@ -93,7 +93,7 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
 
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
     flat = cm.distance_transform(edges)
-    flat_raw = cm.Costmap(flat.values, frame.valid.copy(), cm.CostmapKind.FLATNESS)
+    flat_raw = cm.Costmap(flat.values, frame.valid.copy())
     clock.lap("flatness")
 
     normals = cm.surface_normals(frame, config.smoothing_window_px)
@@ -171,12 +171,11 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
 
 # --- disk formats ------------------------------------------------------------
 
-def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps,
-                  previews: bool = True) -> None:
+def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps) -> None:
     """Write one frame's stage outputs under dump_dir.
 
-    Scalar maps go out as PFM with NaN at invalid pixels; the edge map as
-    0/255 PGM; optional PGM previews are scaled over the valid range.
+    Scalar maps go out as PFM with NaN at invalid pixels, each with a PGM
+    preview scaled over the valid range; the edge map as 0/255 PGM.
     """
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,9 +193,8 @@ def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps,
     for name, costmap in scalar.items():
         formats.write_values_pfm(out / f"{prefix}_{name}.pfm",
                                  costmap.values, costmap.valid)
-        if previews:
-            formats.write_pgm(out / f"{prefix}_{name}.pgm",
-                              formats.preview_u8(costmap.values, costmap.valid))
+        formats.write_pgm(out / f"{prefix}_{name}.pgm",
+                          formats.preview_u8(costmap.values, costmap.valid))
     formats.write_binary_pgm(out / f"{prefix}_edges.pgm", maps.edges.bits)
 
 
@@ -220,12 +218,6 @@ def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
                                          c.flat_radius_px.tolist()))
 
 
-def write_sites_json(path, registry: SiteRegistry) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(registry.to_json_obj(), f, indent=2)
-        f.write("\n")
-
-
 def write_clusters_json(path, clusters) -> None:
     obj = {"clusters": [c.to_json_obj() for c in clusters]}
     with open(path, "w", encoding="utf-8") as f:
@@ -237,7 +229,7 @@ def write_outputs(out_dir, result: PipelineResult) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_candidates_jsonl(out / "candidates.jsonl", result.frames)
-    write_sites_json(out / "sites.json", result.registry)
+    result.registry.save(out / "sites.json")
     write_clusters_json(out / "clusters.json", result.clusters)
 
 

@@ -1,8 +1,11 @@
 """Global world-frame site registry and its agglomerative clustering.
 
 The registry keeps every accepted landing site, with all positions in one
-contiguous (N, 3) array, and refuses new sites that fall within
-``dedup_radius`` of an existing one, so the stored set is always sparse.
+contiguous (N, 3) array. Sites enter only through ``insert_positions``,
+one frame's batch at a time, which refuses a site strictly within
+``dedup_radius`` of one accepted before it (stored or earlier in the
+batch), so the stored set is always sparse and a batch gives the same
+result as inserting its rows one by one.
 Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
@@ -11,9 +14,10 @@ fully 3-D instead).
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
-(plus ``+ dz*dz`` on the left for the 3-D metric); dedup comparisons use
-squared distances. Any reimplementation that follows the same forms
-reproduces the partitions bit-for-bit.
+(plus ``+ dz*dz`` on the left for the 3-D metric). Dedup and ``nearest()``
+share one squared distance, ``dx*dx + dy*dy + dz*dz`` (``_d2``), and dedup
+refuses ``d2 < r*r``. Any reimplementation that follows the same forms
+reproduces the flags and partitions bit-for-bit.
 
 One pipeline thread owns the registry for writes; reads may interleave
 between insertions and the object can be handed across threads freely.
@@ -53,10 +57,18 @@ class LandingSite:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LandingSite":
-        return cls(position=np.array([float(obj["x"]), float(obj["y"]),
-                                      float(obj["z"])]),
-                   score=float(obj["score"]), frame_id=int(obj["frame_id"]),
-                   timestamp=float(obj["timestamp"]))
+        """Rebuild a site from a snapshot record.
+
+        x, y, z, score and timestamp must be finite numbers and frame_id
+        an integer (bools are neither); anything else raises TypeError,
+        ValueError or KeyError.
+        """
+        frame_id = obj["frame_id"]
+        if isinstance(frame_id, bool) or not isinstance(frame_id, int):
+            raise TypeError(f"frame_id must be an integer, not {frame_id!r}")
+        return cls(position=np.array([_number(obj, k) for k in "xyz"]),
+                   score=_number(obj, "score"), frame_id=frame_id,
+                   timestamp=_number(obj, "timestamp"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,26 +106,17 @@ class SiteRegistry:
         view.flags.writeable = False
         return view
 
-    def insert(self, site: LandingSite) -> bool:
-        """Insert unless an existing site lies strictly closer than the radius."""
-        if not np.all(np.isfinite(site.position)):
-            raise ValueError("site position must be finite")
-        hit = self._nearest_d2(site.position)
-        if hit is not None and hit[1] < self.dedup_radius * self.dedup_radius:
-            return False
-        self._accept(site)
-        return True
-
     def insert_positions(self, positions: np.ndarray, scores: np.ndarray,
                          frame_id: int, timestamp: float) -> list[bool]:
-        """Batch-insert raw position/score arrays from one frame.
+        """Insert one frame's candidate positions; flag which were accepted.
 
-        Greedy batch dedup, exactly equivalent to sequential insert(): a
-        candidate is accepted iff it is not within the dedup radius of any
-        previously accepted site (existing or earlier in the batch); taking
-        the first surviving candidate and discarding its ball realizes
-        exactly that order. LandingSite records are only materialized for
-        accepted positions.
+        This is the registry's only dedup path. A candidate is accepted iff
+        no site accepted before it, stored or earlier in the batch, has
+        ``_d2 < r*r``, so a batch gives exactly what inserting its rows one
+        at a time would. Survivors start as every row; each stored site
+        inside the batch's bounding box (widened by the radius), then each
+        newly accepted candidate, drops the survivors within its radius.
+        LandingSite records are made only for accepted rows.
         """
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         if len(pos) == 0:
@@ -122,26 +125,22 @@ class SiteRegistry:
             raise ValueError("site position must be finite")
         flags = [False] * len(pos)
         r2 = self.dedup_radius * self.dedup_radius
-        alive = np.ones(len(pos), dtype=bool)
         existing = self.positions()
-        if len(existing):
-            lo = pos.min(axis=0) - self.dedup_radius
-            hi = pos.max(axis=0) + self.dedup_radius
-            near = existing[np.all((existing >= lo) & (existing <= hi), axis=1)]
-            if len(near):
-                for chunk in range(0, len(pos), 8192):
-                    block = pos[chunk : chunk + 8192]
-                    d2 = _pairwise_d2(block, near)
-                    alive[chunk : chunk + 8192] &= ~(d2 < r2).any(axis=1)
-        order = np.nonzero(alive)[0]
-        while order.size:
-            first = int(order[0])
-            flags[first] = True
-            self._accept(LandingSite(position=pos[first],
-                                     score=float(scores[first]),
-                                     frame_id=frame_id, timestamp=timestamp))
-            d2 = _pairwise_d2(pos[order], pos[first][None, :])[:, 0]
-            order = order[~(d2 < r2)]
+        lo = pos.min(axis=0) - self.dedup_radius
+        hi = pos.max(axis=0) + self.dedup_radius
+        in_box = np.all((existing >= lo) & (existing <= hi), axis=1)
+        stored = iter(existing[in_box])
+        alive = np.arange(len(pos))
+        while alive.size:
+            q = next(stored, None)
+            if q is None:  # stored sites done: the first survivor is accepted
+                first = int(alive[0])
+                flags[first] = True
+                self._accept(LandingSite(
+                    position=pos[first], score=float(scores[first]),
+                    frame_id=frame_id, timestamp=timestamp))
+                q = pos[first]
+            alive = alive[~(_d2(pos[alive], q) < r2)]
         return flags
 
     def _accept(self, site: LandingSite) -> None:
@@ -151,36 +150,20 @@ class SiteRegistry:
         self._pos[n] = site.position
         self.sites.append(site)
 
-    def _nearest_d2(self, query) -> tuple[int, float] | None:
-        """Index and squared distance of the closest stored site.
-
-        Squares accumulate in x, y, z order; ties go to the lowest index.
-        None if empty, or if no distance is finite (a non-finite query).
-        """
-        pos = self.positions()
-        if len(pos) == 0:
-            return None
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        dx = q[0] - pos[:, 0]
-        dy = q[1] - pos[:, 1]
-        dz = q[2] - pos[:, 2]
-        d2 = dx * dx + dy * dy + dz * dz
-        idx = int(np.argmin(d2))
-        if not d2[idx] < np.inf:
-            return None
-        return idx, float(d2[idx])
-
     def nearest(self, query) -> tuple[LandingSite, float] | None:
         """Closest stored site and its Euclidean distance, or None if empty.
 
         Exact; ties resolve to the earliest-inserted site. A non-finite
         query also gives None.
         """
-        hit = self._nearest_d2(query)
-        if hit is None:
+        pos = self.positions()
+        if len(pos) == 0:
             return None
-        idx, d2 = hit
-        return self.sites[idx], float(np.sqrt(d2))
+        d2 = _d2(pos, np.asarray(query, dtype=np.float64).reshape(3))
+        idx = int(np.argmin(d2))
+        if not d2[idx] < np.inf:
+            return None
+        return self.sites[idx], float(np.sqrt(d2[idx]))
 
     def to_json_obj(self) -> dict:
         return {"dedup_radius_m": self.dedup_radius,
@@ -188,19 +171,15 @@ class SiteRegistry:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
-        """Rebuild a registry from a snapshot.
+        """Rebuild a registry from a snapshot, as stored (no dedup).
 
-        A non-numeric or non-finite position, score or timestamp raises
-        ValueError (TypeError for a null or nested value).
+        The radius must be a finite positive number and each record valid
+        for ``LandingSite.from_json_obj``; otherwise ValueError, TypeError,
+        KeyError or, for an integer past float range, OverflowError.
         """
-        reg = cls(float(obj["dedup_radius_m"]))
+        reg = cls(_number(obj, "dedup_radius_m"))
         for rec in obj["sites"]:
             reg._accept(LandingSite.from_json_obj(rec))
-        if not np.all(np.isfinite(reg.positions())):
-            raise ValueError("site positions must be finite")
-        if not all(math.isfinite(s.score) and math.isfinite(s.timestamp)
-                   for s in reg.sites):
-            raise ValueError("site scores and timestamps must be finite")
         return reg
 
     def save(self, path) -> None:
@@ -210,18 +189,33 @@ class SiteRegistry:
 
     @classmethod
     def load(cls, path) -> "SiteRegistry":
+        """Read a snapshot; OSError naming the path if it is malformed."""
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_obj(json.load(f))
+            try:
+                return cls.from_json_obj(json.load(f))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise OSError(f"{path}: malformed registry snapshot "
+                              f"({type(exc).__name__}: {exc})") from exc
 
 
-def _pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between rows of a (N, 3) and b (M, 3), shape (N, M).
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float; it must be a finite int or float, not a bool."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return float(value)
 
-    Accumulated per-component in x, y, z order to match the scalar path.
+
+def _d2(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of (N, 3) ``points`` to ``q``.
+
+    Accumulated as ``dx*dx + dy*dy + dz*dz``, the canonical dedup form.
     """
-    dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = a[:, 1][:, None] - b[:, 1][None, :]
-    dz = a[:, 2][:, None] - b[:, 2][None, :]
+    dx = points[:, 0] - q[0]
+    dy = points[:, 1] - q[1]
+    dz = points[:, 2] - q[2]
     return dx * dx + dy * dy + dz * dz
 
 

@@ -45,7 +45,7 @@ from landsite.edt import squared_distance_transform
 from landsite.geometry import camera_pose
 from landsite.pipeline import evaluate_costmaps, run_pipeline, \
     write_frame_stream, read_frame_stream, write_outputs
-from landsite.registry import LandingSite, SiteRegistry, cluster_sites
+from landsite.registry import SiteRegistry, cluster_sites
 
 from oracles import (
     brute_force_partition,
@@ -191,9 +191,7 @@ def test_criterion_6_clustering_and_dedup_oracles():
         rng = np.random.default_rng(100 + seed)
         positions = rng.uniform(-2.5, 2.5, (200, 3))
         reg = SiteRegistry(1e-9)
-        for p in positions:
-            reg.insert(LandingSite(position=p, score=0.8, frame_id=0,
-                                   timestamp=0.0))
+        reg.insert_positions(positions, np.full(200, 0.8), 0, 0.0)
         clusters = cluster_sites(reg, 0.5, 0.25)
         labels = brute_force_partition(positions, 0.5, 0.25)
         groups: dict[int, list[int]] = {}
@@ -204,12 +202,13 @@ def test_criterion_6_clustering_and_dedup_oracles():
         got = sorted((tuple(c.centroid), c.member_count) for c in clusters)
         assert got == expect, f"partition mismatch on seed {seed}"
 
-    # dedup vs linear-scan reference over 10,000 insertions
+    # dedup vs linear-scan reference over 10,000 insertions, 10 batches
     rng = np.random.default_rng(4242)
     positions = rng.uniform(-6, 6, (10_000, 3))
     reg = SiteRegistry(0.5)
-    flags = [reg.insert(LandingSite(position=p, score=0.5, frame_id=0,
-                                    timestamp=0.0)) for p in positions]
+    flags = []
+    for batch in np.split(positions, 10):
+        flags += reg.insert_positions(batch, np.full(len(batch), 0.5), 0, 0.0)
     assert flags == sequential_dedup_vectorized(positions, 0.5)
     pos = reg.positions()
     diff = pos[:, None, :] - pos[None, :, :]

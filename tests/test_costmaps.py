@@ -10,7 +10,6 @@ from landsite.costmaps import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     Costmap,
-    CostmapKind,
     FusionWeights,
     NormalMap,
     _unit_normals,
@@ -33,11 +32,11 @@ SIM_WEIGHTS = FusionWeights(depth_confidence=0.05, flatness=0.4,
                             slope_tolerance=math.radians(15.0))
 
 
-def uniform_costmap(value, kind=CostmapKind.DECISION, shape=(4, 4), valid=None):
+def uniform_costmap(value, shape=(4, 4), valid=None):
     values = np.full(shape, float(value))
     if valid is None:
         valid = np.ones(shape, bool)
-    return Costmap(values, valid, kind)
+    return Costmap(values, valid)
 
 
 class TestFusionWeights:
@@ -284,7 +283,7 @@ class TestEnergy:
 class TestMinmaxNormalize:
     def _map(self, values):
         v = np.array(values, dtype=float).reshape(1, -1)
-        return Costmap(v, np.ones_like(v, bool), CostmapKind.ENERGY)
+        return Costmap(v, np.ones_like(v, bool))
 
     def test_higher_is_better(self):
         out = minmax_normalize(self._map([2, 4, 6]), HIGHER_IS_BETTER)
@@ -301,8 +300,7 @@ class TestMinmaxNormalize:
     def test_invalid_pixels_excluded_from_range(self):
         v = np.array([[1.0, 100.0, 3.0]])
         valid = np.array([[True, False, True]])
-        out = minmax_normalize(Costmap(v, valid, CostmapKind.ENERGY),
-                               HIGHER_IS_BETTER)
+        out = minmax_normalize(Costmap(v, valid), HIGHER_IS_BETTER)
         assert out.values[0, 0] == 0.0
         assert out.values[0, 2] == 1.0
         assert not out.valid[0, 1]
@@ -355,8 +353,7 @@ class TestDecisionMap:
         other = uniform_costmap(0.7, shape=(6, 8))
 
         def fuse(values):
-            m = minmax_normalize(Costmap(values, valid, CostmapKind.ENERGY),
-                                 LOWER_IS_BETTER)
+            m = minmax_normalize(Costmap(values, valid), LOWER_IS_BETTER)
             return decision_map(other, other, other, m, SIM_WEIGHTS).values
 
         base = fuse(raw)

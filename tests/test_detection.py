@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from landsite.costmaps import Costmap, CostmapKind, FusionWeights
+from landsite.costmaps import Costmap, FusionWeights
 from landsite.detection import Candidates, dense_candidates, world_positions
 from landsite.geometry import (
     CameraIntrinsics,
@@ -25,9 +25,8 @@ SIM_WEIGHTS = FusionWeights(0.05, 0.4, 0.4, 0.15, 0.72, math.radians(15))
 def _maps(frame, decision_value, flat_value):
     shape = frame.shape
     decision = Costmap(np.full(shape, float(decision_value)),
-                       frame.valid.copy(), CostmapKind.DECISION)
-    flat = Costmap(np.full(shape, float(flat_value)), frame.valid.copy(),
-                   CostmapKind.FLATNESS)
+                       frame.valid.copy())
+    flat = Costmap(np.full(shape, float(flat_value)), frame.valid.copy())
     return decision, flat
 
 
@@ -75,8 +74,7 @@ class TestFootprintFilter:
 
     def test_misaligned_grids_rejected(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
-        bad = Costmap(np.ones((10, 10)), np.ones((10, 10), bool),
-                      CostmapKind.DECISION)
+        bad = Costmap(np.ones((10, 10)), np.ones((10, 10), bool))
         _, flat = _maps(frame, 0.9, 10.0)
         with pytest.raises(ValueError):
             dense_candidates(bad, flat, frame, SIM_WEIGHTS, 0.13)
@@ -225,10 +223,8 @@ class TestCandidatesToWorld:
         # dense_candidates skips the invalid pixel even where the maps,
         # valid and passing everywhere, would let it through
         everywhere = np.ones(frame.shape, bool)
-        decision = Costmap(np.full(frame.shape, 0.9), everywhere,
-                           CostmapKind.DECISION)
-        flat = Costmap(np.full(frame.shape, 1000.0), everywhere,
-                       CostmapKind.FLATNESS)
+        decision = Costmap(np.full(frame.shape, 0.9), everywhere)
+        flat = Costmap(np.full(frame.shape, 1000.0), everywhere)
         cands = dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13)
         assert len(cands) == 48 * 64 - 1
         assert not np.any((cands.xs == 5) & (cands.ys == 5))

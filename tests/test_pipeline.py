@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landsite import scene_synth as ss
 from landsite.bench import STAGES, bench
@@ -392,6 +398,20 @@ def test_outside_timing_harness_calls():
     assert sum(c.member_count for c in clusters) == len(reg)
 
 
+# Arbitrary JSON values for the snapshot fuzz test: huge and non-finite
+# numbers, strings, null, bools and nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=5)
+    | st.integers(-10**400, 10**400) | st.floats()
+    | st.sampled_from([1e308, -1e308, 10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+VALID_SITE = {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+              "timestamp": 0.0}
+
+
 class TestCli:
     def _synth(self, tmp_path, scene="flat_pad", frames=1):
         stream = tmp_path / "stream"
@@ -518,12 +538,28 @@ class TestCli:
         if damage == "repeated_frame_id":
             assert "repeated frame_id 0" in err
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf"), "a"])
-    def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys, x):
+    @pytest.mark.parametrize("field,token", [
+        pytest.param("x", "NaN", id="nan"),
+        pytest.param("x", "Infinity", id="inf"),
+        pytest.param("x", '"a"', id="a"),
+        pytest.param("frame_id", "1e400", id="frame_id_1e400"),
+        pytest.param("frame_id", "-Infinity", id="frame_id_neg_inf"),
+        pytest.param("frame_id", "1.5", id="frame_id_float"),
+        pytest.param("frame_id", "true", id="frame_id_bool"),
+        pytest.param("dedup_radius_m", "1e400", id="radius_1e400"),
+    ])
+    def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys,
+                                                 field, token):
+        # the damaged value goes in as raw JSON text, so 1e400 stays 1e400
+        obj = {"dedup_radius_m": 0.5, "sites": [
+            {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+             "timestamp": 0.0}]}
+        if field == "dedup_radius_m":
+            obj[field] = "@"
+        else:
+            obj["sites"][0][field] = "@"
         path = tmp_path / "sites.json"
-        path.write_text(json.dumps({"dedup_radius_m": 0.5, "sites": [
-            {"x": x, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
-             "timestamp": 0.0}]}))
+        path.write_text(json.dumps(obj).replace('"@"', token))
         capsys.readouterr()
         assert cli_main(["cluster", "--sites", str(path),
                          "--out", str(tmp_path / "c.json")]) == 2
@@ -550,6 +586,25 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
+    @given(radius=st.one_of(st.just(0.5), JSON_VALUES),
+           sites=st.lists(st.fixed_dictionaries(
+               {k: st.one_of(st.just(v), JSON_VALUES)
+                for k, v in VALID_SITE.items()}), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_registry_snapshot_exits_0_or_2(self, radius, sites):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sites.json"
+            path.write_text(json.dumps({"dedup_radius_m": radius,
+                                        "sites": sites}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["cluster", "--sites", str(path),
+                                 "--out", str(Path(tmp) / "c.json")])
+        assert code in (0, 2)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+
     @pytest.mark.parametrize("case,code", [
         ("spacing_nan", 1), ("height_inf", 1), ("negative_noise", 1),
         ("negative_seed", 1),
@@ -557,6 +612,7 @@ class TestCli:
         ("scene_nan_noise", 2), ("scene_negative_seed", 2),
         ("config_weight_str", 1), ("config_d_max_null", 1),
         ("config_window_float", 1),
+        ("height_zero", 1), ("camera_inside_roof", 1), ("spacing_overflow", 1),
     ])
     def test_bad_user_input_one_line_error(self, tmp_path, capsys, case, code):
         out = str(tmp_path / "out")
@@ -566,6 +622,14 @@ class TestCli:
             argv = synth + ["--spacing-m", "nan"]
         elif case == "height_inf":
             argv = synth + ["--height-m", "inf"]
+        elif case == "height_zero":
+            argv = synth + ["--height-m", "0"]
+        elif case == "camera_inside_roof":
+            argv = ["synth", "--scene", "roof_edge", "--height-m", "1.0",
+                    "--out", out]
+        elif case == "spacing_overflow":
+            argv = ["synth", "--scene", "rubble", "--spacing-m", "1e308",
+                    "--frames", "3", "--out", out]
         elif case == "negative_noise":
             argv = synth + ["--noise-sigma-m", "-1"]
         elif case == "negative_seed":

@@ -3,25 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landsite.registry import LandingSite, SiteRegistry, cluster_sites
+from landsite.registry import SiteRegistry, cluster_sites
 
 from oracles import (
     brute_force_partition,
     linear_scan_nearest,
     sequential_dedup,
+    sequential_dedup_vectorized,
 )
 
 
-def site(x, y, z, score=0.8, frame_id=0, timestamp=0.0):
-    return LandingSite(position=np.array([x, y, z], dtype=float), score=score,
-                       frame_id=frame_id, timestamp=timestamp)
+def insert_all(reg, points, scores=None, frame_id=0, timestamp=0.0):
+    pos = np.array(points, dtype=float).reshape(-1, 3)
+    if scores is None:
+        scores = np.full(len(pos), 0.8)
+    return reg.insert_positions(pos, scores, frame_id=frame_id,
+                                timestamp=timestamp)
+
+
+def insert_batches(reg, points, n_batches):
+    """Insert ``points`` as ``n_batches`` consecutive batches; all flags."""
+    return [f for chunk in np.array_split(np.asarray(points, float), n_batches)
+            for f in insert_all(reg, chunk)]
 
 
 def registry_with(positions, scores=None, dedup_radius=1e-9):
     reg = SiteRegistry(dedup_radius)
-    for i, p in enumerate(positions):
-        s = 0.8 if scores is None else scores[i]
-        assert reg.insert(site(p[0], p[1], p[2], score=s))
+    assert all(insert_all(reg, positions, scores))
     return reg
 
 
@@ -46,40 +54,38 @@ def assert_brute_force_partition(positions, scores, dist_th, z_th, metric):
 class TestInsert:
     def test_empty_registry_accepts_anything(self):
         reg = SiteRegistry(0.5)
-        assert reg.insert(site(3.0, -1.0, 0.2))
+        assert insert_all(reg, [(3.0, -1.0, 0.2)]) == [True]
         assert len(reg) == 1
 
     def test_rejects_within_radius(self):
         reg = SiteRegistry(0.5)
-        reg.insert(site(0, 0, 0))
-        assert not reg.insert(site(0.4, 0, 0))
+        insert_all(reg, [(0, 0, 0)])
+        assert insert_all(reg, [(0.4, 0, 0)]) == [False]
         assert len(reg) == 1
 
     def test_accepts_exactly_at_radius(self):
         reg = SiteRegistry(0.5)
-        reg.insert(site(0, 0, 0))
-        assert reg.insert(site(0.5, 0, 0))
+        insert_all(reg, [(0, 0, 0)])
+        assert insert_all(reg, [(0.5, 0, 0)]) == [True]
 
     def test_rejects_nonfinite(self):
         reg = SiteRegistry(0.5)
-        with pytest.raises(ValueError):
-            reg.insert(site(np.nan, 0, 0))
-        with pytest.raises(ValueError):
-            reg.insert_positions(np.array([[np.inf, 0.0, 0.0]]), np.ones(1),
-                                 frame_id=0, timestamp=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                insert_all(reg, [(0.0, 0.0, 0.0), (bad, 0.0, 0.0)])
+        assert len(reg) == 0
 
     def test_matches_linear_scan_reference(self):
         rng = np.random.default_rng(21)
         positions = rng.uniform(-3, 3, (2000, 3))
         reg = SiteRegistry(0.5)
-        flags = [reg.insert(site(*p)) for p in positions]
+        flags = insert_batches(reg, positions, 4)
         assert flags == sequential_dedup(positions, 0.5)
 
     def test_min_pairwise_distance_invariant(self):
         rng = np.random.default_rng(22)
         reg = SiteRegistry(0.4)
-        for p in rng.uniform(-2, 2, (1500, 3)):
-            reg.insert(site(*p))
+        insert_batches(reg, rng.uniform(-2, 2, (1500, 3)), 3)
         pos = reg.positions()
         diff = pos[:, None, :] - pos[None, :, :]
         d = np.sqrt((diff ** 2).sum(-1))
@@ -87,51 +93,52 @@ class TestInsert:
         assert d.min() >= 0.4
 
 
-def insert_all(reg, points, scores=None, frame_id=0, timestamp=0.0):
-    pos = np.array(points, dtype=float).reshape(-1, 3)
-    if scores is None:
-        scores = np.full(len(pos), 0.8)
-    return reg.insert_positions(pos, scores, frame_id=frame_id,
-                                timestamp=timestamp)
-
-
 class TestInsertBatch:
     @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
-                              st.floats(-2, 2)), max_size=60))
+                              st.floats(-2, 2)), max_size=60),
+           st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
-    def test_equivalent_to_sequential(self, points):
-        seq = SiteRegistry(0.5)
-        batch = SiteRegistry(0.5)
-        expect = [seq.insert(site(*p)) for p in points]
-        got = insert_all(batch, points)
-        assert got == expect
-        assert np.array_equal(seq.positions(), batch.positions())
+    def test_equivalent_to_sequential(self, points, n_batches):
+        pts = np.reshape(points, (-1, 3))
+        reg = SiteRegistry(0.5)
+        got = insert_batches(reg, pts, n_batches)
+        assert got == sequential_dedup(pts, 0.5)
+        assert np.array_equal(reg.positions(), pts[np.array(got, bool)])
 
     def test_equivalent_across_multiple_batches(self):
         rng = np.random.default_rng(23)
-        seq = SiteRegistry(0.35)
-        batch = SiteRegistry(0.35)
-        for _ in range(5):
-            chunk = rng.uniform(-2, 2, (400, 3))
-            expect = [seq.insert(site(*p)) for p in chunk]
-            got = insert_all(batch, chunk)
-            assert got == expect
-        assert np.array_equal(seq.positions(), batch.positions())
+        points = rng.uniform(-2, 2, (2000, 3))
+        reg = SiteRegistry(0.35)
+        got = insert_batches(reg, points, 5)
+        assert got == sequential_dedup_vectorized(points, 0.35)
+        assert np.array_equal(reg.positions(), points[np.array(got)])
 
     def test_records_match_sequential_insert(self):
         rng = np.random.default_rng(24)
         pos = rng.uniform(-2, 2, (300, 3))
         scores = rng.uniform(0, 1, 300)
-        a = SiteRegistry(0.5)
-        flags_a = insert_all(a, pos, scores, frame_id=3, timestamp=0.5)
-        b = SiteRegistry(0.5)
-        flags_b = [b.insert(LandingSite(position=p, score=float(s), frame_id=3,
-                                        timestamp=0.5))
-                   for p, s in zip(pos, scores)]
-        assert flags_a == flags_b
-        assert np.array_equal(a.positions(), b.positions())
-        assert [s.to_json_obj() for s in a.sites] == \
-            [s.to_json_obj() for s in b.sites]
+        reg = SiteRegistry(0.5)
+        flags = insert_all(reg, pos, scores, frame_id=3, timestamp=0.5)
+        assert flags == sequential_dedup(pos, 0.5)
+        assert [s.to_json_obj() for s in reg.sites] == [
+            {"x": float(p[0]), "y": float(p[1]), "z": float(p[2]),
+             "score": float(sc), "frame_id": 3, "timestamp": 0.5}
+            for p, sc, ok in zip(pos, scores, flags) if ok]
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_radius_boundary_stored_and_in_batch(self, axis):
+        # exactly at the radius is accepted, one ulp inside it is not,
+        # whether the earlier site is stored or earlier in the same batch
+        base = np.array([1.0, 2.0, 3.0])
+        at = base.copy()
+        at[axis] += 0.5
+        inside = at.copy()
+        inside[axis] = np.nextafter(at[axis], base[axis])
+        for cand, ok in ((at, True), (inside, False)):
+            stored = SiteRegistry(0.5)
+            insert_all(stored, [base])
+            assert insert_all(stored, [cand]) == [ok]
+            assert insert_all(SiteRegistry(0.5), [base, cand]) == [True, ok]
 
 
 class TestNearest:
@@ -264,12 +271,10 @@ class TestClustering:
         assert sum(c.member_count for c in clusters) == len(reg)
 
     def test_sorted_by_score_then_size_then_centroid(self):
-        reg = SiteRegistry(1e-9)
         # cluster A: two sites, mean score 0.9; B: one site, 0.9; C: 0.5
-        reg.insert(site(0.0, 0.0, 0.0, score=0.8))
-        reg.insert(site(0.1, 0.0, 0.0, score=1.0))
-        reg.insert(site(5.0, 5.0, 0.0, score=0.9))
-        reg.insert(site(-5.0, -5.0, 0.0, score=0.5))
+        reg = registry_with([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0),
+                             (5.0, 5.0, 0.0), (-5.0, -5.0, 0.0)],
+                            [0.8, 1.0, 0.9, 0.5])
         clusters = cluster_sites(reg, 0.5, 0.1)
         assert [c.mean_score for c in clusters] == [0.9, 0.9, 0.5]
         assert clusters[0].member_count == 2  # size breaks the tie
@@ -291,8 +296,8 @@ class TestSnapshot:
         rng = np.random.default_rng(70)
         reg = SiteRegistry(0.5)
         for i, p in enumerate(rng.uniform(-2, 2, (50, 3))):
-            reg.insert(LandingSite(position=p, score=float(rng.uniform()),
-                                   frame_id=i % 3, timestamp=i * 0.05))
+            insert_all(reg, [p], [rng.uniform()], frame_id=i % 3,
+                       timestamp=i * 0.05)
         path = tmp_path / "sites.json"
         reg.save(path)
         loaded = SiteRegistry.load(path)
