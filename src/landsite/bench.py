@@ -10,11 +10,11 @@ over all frames of all passes, in milliseconds.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 
 from .config import PipelineConfig
+from .formats import write_json
 from .pipeline import run_pipeline
 
 STAGES = ("depth_accuracy", "flatness", "steepness", "energy", "final",
@@ -60,9 +60,7 @@ class TimingReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_obj(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_json_obj())
 
     def to_table(self) -> str:
         """Aligned text table, one row per stage plus the total."""

@@ -10,12 +10,12 @@ cluster height tolerance.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 from .costmaps import FusionWeights
 from .errors import ConfigError
+from .formats import read_json, write_json
 
 
 # Accepted Python types per field annotation; bool is rejected everywhere.
@@ -87,18 +87,11 @@ class PipelineConfig:
         return cls(**obj)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_obj(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_json_obj())
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_json_obj(obj)
+        return read_json(path, cls.from_json_obj, "config", error=ConfigError)
 
 
 _COMMON = dict(

@@ -1,4 +1,4 @@
-"""Readers and writers for the image files the pipeline speaks.
+"""Readers and writers for the files the pipeline speaks.
 
 PFM (portable float map, single channel) carries depth frames and costmap
 dumps; PGM (8-bit binary) carries binary maps and previews. PFM rows are
@@ -7,11 +7,46 @@ we always write.
 
 Invalid-pixel encoding: depth PFMs use 0.0 (out of sensor range), costmap
 PFMs use NaN.
+
+JSON documents go through ``read_json``/``malformed`` (any parse failure
+becomes one error naming the file) and ``write_json`` (strict JSON only).
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+
 import numpy as np
+
+PARSE_FAILURES = (KeyError, TypeError, ValueError, OverflowError,
+                  RecursionError)
+
+
+@contextlib.contextmanager
+def malformed(where, what: str, error=OSError):
+    """Re-raise a parse failure in the block as ``error`` naming ``where``."""
+    try:
+        yield
+    except PARSE_FAILURES as exc:
+        raise error(f"{where}: malformed {what} "
+                    f"({type(exc).__name__}: {exc})") from exc
+
+
+def read_json(path, parse, what: str, error=OSError):
+    """``parse`` applied to the JSON document at ``path``, inside ``malformed``."""
+    with open(path, "r", encoding="utf-8") as f, malformed(path, what, error):
+        return parse(json.load(f))
+
+
+def write_json(path, obj) -> None:
+    """Indented strict JSON; a non-finite number raises before the file opens."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OSError(f"{path}: cannot write as strict JSON ({exc})") from exc
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
 
 
 def read_pfm(path) -> np.ndarray:

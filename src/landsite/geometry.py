@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .formats import malformed, read_json, write_json
 
 ROTATION_TOL = 1e-9
 QUAT_NORM_TOL = 1e-6
@@ -267,17 +268,11 @@ def project_uav_radius(uav_radius: float, depth, intrinsics: CameraIntrinsics):
 
 def load_intrinsics(path) -> CameraIntrinsics:
     """Read intrinsics JSON; OSError naming the path if it is malformed."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return CameraIntrinsics.from_json_obj(json.load(f))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise OSError(f"{path}: malformed intrinsics "
-                          f"({type(exc).__name__}: {exc})") from exc
+    return read_json(path, CameraIntrinsics.from_json_obj, "intrinsics")
 
 
 def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
-    Path(path).write_text(json.dumps(intrinsics.to_json_obj(), indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(path, intrinsics.to_json_obj())
 
 
 def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
@@ -290,7 +285,7 @@ def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
     records: dict[int, tuple[float, Pose]] = {}
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
-            try:
+            with malformed(f"{path}:{lineno}", "pose record"):
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
@@ -306,9 +301,6 @@ def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
                 if frame_id in records:
                     raise ValueError(f"repeated frame_id {frame_id}")
                 records[frame_id] = (t_sec, pose)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise OSError(f"{path}:{lineno}: malformed pose record "
-                              f"({type(exc).__name__}: {exc})") from exc
     return records
 
 

@@ -14,7 +14,6 @@ load.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -219,10 +218,7 @@ def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
 
 
 def write_clusters_json(path, clusters) -> None:
-    obj = {"clusters": [c.to_json_obj() for c in clusters]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+    formats.write_json(path, {"clusters": [c.to_json_obj() for c in clusters]})
 
 
 def write_outputs(out_dir, result: PipelineResult) -> None:

@@ -25,7 +25,6 @@ between insertions and the object can be handed across threads freely.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
+
+from .formats import read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +175,7 @@ class SiteRegistry:
         """Rebuild a registry from a snapshot, as stored (no dedup).
 
         The radius must be a finite positive number and each record valid
-        for ``LandingSite.from_json_obj``; otherwise ValueError, TypeError,
-        KeyError or, for an integer past float range, OverflowError.
+        for ``LandingSite.from_json_obj``; anything else raises a parse failure.
         """
         reg = cls(_number(obj, "dedup_radius_m"))
         for rec in obj["sites"]:
@@ -183,19 +183,12 @@ class SiteRegistry:
         return reg
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_obj(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_json_obj())
 
     @classmethod
     def load(cls, path) -> "SiteRegistry":
         """Read a snapshot; OSError naming the path if it is malformed."""
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                return cls.from_json_obj(json.load(f))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise OSError(f"{path}: malformed registry snapshot "
-                              f"({type(exc).__name__}: {exc})") from exc
+        return read_json(path, cls.from_json_obj, "registry snapshot")
 
 
 def _number(obj: dict, key: str) -> float:

@@ -13,12 +13,12 @@ intrinsics and pose produce bit-identical frames on every run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import read_json, write_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
     rotation_x, rotation_z
 
@@ -413,16 +413,9 @@ def scene_from_json_obj(obj: dict) -> SceneSpec:
 
 
 def save_scene(path, scene: SceneSpec) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(scene_to_json_obj(scene), f, indent=2)
-        f.write("\n")
+    write_json(path, scene_to_json_obj(scene))
 
 
 def load_scene(path) -> SceneSpec:
     """Read a scene JSON; malformed content raises OSError naming the path."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return scene_from_json_obj(json.load(f))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise OSError(f"{path}: malformed scene "
-                          f"({type(exc).__name__}: {exc})") from exc
+    return read_json(path, scene_from_json_obj, "scene")
