@@ -48,6 +48,8 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         self.fusion_weights()  # validates weights, threshold, tolerance
         if not (0 < self.canny_low_m <= self.canny_high_m):
             raise ConfigError("need 0 < canny_low_m <= canny_high_m")

@@ -40,7 +40,10 @@ def read_json(path, parse, what: str, error=OSError):
 
 
 def write_json(path, obj) -> None:
-    """Indented strict JSON; a non-finite number raises before the file opens."""
+    """Write ``obj`` as indented strict JSON plus a newline.
+
+    A non-finite number raises OSError naming ``path`` before the file opens.
+    """
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:

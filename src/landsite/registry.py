@@ -174,12 +174,17 @@ class SiteRegistry:
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
         """Rebuild a registry from a snapshot, as stored (no dedup).
 
-        The radius must be a finite positive number and each record valid
-        for ``LandingSite.from_json_obj``; anything else raises a parse failure.
+        The radius must be a finite positive number, each record valid for
+        ``LandingSite.from_json_obj`` and each coordinate and score column
+        small enough for clustering to average (``math.fsum`` of its
+        magnitudes raises OverflowError, where numpy's mean would only warn);
+        anything else raises one of ``formats.PARSE_FAILURES``.
         """
         reg = cls(_number(obj, "dedup_radius_m"))
         for rec in obj["sites"]:
             reg._accept(LandingSite.from_json_obj(rec))
+        for column in (*reg.positions().T, [s.score for s in reg.sites]):
+            math.fsum(np.abs(column).tolist())
         return reg
 
     def save(self, path) -> None:

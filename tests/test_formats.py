@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from landsite.formats import (
+    malformed,
     preview_u8,
     read_pfm,
     read_pgm,
@@ -9,6 +12,7 @@ from landsite.formats import (
     write_binary_pgm,
     write_pfm,
     write_pgm,
+    write_json,
     write_values_pfm,
 )
 
@@ -108,3 +112,20 @@ class TestPreview:
     def test_all_invalid(self):
         out = preview_u8(np.ones((2, 2)), np.zeros((2, 2), bool))
         assert np.all(out == 0)
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_refuses_non_finite_and_leaves_no_file(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_json(path, {"clusters": [{"cx": value}]})
+        assert not path.exists()
+
+    def test_malformed_names_the_line_and_passes_other_errors(self):
+        with pytest.raises(OSError, match=r"^f\.jsonl:3: malformed pose record \(KeyError"):
+            with malformed("f.jsonl:3", "pose record"):
+                {}["qw"]
+        with pytest.raises(ZeroDivisionError):
+            with malformed("f.jsonl:3", "pose record"):
+                1 / 0

@@ -95,6 +95,8 @@ class TestConfig:
         ("weight_energy", 0.5), ("slope_tolerance_deg", 0.0),
         ("smoothing_window_px", 3.5), ("weight_flatness", "a"),
         ("d_max_m", None), ("uav_radius_m", True), ("profile", 1),
+        ("dedup_radius_m", float("inf")), ("d_max_m", float("inf")),
+        ("canny_high_m", float("nan")),
     ])
     def test_validation_rejects_bad_values(self, field, value):
         obj = get_profile("sim").to_json_obj()
@@ -411,6 +413,45 @@ JSON_VALUES = st.recursive(
 VALID_SITE = {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
               "timestamp": 0.0}
 
+# JSON text nested deeper than any parser recursion limit.
+DEEP = "[" * 100_000
+
+# Raw JSON text put in place of one field: (file, field, text).
+STREAM_DAMAGE = {
+    "nan_t_sec": ("frames.jsonl", "t_sec", "NaN"),
+    "repeated_frame_id": ("frames.jsonl", "frame_id", "0"),
+    "frame_id_1e999": ("frames.jsonl", "frame_id", "1e999"),
+    "pose_line_deep_nesting": ("frames.jsonl", "qw", DEEP),
+    "intrinsics_width_1e999": ("intrinsics.json", "width", "1e999"),
+    "intrinsics_fx_1e999": ("intrinsics.json", "fx", "1e999"),
+    "intrinsics_deep_nesting": ("intrinsics.json", "fx", DEEP),
+}
+
+# Two sites that link into one cluster whose centroid x (or mean score)
+# overflows float range.
+OVERFLOW_X_SITES = json.dumps([dict(VALID_SITE, x=1.7e308)] * 2)
+OVERFLOW_SCORE_SITES = json.dumps([dict(VALID_SITE, score=1.7e308)] * 2)
+
+# Raw JSON text put in place of one field of a scene or config file.
+USER_FILE_DAMAGE = {
+    "scene_seed_1e999": ("seed", "1e999"),
+    "scene_deep_nesting": ("primitives", DEEP),
+    "config_radius_inf": ("dedup_radius_m", "Infinity"),
+    "config_deep_nesting": ("d_max_m", DEEP),
+}
+
+# Whole config files that are not a JSON object of fields.
+CONFIG_FILE_BYTES = {
+    "config_42": b"42",
+    "config_null": b"null",
+    "config_non_utf8": b'{"profile": "\xff"}',
+}
+
+
+def with_raw_value(obj: dict, field: str, text: str) -> str:
+    """JSON text of ``obj`` with ``field``'s value spelled as ``text``."""
+    return json.dumps(dict(obj, **{field: "@"})).replace('"@"', text)
+
 
 class TestCli:
     def _synth(self, tmp_path, scene="flat_pad", frames=1):
@@ -494,9 +535,8 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncated_pose_line",
                                         "non_utf8_pose_line",
-                                        "nan_t_sec",
-                                        "repeated_frame_id",
-                                        "intrinsics_missing_key"])
+                                        "intrinsics_missing_key",
+                                        *STREAM_DAMAGE])
     def test_malformed_stream_metadata_exits_2(self, tmp_path, capsys, damage):
         stream = self._synth(tmp_path, frames=2)
         if damage == "truncated_pose_line":
@@ -509,20 +549,18 @@ class TestCli:
             with open(path, "ab") as f:
                 f.write(b"\xff\xfe\n")
             where = f"{path}:3"
-        elif damage == "nan_t_sec":
-            path = stream / "frames.jsonl"
-            lines = path.read_text().splitlines()
-            obj = json.loads(lines[1])
-            obj["t_sec"] = float("nan")
-            path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
-            where = f"{path}:2"
-        elif damage == "repeated_frame_id":
-            path = stream / "frames.jsonl"
-            lines = path.read_text().splitlines()
-            obj = json.loads(lines[1])
-            obj["frame_id"] = 0
-            path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
-            where = f"{path}:2"
+        elif damage in STREAM_DAMAGE:
+            name, field, text = STREAM_DAMAGE[damage]
+            path = stream / name
+            if name == "frames.jsonl":  # damage the second pose record
+                first, second = path.read_text().splitlines()
+                bad = with_raw_value(json.loads(second), field, text)
+                path.write_text(f"{first}\n{bad}\n")
+                where = f"{path}:2"
+            else:
+                obj = json.loads(path.read_text())
+                path.write_text(with_raw_value(obj, field, text))
+                where = str(path)
         else:
             path = stream / "intrinsics.json"
             obj = json.loads(path.read_text())
@@ -547,6 +585,9 @@ class TestCli:
         pytest.param("frame_id", "1.5", id="frame_id_float"),
         pytest.param("frame_id", "true", id="frame_id_bool"),
         pytest.param("dedup_radius_m", "1e400", id="radius_1e400"),
+        pytest.param("sites", DEEP, id="sites_deep_nesting"),
+        pytest.param("sites", OVERFLOW_X_SITES, id="centroid_overflow"),
+        pytest.param("sites", OVERFLOW_SCORE_SITES, id="mean_score_overflow"),
     ])
     def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys,
                                                  field, token):
@@ -554,7 +595,7 @@ class TestCli:
         obj = {"dedup_radius_m": 0.5, "sites": [
             {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
              "timestamp": 0.0}]}
-        if field == "dedup_radius_m":
+        if field in obj:
             obj[field] = "@"
         else:
             obj["sites"][0][field] = "@"
@@ -613,6 +654,9 @@ class TestCli:
         ("config_weight_str", 1), ("config_d_max_null", 1),
         ("config_window_float", 1),
         ("height_zero", 1), ("camera_inside_roof", 1), ("spacing_overflow", 1),
+        *((case, 1 if case.startswith("config_") else 2)
+          for case in USER_FILE_DAMAGE),
+        *((case, 1) for case in CONFIG_FILE_BYTES),
     ])
     def test_bad_user_input_one_line_error(self, tmp_path, capsys, case, code):
         out = str(tmp_path / "out")
@@ -642,16 +686,26 @@ class TestCli:
                 scene["noise_sigma_m"] = float("nan")
             elif case == "scene_negative_seed":
                 scene["seed"] = -1
-            path.write_text("{" if case == "scene_bad_json" else json.dumps(scene))
+            if case in USER_FILE_DAMAGE:
+                path.write_text(with_raw_value(scene, *USER_FILE_DAMAGE[case]))
+            else:
+                path.write_text("{" if case == "scene_bad_json"
+                                else json.dumps(scene))
             argv = ["synth", "--scene-file", str(path), "--out", out]
         else:
-            field, value = {"config_weight_str": ("weight_flatness", "a"),
-                            "config_d_max_null": ("d_max_m", None),
-                            "config_window_float": ("smoothing_window_px", 3.5),
-                            }[case]
             obj = get_profile("sim").to_json_obj()
-            obj[field] = value
-            path.write_text(json.dumps(obj))
+            if case in CONFIG_FILE_BYTES:
+                path.write_bytes(CONFIG_FILE_BYTES[case])
+            elif case in USER_FILE_DAMAGE:
+                path.write_text(with_raw_value(obj, *USER_FILE_DAMAGE[case]))
+            else:
+                field, value = {
+                    "config_weight_str": ("weight_flatness", "a"),
+                    "config_d_max_null": ("d_max_m", None),
+                    "config_window_float": ("smoothing_window_px", 3.5),
+                }[case]
+                obj[field] = value
+                path.write_text(json.dumps(obj))
             argv = ["detect", "--in", str(tmp_path), "--config", str(path),
                     "--out", out]
         capsys.readouterr()
@@ -659,7 +713,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        if case.startswith("scene_"):
+        if case.startswith(("scene_", "config_")):
             assert err.startswith(f"error: {path}: ")
 
     def test_detect_reports_empty_frames(self, tmp_path, capsys):
