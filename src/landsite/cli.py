@@ -132,7 +132,8 @@ def _cmd_costmap(args) -> int:
             dump_costmaps(args.out, frame.frame_id, maps)
             print(f"dumped stage maps for frame {frame.frame_id} to {args.out}")
             return 0
-    raise OSError(f"frame {args.frame_id} not found in {args.stream}")
+    what = "readable frames" if args.frame_id is None else f"frame {args.frame_id}"
+    raise OSError(f"no {what} in {args.stream}")
 
 
 def _cmd_synth(args) -> int:

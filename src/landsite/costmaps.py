@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from . import canny, edt
 from .errors import ConfigError
@@ -134,90 +135,85 @@ def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
     ``smoothing_window`` square; the normal is their cross product,
     sign-flipped to face the camera, then rotated into the world frame.
     Pixels whose stencil touches an invalid or out-of-image pixel are
-    invalid, as are pixels with a degenerate (zero) cross product.
+    invalid, as are pixels with a degenerate (zero) cross product. A
+    window wider than the frame leaves no pixel valid.
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
         raise ConfigError("smoothing window must be odd and >= 1")
     points, valid = backproject(frame)
+    p = np.moveaxis(points, -1, 0)  # component-first (3, H, W) planes
 
-    tan_h = np.zeros_like(points)
-    tan_h[:, 1:-1] = points[:, 2:] - points[:, :-2]
+    tan_h = np.zeros(p.shape)
+    tan_h[:, :, 1:-1] = p[:, :, 2:] - p[:, :, :-2]
     tan_h_ok = np.zeros_like(valid)
     tan_h_ok[:, 1:-1] = valid[:, 2:] & valid[:, :-2]
 
-    tan_v = np.zeros_like(points)
-    tan_v[1:-1, :] = points[2:, :] - points[:-2, :]
+    tan_v = np.zeros(p.shape)
+    tan_v[:, 1:-1] = p[:, 2:] - p[:, :-2]
     tan_v_ok = np.zeros_like(valid)
-    tan_v_ok[1:-1, :] = valid[2:, :] & valid[:-2, :]
+    tan_v_ok[1:-1] = valid[2:] & valid[:-2]
 
-    avg_h, ok_h = _box_average(tan_h, tan_h_ok, smoothing_window)
-    avg_v, ok_v = _box_average(tan_v, tan_v_ok, smoothing_window)
+    (h0, h1, h2), ok_h = _box_average(tan_h, tan_h_ok, smoothing_window)
+    (v0, v1, v2), ok_v = _box_average(tan_v, tan_v_ok, smoothing_window)
+    cross = np.array([h1 * v2 - h2 * v1, h2 * v0 - h0 * v2, h0 * v1 - h1 * v0])
 
-    cross = np.empty_like(points)
-    cross[..., 0] = avg_h[..., 1] * avg_v[..., 2] - avg_h[..., 2] * avg_v[..., 1]
-    cross[..., 1] = avg_h[..., 2] * avg_v[..., 0] - avg_h[..., 0] * avg_v[..., 2]
-    cross[..., 2] = avg_h[..., 0] * avg_v[..., 1] - avg_h[..., 1] * avg_v[..., 0]
-
-    normals, nonzero = _unit_normals(cross, points)
+    normals, nonzero = _unit_normals(cross, p)
     ok = ok_h & ok_v & nonzero
-    normals *= ok[..., None]
+    normals *= ok
+    n0, n1, n2 = normals
 
     r = frame.pose_world_from_camera.rotation
-    world = np.empty_like(normals)
+    world = np.empty(p.shape)
     for i in range(3):
-        world[..., i] = (r[i, 0] * normals[..., 0] + r[i, 1] * normals[..., 1]
-                         + r[i, 2] * normals[..., 2])
-    return NormalMap(world, ok)
+        world[i] = r[i, 0] * n0 + r[i, 1] * n1 + r[i, 2] * n2
+    return NormalMap(np.moveaxis(world, 0, -1), ok)
 
 
 def _box_average(field: np.ndarray, ok: np.ndarray, window: int):
-    """Mean over a window x window box; valid only where every sample is."""
+    """Mean of each plane over a window x window box; valid where the whole
+    box lies inside the frame and every sample in it is valid."""
     if window == 1:
-        return field.copy(), ok.copy()
-    r = window // 2
-    counts = _box_sum(ok.astype(np.int64), window)
-    full = np.zeros_like(ok)
-    full[r:-r, r:-r] = counts[r:-r, r:-r] == window * window
-    avg = np.empty_like(field)
-    scale = 1.0 / float(window * window)
-    for i in range(3):
-        avg[..., i] = _box_sum(field[..., i], window) * scale
-    avg *= full[..., None]
+        return field, ok
+    # Boxes wider than the frame all reach outside it; the cap bounds buffers.
+    size = min(window, max(ok.shape) + 1)
+    full = ndimage.minimum_filter(ok, size=size, mode="constant")
+    avg = _box_sum(field, window)
+    avg *= 1.0 / float(window * window)
+    avg *= full
     return avg, full
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
-    """Sum over the centered window x window box via an integral image."""
+    """Sum over the centered window x window box of each (H, W) plane of
+    ``a``, via an integral image; zero where the box leaves the frame."""
     r = window // 2
-    h, w = a.shape
-    integral = np.zeros((h + 1, w + 1), dtype=np.float64 if a.dtype.kind == "f" else np.int64)
-    np.cumsum(a, axis=0, out=integral[1:, 1:])
-    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-    out = np.zeros_like(integral[1:, 1:])
-    y0, y1 = 0, h - window + 1
-    x0, x1 = 0, w - window + 1
-    core = (integral[window:, window:] - integral[window:, :w - window + 1]
-            - integral[:h - window + 1, window:] + integral[:h - window + 1, :w - window + 1])
-    out[r : r + y1, r : r + x1] = core
+    h, w = a.shape[-2:]
+    ny, nx = max(h - window + 1, 0), max(w - window + 1, 0)
+    integral = np.zeros((*a.shape[:-2], h + 1, w + 1))
+    np.cumsum(a, axis=-2, out=integral[..., 1:, 1:])
+    np.cumsum(integral[..., 1:, 1:], axis=-1, out=integral[..., 1:, 1:])
+    out = np.zeros(a.shape)
+    out[..., r : r + ny, r : r + nx] = (
+        integral[..., window:, window:] - integral[..., window:, :nx]
+        - integral[..., :ny, window:] + integral[..., :ny, :nx])
     return out
 
 
 def _unit_normals(cross: np.ndarray, points: np.ndarray):
-    """Normalize cross products and orient them toward the camera.
+    """Normalize (3, H, W) cross products and orient them toward the camera.
 
     Returns (normals, nonzero) where pixels with an exactly zero cross
     product are flagged degenerate.
     """
-    norm = np.sqrt(cross[..., 0] * cross[..., 0] + cross[..., 1] * cross[..., 1]
-                   + cross[..., 2] * cross[..., 2])
+    (c0, c1, c2), (p0, p1, p2) = cross, points
+    norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     nonzero = norm > 0.0
-    toward = (cross[..., 0] * points[..., 0] + cross[..., 1] * points[..., 1]
-              + cross[..., 2] * points[..., 2])
+    toward = c0 * p0 + c1 * p1 + c2 * p2
     # Flip normals that point away from the camera; scale handles both
     # the normalization and the orientation in one multiply.
     scale = np.where(nonzero, 1.0 / np.where(nonzero, norm, 1.0), 0.0)
     scale = np.where(toward > 0.0, -scale, scale)
-    return cross * scale[..., None], nonzero
+    return cross * scale, nonzero
 
 
 def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:

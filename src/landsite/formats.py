@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 
 import numpy as np
 
@@ -55,20 +56,16 @@ def write_json(path, obj) -> None:
 def read_pfm(path) -> np.ndarray:
     """Read a single-channel PFM file into a float32 (H, W) array."""
     with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"Pf":
+        data = f.read()
+    with malformed(path, "PFM file"):
+        magic, dims, scale, payload = data.split(b"\n", 3)
+        if magic.strip() != b"Pf":
             raise OSError(f"{path}: not a single-channel PFM file")
-        dims = f.readline().split()
-        if len(dims) != 2:
-            raise OSError(f"{path}: malformed PFM dimensions")
-        width, height = int(dims[0]), int(dims[1])
-        scale = float(f.readline().strip())
-        dtype = "<f4" if scale < 0 else ">f4"
-        buf = f.read(width * height * 4)
-        if len(buf) != width * height * 4:
-            raise OSError(f"{path}: truncated PFM payload")
-    img = np.frombuffer(buf, dtype=dtype).reshape(height, width)
-    return np.flipud(img).astype(np.float32)
+        width, height = map(int, dims.split())
+        dtype = "<f4" if float(scale) < 0 else ">f4"
+        count = _pixels(width, height, 4, payload)
+        img = np.frombuffer(payload, dtype, count=count)
+    return np.flipud(img.reshape(height, width)).astype(np.float32)
 
 
 def write_pfm(path, values: np.ndarray) -> None:
@@ -88,27 +85,33 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM into a uint8 (H, W) array."""
     with open(path, "rb") as f:
         data = f.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
+    fields = []
+    for m in re.finditer(rb"#[^\n]*|\S+", data):  # '#' starts a comment
+        if not m[0].startswith(b"#"):
+            fields.append(m)
+            if len(fields) == 4:
+                break
+    if not fields or fields[0][0] != b"P5":
         raise OSError(f"{path}: not a binary PGM file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise OSError(f"{path}: only 8-bit PGM supported")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    with malformed(path, "PGM file"):
+        width, height, maxval = (int(m[0]) for m in fields[1:])
+        if maxval != 255:
+            raise OSError(f"{path}: only 8-bit PGM supported")
+        payload = data[fields[-1].end() + 1:]  # one whitespace after maxval
+        pixels = np.frombuffer(payload, np.uint8,
+                               count=_pixels(width, height, 1, payload))
     return pixels.reshape(height, width).copy()
+
+
+def _pixels(width: int, height: int, pixel_bytes: int, payload: bytes) -> int:
+    """Pixel count a raster header declares; ValueError unless both sides
+    are >= 1 and ``payload`` holds every pixel."""
+    if width < 1 or height < 1:
+        raise ValueError(f"dimensions {width} x {height} are not positive")
+    if width * height * pixel_bytes > len(payload):
+        raise ValueError(f"{width} x {height} pixels do not fit in the "
+                         f"{len(payload)}-byte payload")
+    return width * height
 
 
 def write_pgm(path, values: np.ndarray) -> None:

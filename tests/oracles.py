@@ -156,6 +156,84 @@ def homogeneous_pixel_to_world(pixel, depth, intrinsics, rotation,
     return (m @ p_cam)[:3]
 
 
+def loop_surface_normals(depth, valid, intrinsics, rotation, window: int):
+    """Reference ``surface_normals`` in scalar float loops, op for op.
+
+    Camera points; central differences at x +/- 1 and y +/- 1; per
+    component a box mean from an integral image (prefix sums down the
+    columns, then along the rows; corners combined as
+    ``((d - b) - c) + a``), kept only where the whole box lies in the
+    frame over valid tangents; cross product; unit normal facing the
+    camera; world rotation. Each step is one IEEE operation in the
+    estimator's order, so results, signed zeros included, match bit for
+    bit. Returns (normals (H, W, 3), valid (H, W)).
+    """
+    h, w = depth.shape
+    fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
+    pts = [[[float(depth[y, x]) * ((x - cx) / fx),
+             float(depth[y, x]) * ((y - cy) / fy), float(depth[y, x])]
+            if valid[y, x] else [0.0, 0.0, 0.0] for x in range(w)]
+           for y in range(h)]
+
+    def tangent(dy, dx):
+        field = [[[0.0] * 3 for _ in range(w)] for _ in range(h)]
+        ok = [[False] * w for _ in range(h)]
+        for y in range(dy, h - dy):
+            for x in range(dx, w - dx):
+                a, b = pts[y + dy][x + dx], pts[y - dy][x - dx]
+                field[y][x] = [a[c] - b[c] for c in range(3)]
+                ok[y][x] = bool(valid[y + dy, x + dx] and valid[y - dy, x - dx])
+        return field, ok
+
+    def prefix(values):
+        out = [values[0]]
+        for v in values[1:]:
+            out.append(out[-1] + v)
+        return out
+
+    def box_mean(field, ok):
+        if window == 1:
+            return field, ok
+        r = window // 2
+        mean = [[[0.0] * 3 for _ in range(w)] for _ in range(h)]
+        full = [[False] * w for _ in range(h)]
+        for c in range(3):
+            cols = [prefix([field[y][x][c] for y in range(h)]) for x in range(w)]
+            rows = [[0.0] * (w + 1)] + [[0.0] + prefix([cols[x][y] for x in range(w)])
+                                        for y in range(h)]
+            for y in range(r, h - r):
+                for x in range(r, w - r):
+                    box = (rows[y + r + 1][x + r + 1] - rows[y + r + 1][x - r]
+                           - rows[y - r][x + r + 1] + rows[y - r][x - r])
+                    full[y][x] = all(ok[j][i] for j in range(y - r, y + r + 1)
+                                     for i in range(x - r, x + r + 1))
+                    mean[y][x][c] = box * (1.0 / float(window * window))
+        for y in range(h):
+            for x in range(w):
+                mean[y][x] = [v * float(full[y][x]) for v in mean[y][x]]
+        return mean, full
+
+    (avg_h, ok_h), (avg_v, ok_v) = box_mean(*tangent(0, 1)), box_mean(*tangent(1, 0))
+    normals = np.zeros((h, w, 3))
+    ok_out = np.zeros((h, w), bool)
+    for y in range(h):
+        for x in range(w):
+            a, b, p = avg_h[y][x], avg_v[y][x], pts[y][x]
+            cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]]
+            norm = math.sqrt(cross[0] * cross[0] + cross[1] * cross[1]
+                             + cross[2] * cross[2])
+            scale = 1.0 / norm if norm > 0.0 else 0.0
+            if cross[0] * p[0] + cross[1] * p[1] + cross[2] * p[2] > 0.0:
+                scale = -scale
+            ok = ok_h[y][x] and ok_v[y][x] and norm > 0.0
+            n = [v * scale * float(ok) for v in cross]
+            normals[y, x] = [float(rotation[i, 0]) * n[0] + float(rotation[i, 1]) * n[1]
+                             + float(rotation[i, 2]) * n[2] for i in range(3)]
+            ok_out[y, x] = ok
+    return normals, ok_out
+
+
 def json_dumps_candidates_jsonl(frame_results) -> str:
     """Reference candidates.jsonl text: one ``json.dumps`` call per row."""
     lines = []

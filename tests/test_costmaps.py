@@ -26,6 +26,8 @@ from landsite.errors import ConfigError
 from landsite.geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose
 from landsite.pipeline import evaluate_costmaps
 
+from oracles import loop_surface_normals
+
 SIM_WEIGHTS = FusionWeights(depth_confidence=0.05, flatness=0.4,
                             steepness=0.4, energy=0.15,
                             decision_threshold=0.72,
@@ -163,9 +165,9 @@ class TestSurfaceNormals:
         assert nm.valid[24, 30]
 
     def test_zero_cross_product_is_degenerate(self):
-        cross = np.zeros((2, 2, 3))
-        cross[0, 0] = [0.0, 0.0, 1.0]
-        points = np.ones((2, 2, 3))
+        cross = np.zeros((3, 2, 2))
+        cross[:, 0, 0] = [0.0, 0.0, 1.0]
+        points = np.ones((3, 2, 2))
         normals, nonzero = _unit_normals(cross, points)
         assert nonzero[0, 0]
         assert not nonzero[0, 1]
@@ -179,6 +181,38 @@ class TestSurfaceNormals:
     def test_oversized_window_yields_no_normals(self, make_frame):
         nm = surface_normals(make_frame(np.full((48, 64), 2.0)), 49)
         assert not nm.valid.any()
+        # Windows two or more pixels wider than a side of the frame.
+        for h, w, window in ((3, 3, 5), (3, 1, 5), (3, 3, 10**7 + 1)):
+            intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=(w - 1) / 2,
+                                    cy=(h - 1) / 2, width=w, height=h)
+            nm = surface_normals(make_frame(np.full((h, w), 2.0),
+                                            intrinsics=intr), window)
+            assert nm.normals.shape == (h, w, 3)
+            assert not nm.valid.any()
+
+    def test_matches_loop_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        for k in range(60):
+            h, w = (int(n) for n in rng.integers(1, 13, size=2))
+            intr = CameraIntrinsics(fx=float(rng.uniform(20, 600)),
+                                    fy=float(rng.uniform(20, 600)),
+                                    cx=float(rng.uniform(0, w - 1e-9)),
+                                    cy=float(rng.uniform(0, h - 1e-9)),
+                                    width=w, height=h)
+            yy, xx = np.mgrid[0:h, 0:w]
+            depth = (rng.uniform(1, 10) + rng.normal(0, 0.1) * xx
+                     + rng.normal(0, 0.1) * yy + rng.normal(0, 1e-3, (h, w)))
+            depth[: h // 2, : w // 2] = rng.uniform(1, 10)  # exact plateau
+            valid = (rng.random((h, w)) > 0.15) & (depth > 0)
+            pose = camera_pose(rng.normal(0, 5, 3), *rng.uniform(-3, 3, 3))
+            frame = DepthFrame(depth, valid, intr, pose)
+            for window in (1, 3, 5, 2 * max(h, w) + 1):
+                nm = surface_normals(frame, window)
+                want, want_valid = loop_surface_normals(
+                    frame.depth, frame.valid, intr, pose.rotation, window)
+                case = f"frame {k} ({h}x{w}), window {window}"
+                assert nm.normals.tobytes() == want.tobytes(), case
+                assert np.array_equal(nm.valid, want_valid), case
 
 
 class TestSteepness:

@@ -92,6 +92,22 @@ class TestPgm:
         with pytest.raises(OSError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n2 2\n255\n\x01\x02\x03",  # truncated payload
+        b"P5\n2 2\n255",  # no payload
+        b"P5\nx 2\n255\n\x01\x02\x03\x04",
+        b"P5\n2 2\nmax\n\x01\x02\x03\x04",
+        b"P5\n-2 -2\n255\n\x01\x02\x03\x04",
+        b"P5\n0 2\n255\n\x01\x02\x03\x04",
+        b"P5\n2",
+    ], ids=["truncated", "no_payload", "width_text", "maxval_text",
+            "negative", "zero_width", "short_header"])
+    def test_malformed_header_is_oserror_naming_file(self, tmp_path, data):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            read_pgm(path)
+
 
 class TestPreview:
     def test_scales_valid_range(self):

@@ -4,9 +4,11 @@ Each canonical scene is synthesised once (3 frames, 3 mm seeded depth
 noise), then run through ``detect`` under both profiles and through
 ``costmap`` for frame 0, all in-process through ``cli.main``. Every file
 written, the stream included, must match the sha256 recorded in
-``golden.json``. On a mismatch the message names the first differing file
-and, for a JSON or JSONL file, its first differing line (or the smallest
-run of lines the record can tell apart).
+``golden.json``. So must the float64 ``surface_normals`` arrays of each
+stream's frame 0, which no written file holds at full precision. On a
+mismatch the message names the first differing file and, for a JSON or
+JSONL file, its first differing line (or the smallest run of lines the
+record can tell apart).
 
 The digests pin numpy and scipy arithmetic, so the test skips when the
 installed versions differ from the recorded ones. A change that alters a
@@ -33,6 +35,9 @@ import pytest
 import scipy
 
 from landsite.cli import main as cli_main
+from landsite.config import get_profile
+from landsite.costmaps import surface_normals
+from landsite.pipeline import read_frame_stream
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCENES = ("flat_pad", "steep_wall", "tree", "roof_edge", "rubble")
@@ -50,8 +55,7 @@ def versions() -> dict:
 def run_scene(scene: str, root: Path) -> list[Path]:
     """Synthesise ``scene`` once and run every digested command on it."""
     stream = root / "stream"
-    commands = [["synth", "--scene", scene, "--out", str(stream),
-                 "--frames", "3", "--noise-sigma-m", "0.003"]]
+    commands = [synth_argv(scene, stream, frames=3)]
     commands += [["detect", "--in", str(stream), "--profile", profile,
                   "--out", str(root / profile)] for profile in PROFILES]
     commands.append(["costmap", "--in", str(stream), "--frame-id", "0",
@@ -61,6 +65,20 @@ def run_scene(scene: str, root: Path) -> list[Path]:
             assert cli_main(argv) == 0, argv
     return [path for sub in ("stream", *PROFILES, "costmap")
             for path in sorted((root / sub).iterdir())]
+
+
+def synth_argv(scene: str, stream: Path, frames: int) -> list[str]:
+    return ["synth", "--scene", scene, "--out", str(stream),
+            "--frames", str(frames), "--noise-sigma-m", "0.003"]
+
+
+def normals_digest(stream: Path) -> dict:
+    """sha256 of frame 0's ``surface_normals(frame, 3)`` arrays."""
+    config = get_profile("sim")
+    frame = next(read_frame_stream(stream, config.d_min_m, config.d_max_m))
+    nm = surface_normals(frame, 3)
+    return {"normals": hashlib.sha256(nm.normals.tobytes()).hexdigest(),
+            "valid": hashlib.sha256(nm.valid.tobytes()).hexdigest()}
 
 
 def line_blocks(data: bytes, lines_per_block: int) -> list[str]:
@@ -93,13 +111,15 @@ def first_difference(name: str, path: Path, want: dict) -> str:
 
 
 def record() -> None:
-    files = {}
+    files, normals = {}, {}
     for scene in SCENES:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for path in run_scene(scene, root):
                 files[f"{scene}/{path.relative_to(root)}"] = digest(path)
-    GOLDEN.write_text(json.dumps({"versions": versions(), "files": files},
+            normals[scene] = normals_digest(root / "stream")
+    GOLDEN.write_text(json.dumps({"versions": versions(), "files": files,
+                                  "normals": normals},
                                  indent=1) + "\n", encoding="utf-8")
 
 
@@ -109,12 +129,12 @@ def golden() -> dict:
     if recorded["versions"] != versions():
         pytest.skip(f"golden digests were recorded with {recorded['versions']}, "
                     f"installed are {versions()}")
-    return recorded["files"]
+    return recorded
 
 
 @pytest.mark.parametrize("scene", SCENES)
 def test_canonical_scene_outputs_match_golden(scene, golden):
-    want = {name: rec for name, rec in golden.items()
+    want = {name: rec for name, rec in golden["files"].items()
             if name.startswith(f"{scene}/")}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -123,6 +143,18 @@ def test_canonical_scene_outputs_match_golden(scene, golden):
         for name, rec in want.items():
             if digest(got[name])["sha256"] != rec["sha256"]:
                 pytest.fail(first_difference(name, got[name], rec))
+
+
+@pytest.mark.parametrize("scene", SCENES)
+def test_canonical_scene_normals_match_golden(scene, golden):
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = Path(tmp) / "stream"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(synth_argv(scene, stream, frames=1)) == 0
+        # Frames are rendered one by one, so this is the golden stream's frame 0.
+        frame0 = digest(stream / "000000.pfm")["sha256"]
+        assert frame0 == golden["files"][f"{scene}/stream/000000.pfm"]["sha256"]
+        assert normals_digest(stream) == golden["normals"][scene]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -16,7 +17,8 @@ from landsite.config import PROFILES, PipelineConfig, get_profile
 from landsite.detection import Candidates
 from landsite.errors import ConfigError
 from landsite.formats import read_values_pfm, write_pfm
-from landsite.geometry import DepthFrame, project_uav_radius
+from landsite.geometry import (CameraIntrinsics, DepthFrame, camera_pose,
+                               project_uav_radius)
 from landsite.registry import SiteRegistry, cluster_sites
 from landsite import pipeline
 from landsite.pipeline import (
@@ -128,9 +130,14 @@ class TestFrameStream:
         frames = [render_canonical("FLAT_PAD", frame_id=i) for i in range(3)]
         stream = tmp_path / "stream"
         write_frame_stream(stream, frames)
-        (stream / "000001.pfm").write_bytes(b"Pf\n4 4\n-1.0\nxx")
-        loaded = list(read_frame_stream(stream, 0.05, 20.0))
-        assert [f.frame_id for f in loaded] == [0, 2]
+        for damaged in (b"Pf\n4 4\n-1.0\nxx",
+                        b"Pf\nabc def\n-1.0\n",
+                        b"Pf\n-2 -3\n-1.0\n" + b"\x00" * 24,
+                        b"Pf\n1048576 262144\n-1.0\n",
+                        b"Pf\n2 2\nabc\n" + b"\x00" * 16):
+            (stream / "000001.pfm").write_bytes(damaged)
+            loaded = list(read_frame_stream(stream, 0.05, 20.0))
+            assert [f.frame_id for f in loaded] == [0, 2], damaged
 
     def test_out_of_range_depth_invalid_on_read(self, tmp_path, make_frame):
         depth = np.full((48, 64), 5.0)
@@ -481,10 +488,32 @@ class TestCli:
         assert (out / "000000_decision.pfm").exists()
         assert (out / "000000_edges.pgm").exists()
 
-    def test_costmap_unknown_frame_exits_2(self, tmp_path):
+    def test_costmap_unknown_frame_exits_2(self, tmp_path, capsys):
         stream = self._synth(tmp_path)
         assert cli_main(["costmap", "--in", str(stream), "--frame-id", "99",
                          "--out", str(tmp_path / "m")]) == 2
+        assert "no frame 99 in" in capsys.readouterr().err
+        (stream / "000000.pfm").write_bytes(b"Pf\nabc def\n-1.0\n")
+        assert cli_main(["costmap", "--in", str(stream),
+                         "--out", str(tmp_path / "m")]) == 2
+        assert "no readable frames" in capsys.readouterr().err
+
+    def test_costmap_window_wider_than_frame(self, tmp_path, capsys):
+        intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=1.0, cy=1.0,
+                                width=3, height=3)
+        depth = np.full((3, 3), 4.0)
+        write_frame_stream(tmp_path / "s", [DepthFrame(
+            depth, np.ones_like(depth, bool), intr, camera_pose((0, 0, 4.0)))])
+        config = tmp_path / "w5.json"
+        dataclasses.replace(get_profile("sim"), smoothing_window_px=5).save(config)
+        out = tmp_path / "maps"
+        assert cli_main(["costmap", "--in", str(tmp_path / "s"), "--config",
+                         str(config), "--out", str(out)]) == 0
+        _, steep_valid = read_values_pfm(out / "000000_steepness.pfm")
+        assert not steep_valid.any()
+        assert cli_main(["detect", "--in", str(tmp_path / "s"), "--config",
+                         str(config), "--out", str(tmp_path / "o")]) == 0
+        assert "(failed: 0)" in capsys.readouterr().out
 
     def test_synth_ground_truth_and_noise(self, tmp_path):
         stream = tmp_path / "noisy"
