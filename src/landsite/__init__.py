@@ -15,7 +15,6 @@ from .costmaps import (
     LOWER_IS_BETTER,
     BinaryMap,
     Costmap,
-    FusionWeights,
     NormalMap,
     canny_edges,
     decision_map,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMap", "Box", "CameraIntrinsics", "Candidates", "ClusterSite",
     "ConfigError", "Costmap", "DepthFrame", "FrameMaps",
-    "FusionWeights", "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
+    "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER", "LandingSite", "NormalMap", "PROFILES",
     "PipelineConfig", "PipelineResult", "Pose", "SceneSpec", "SiteRegistry",
     "Sphere", "StageStat", "TiltedPlane", "TimingReport", "backproject",

@@ -116,6 +116,8 @@ def _cmd_detect(args) -> int:
     config = _resolve_config(args)
     frames = read_frame_stream(args.stream, config.d_min_m, config.d_max_m)
     result = run_pipeline(config, frames, dump_dir=args.dump_costmaps)
+    if len(result.frames) + result.frames_failed == 0:
+        raise OSError(f"no readable frames in {args.stream}")
     write_outputs(args.out, result)
     n_candidates = sum(len(f.candidates) for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "

@@ -13,7 +13,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .costmaps import FusionWeights
 from .errors import ConfigError
 from .formats import read_json, write_json
 
@@ -21,9 +20,17 @@ from .formats import read_json, write_json
 # Accepted Python types per field annotation; bool is rejected everywhere.
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
+WEIGHT_SUM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every pipeline parameter, checked once on construction.
+
+    The four ``weight_*`` fields are the convex fusion weights: each lies
+    in [0, 1] and they sum to 1 within ``WEIGHT_SUM_TOL``.
+    """
+
     profile: str
     weight_depth_confidence: float
     weight_flatness: float
@@ -50,29 +57,25 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        self.fusion_weights()  # validates weights, threshold, tolerance
+        weights = (self.weight_depth_confidence, self.weight_flatness,
+                   self.weight_steepness, self.weight_energy)
+        if not all(0.0 <= w <= 1.0 for w in weights):
+            raise ConfigError(f"weights {weights} must each lie in [0, 1]")
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+            raise ConfigError(f"weights sum to {sum(weights)}, expected 1")
         if not (0 < self.canny_low_m <= self.canny_high_m):
             raise ConfigError("need 0 < canny_low_m <= canny_high_m")
         if self.smoothing_window_px < 1 or self.smoothing_window_px % 2 == 0:
             raise ConfigError("smoothing_window_px must be odd and >= 1")
-        for name in ("uav_radius_m", "safety_factor", "dedup_radius_m",
-                     "cluster_dist_m", "cluster_z_m", "d_min_m"):
+        for name in ("slope_tolerance_deg", "uav_radius_m", "safety_factor",
+                     "dedup_radius_m", "cluster_dist_m", "cluster_z_m",
+                     "d_min_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.d_min_m < self.d_max_m:
             raise ConfigError("need d_min_m < d_max_m")
         if self.cluster_metric not in ("xy", "xyz"):
             raise ConfigError("cluster_metric must be 'xy' or 'xyz'")
-
-    def fusion_weights(self) -> FusionWeights:
-        return FusionWeights(
-            depth_confidence=self.weight_depth_confidence,
-            flatness=self.weight_flatness,
-            steepness=self.weight_steepness,
-            energy=self.weight_energy,
-            decision_threshold=self.decision_threshold,
-            slope_tolerance=math.radians(self.slope_tolerance_deg),
-        )
 
     def to_json_obj(self) -> dict:
         return dataclasses.asdict(self)

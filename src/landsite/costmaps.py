@@ -8,7 +8,8 @@ world up-axis, mapped through a Gaussian falloff), and energy (straight-
 line distance from the camera to the point, a proxy for the cost of
 flying there). Depth confidence, flatness and energy are min-max
 normalized; steepness is already in (0, 1] and is never normalized. The
-decision map is their convex combination.
+decision map is their convex combination with the ``PipelineConfig``
+weights; ``steepness_map`` takes its falloff scale in radians.
 
 Everything here is a pure, deterministic, single-threaded function of
 its inputs.
@@ -22,10 +23,10 @@ import numpy as np
 from scipy import ndimage
 
 from . import canny, edt
+from .config import PipelineConfig
 from .errors import ConfigError
 from .geometry import DepthFrame, backproject
 
-WEIGHT_SUM_TOL = 1e-6
 NORMALIZE_EPS = 1e-12
 
 HIGHER_IS_BETTER = "higher_is_better"
@@ -76,34 +77,6 @@ class NormalMap:
         if self.normals.ndim != 3 or self.normals.shape[2] != 3 \
                 or self.normals.shape[:2] != self.valid.shape:
             raise ValueError("normals must be (H, W, 3) with matching mask")
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    """Convex fusion weights plus the candidate-selection parameters.
-
-    The four weights must each lie in [0, 1] and sum to 1 (within 1e-6);
-    ``slope_tolerance`` is the steepness falloff scale in radians.
-    """
-
-    depth_confidence: float
-    flatness: float
-    steepness: float
-    energy: float
-    decision_threshold: float
-    slope_tolerance: float
-
-    def __post_init__(self):
-        w = (self.depth_confidence, self.flatness, self.steepness, self.energy)
-        for value in w:
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"weight {value} outside [0, 1]")
-        if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError(f"weights sum to {sum(w)}, expected 1")
-        if not self.slope_tolerance > 0:
-            raise ConfigError("slope tolerance must be positive")
-        if not np.isfinite(self.decision_threshold):
-            raise ConfigError("decision threshold must be finite")
 
 
 def depth_confidence_map(frame: DepthFrame) -> Costmap:
@@ -219,8 +192,9 @@ def _unit_normals(cross: np.ndarray, points: np.ndarray):
 def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:
     """Gaussian falloff of the slope angle between each normal and world up.
 
-    The absolute dot product makes the score independent of normal
-    orientation; values live in (0, 1].
+    ``slope_tolerance`` is the falloff scale in radians. The absolute dot
+    product makes the score independent of normal orientation; values live
+    in (0, 1].
     """
     if not slope_tolerance > 0:
         raise ConfigError("slope tolerance must be positive")
@@ -269,20 +243,22 @@ def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
 
 def decision_map(depth_confidence: Costmap, flatness: Costmap,
                  steepness: Costmap, energy: Costmap,
-                 weights: FusionWeights) -> Costmap:
+                 config: PipelineConfig) -> Costmap:
     """Weighted sum of the four scores; valid only where all inputs are.
 
-    Expects depth confidence and flatness normalized higher-is-better,
-    energy normalized lower-is-better, and raw steepness.
+    The weights are ``config``'s four ``weight_*`` fields, which
+    ``PipelineConfig`` keeps convex. Expects depth confidence and flatness
+    normalized higher-is-better, energy normalized lower-is-better, and raw
+    steepness.
     """
     maps = (depth_confidence, flatness, steepness, energy)
     shape = depth_confidence.shape
     if any(m.shape != shape for m in maps):
         raise ValueError("costmaps are not aligned")
     ok = depth_confidence.valid & flatness.valid & steepness.valid & energy.valid
-    fused = (weights.depth_confidence * depth_confidence.values
-             + weights.flatness * flatness.values
-             + weights.steepness * steepness.values
-             + weights.energy * energy.values)
+    fused = (config.weight_depth_confidence * depth_confidence.values
+             + config.weight_flatness * flatness.values
+             + config.weight_steepness * steepness.values
+             + config.weight_energy * energy.values)
     fused[~ok] = 0.0
     return Costmap(fused, ok)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmaps import Costmap, FusionWeights
+from .config import PipelineConfig
+from .costmaps import Costmap
 from .geometry import DepthFrame, project_uav_radius
 
 
@@ -35,22 +36,23 @@ class Candidates:
 
 
 def dense_candidates(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
-                     weights: FusionWeights, uav_radius: float,
-                     safety_factor: float = 1.0) -> Candidates:
+                     config: PipelineConfig) -> Candidates:
     """All pixels passing both the score and the footprint test.
 
-    ``flat_raw`` must be the un-normalized flatness map (pixels). The
-    footprint test requires flat_raw >= safety_factor * projected UAV
-    radius at the pixel's depth. Only valid pixels can pass.
+    The score test requires decision >= ``config.decision_threshold``.
+    ``flat_raw`` must be the un-normalized flatness map (pixels); the
+    footprint test requires flat_raw >= ``config.safety_factor`` times the
+    projected ``config.uav_radius_m`` at the pixel's depth. Only valid
+    pixels can pass.
     """
     if decision.shape != frame.shape or flat_raw.shape != frame.shape:
         raise ValueError("costmaps are not aligned with the frame")
     ok = decision.valid & flat_raw.valid & frame.valid
     required = np.zeros_like(frame.depth)
     if ok.any():
-        required[ok] = safety_factor * project_uav_radius(
-            uav_radius, frame.depth[ok], frame.intrinsics)
-    passing = (ok & (decision.values >= weights.decision_threshold)
+        required[ok] = config.safety_factor * project_uav_radius(
+            config.uav_radius_m, frame.depth[ok], frame.intrinsics)
+    passing = (ok & (decision.values >= config.decision_threshold)
                & (flat_raw.values >= required))
     ys, xs = np.nonzero(passing)
     return Candidates(xs=xs, ys=ys, depth=frame.depth[ys, xs],

@@ -10,12 +10,15 @@ PFMs use NaN.
 
 JSON documents go through ``read_json``/``malformed`` (any parse failure
 becomes one error naming the file) and ``write_json`` (strict JSON only).
+Every reader takes its scalar fields through ``number`` (a finite int or
+float) and ``integer`` (an int); a bool is neither.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
 
 import numpy as np
@@ -38,6 +41,26 @@ def read_json(path, parse, what: str, error=OSError):
     """``parse`` applied to the JSON document at ``path``, inside ``malformed``."""
     with open(path, "r", encoding="utf-8") as f, malformed(path, what, error):
         return parse(json.load(f))
+
+
+def number(obj: dict, key: str, default: float | None = None) -> float:
+    """``obj[key]`` as a float; it must be a finite int or float, not a bool.
+    With ``default`` given, a missing key reads as ``default``."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return float(value)
+
+
+def integer(obj: dict, key: str, default: int | None = None) -> int:
+    """``obj[key]``, which must be an int and not a bool. With ``default``
+    given, a missing key reads as ``default``."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def write_json(path, obj) -> None:

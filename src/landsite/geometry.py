@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import malformed, read_json, write_json
+from .formats import integer, malformed, number, read_json, write_json
 
 ROTATION_TOL = 1e-9
 QUAT_NORM_TOL = 1e-6
@@ -60,12 +60,12 @@ class CameraIntrinsics:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CameraIntrinsics":
         return cls(
-            fx=float(obj["fx"]),
-            fy=float(obj["fy"]),
-            cx=float(obj["cx"]),
-            cy=float(obj["cy"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            fx=number(obj, "fx"),
+            fy=number(obj, "fy"),
+            cx=number(obj, "cx"),
+            cy=number(obj, "cy"),
+            width=integer(obj, "width"),
+            height=integer(obj, "height"),
         )
 
 
@@ -280,9 +280,10 @@ def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
     """Read a JSONL pose stream into {frame_id: (t_sec, pose)}.
 
-    A malformed line, including one with a non-finite ``t_sec`` or a
-    ``frame_id`` already seen, raises OSError naming the path and line
-    number.
+    Pose fields and ``t_sec`` must be finite numbers and ``frame_id`` an
+    integer (``formats.number``/``integer``); a malformed line, including
+    one with a ``frame_id`` already seen, raises OSError naming the path
+    and line number.
     """
     records: dict[int, tuple[float, Pose]] = {}
     with open(path, "rb") as f:
@@ -293,13 +294,10 @@ def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
                     continue
                 obj = json.loads(line)
                 pose = Pose.from_quaternion(
-                    float(obj["qw"]), float(obj["qx"]), float(obj["qy"]),
-                    float(obj["qz"]),
-                    (float(obj["tx"]), float(obj["ty"]), float(obj["tz"])))
-                t_sec = float(obj["t_sec"])
-                if not math.isfinite(t_sec):
-                    raise ValueError(f"t_sec must be finite, got {t_sec}")
-                frame_id = int(obj["frame_id"])
+                    *(number(obj, k) for k in ("qw", "qx", "qy", "qz")),
+                    tuple(number(obj, k) for k in ("tx", "ty", "tz")))
+                t_sec = number(obj, "t_sec")
+                frame_id = integer(obj, "frame_id")
                 if frame_id in records:
                     raise ValueError(f"repeated frame_id {frame_id}")
                 records[frame_id] = (t_sec, pose)

@@ -15,6 +15,7 @@ load.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,7 +85,6 @@ class _StageClock:
 
 def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     """Run the costmap stages for one frame, timing each into ``stage_ms``."""
-    weights = config.fusion_weights()
     clock = _StageClock()
 
     depth_conf_raw = cm.depth_confidence_map(frame)
@@ -96,7 +96,7 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     clock.lap("flatness")
 
     normals = cm.surface_normals(frame, config.smoothing_window_px)
-    steep = cm.steepness_map(normals, weights.slope_tolerance)
+    steep = cm.steepness_map(normals, math.radians(config.slope_tolerance_deg))
     clock.lap("steepness")
 
     energy_raw = cm.energy_map(frame)
@@ -105,7 +105,7 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
     flat_norm = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
     energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
-    decision = cm.decision_map(depth_conf, flat_norm, steep, energy, weights)
+    decision = cm.decision_map(depth_conf, flat_norm, steep, energy, config)
     clock.lap("final")
 
     return FrameMaps(depth_confidence_raw=depth_conf_raw, edges=edges,
@@ -124,8 +124,7 @@ def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
     """
     clock = _StageClock()
     candidates = dense_candidates(maps.decision, maps.flatness_raw, frame,
-                                  config.fusion_weights(), config.uav_radius_m,
-                                  config.safety_factor)
+                                  config)
     flags = registry.insert_positions(world_positions(candidates, frame),
                                       candidates.score, frame.frame_id,
                                       frame.timestamp)
@@ -139,8 +138,9 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
     """Process a frame iterable end to end.
 
     Returns per-frame candidates, the final registry and its clusters.
-    A frame with no valid depth pixel is processed like any other (it
-    yields no candidates) but logged and counted in ``frames_empty``.
+    A frame with no pixel valid in every costmap (no valid depth, or a
+    smoothing window wider than the frame) is processed like any other
+    (it yields no candidates) but logged and counted in ``frames_empty``.
     With ``dump_dir`` set, the exact stage arrays used for the decisions
     are written there per frame (PFM for scalar fields, PGM for binary).
     """
@@ -155,8 +155,10 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
             log.warning("frame %s failed: %s", getattr(frame, "frame_id", "?"), exc)
             result.frames_failed += 1
             continue
-        if not frame.valid.any():
-            log.warning("frame %s has no valid depth pixel", frame.frame_id)
+        if not maps.decision.valid.any():
+            log.warning("frame %s has no pixel valid in every costmap "
+                        "(%d valid depth pixels)", frame.frame_id,
+                        np.count_nonzero(frame.valid))
             result.frames_empty += 1
         if dump_dir is not None:
             dump_costmaps(dump_dir, frame.frame_id, maps)

@@ -33,7 +33,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .formats import read_json, write_json
+from .formats import integer, number, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +64,10 @@ class LandingSite:
         an integer (bools are neither); anything else raises TypeError,
         ValueError or KeyError.
         """
-        frame_id = obj["frame_id"]
-        if isinstance(frame_id, bool) or not isinstance(frame_id, int):
-            raise TypeError(f"frame_id must be an integer, not {frame_id!r}")
-        return cls(position=np.array([_number(obj, k) for k in "xyz"]),
-                   score=_number(obj, "score"), frame_id=frame_id,
-                   timestamp=_number(obj, "timestamp"))
+        return cls(position=np.array([number(obj, k) for k in "xyz"]),
+                   score=number(obj, "score"),
+                   frame_id=integer(obj, "frame_id"),
+                   timestamp=number(obj, "timestamp"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +178,7 @@ class SiteRegistry:
         magnitudes raises OverflowError, where numpy's mean would only warn);
         anything else raises one of ``formats.PARSE_FAILURES``.
         """
-        reg = cls(_number(obj, "dedup_radius_m"))
+        reg = cls(number(obj, "dedup_radius_m"))
         for rec in obj["sites"]:
             reg._accept(LandingSite.from_json_obj(rec))
         for column in (*reg.positions().T, [s.score for s in reg.sites]):
@@ -194,16 +192,6 @@ class SiteRegistry:
     def load(cls, path) -> "SiteRegistry":
         """Read a snapshot; OSError naming the path if it is malformed."""
         return read_json(path, cls.from_json_obj, "registry snapshot")
-
-
-def _number(obj: dict, key: str) -> float:
-    """``obj[key]`` as a float; it must be a finite int or float, not a bool."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, not {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, not {value!r}")
-    return float(value)
 
 
 def _d2(points: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import read_json, write_json
+from .formats import integer, number, read_json, write_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
     rotation_x, rotation_z
 
@@ -390,15 +390,17 @@ def scene_from_json_obj(obj: dict) -> SceneSpec:
     prims: list[Primitive] = []
     for rec in obj["primitives"]:
         kind = rec["type"]
-        safe = bool(rec.get("safe", False))
+        safe = rec.get("safe", False)
+        if not isinstance(safe, bool):
+            raise TypeError(f"safe must be true or false, not {safe!r}")
         if kind == "ground_plane":
-            prims.append(GroundPlane(z=float(rec["z_m"]), safe=safe))
+            prims.append(GroundPlane(z=number(rec, "z_m"), safe=safe))
         elif kind == "tilted_plane":
             prims.append(TiltedPlane(point=rec["point_m"], normal=rec["normal"],
                                      safe=safe))
         elif kind == "sphere":
             prims.append(Sphere(center=rec["center_m"],
-                                radius=float(rec["radius_m"]), safe=safe))
+                                radius=number(rec, "radius_m"), safe=safe))
         elif kind == "box":
             rot = rec.get("rotation")
             prims.append(Box(center=rec["center_m"],
@@ -408,8 +410,8 @@ def scene_from_json_obj(obj: dict) -> SceneSpec:
         else:
             raise ValueError(f"unknown primitive type {kind!r}")
     return SceneSpec(primitives=tuple(prims),
-                     noise_sigma=float(obj.get("noise_sigma_m", 0.0)),
-                     seed=int(obj.get("seed", 0)))
+                     noise_sigma=number(obj, "noise_sigma_m", 0.0),
+                     seed=integer(obj, "seed", 0))
 
 
 def save_scene(path, scene: SceneSpec) -> None:

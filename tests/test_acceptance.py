@@ -28,6 +28,7 @@ Each test prints a [PASS] line with the measured numbers (visible with
     and clusters.json.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -38,8 +39,7 @@ import pytest
 from landsite import scene_synth as ss
 from landsite.bench import bench
 from landsite.config import get_profile
-from landsite.costmaps import FusionWeights, NormalMap, steepness_map, \
-    surface_normals
+from landsite.costmaps import NormalMap, steepness_map, surface_normals
 from landsite.detection import dense_candidates
 from landsite.edt import squared_distance_transform
 from landsite.geometry import camera_pose
@@ -170,9 +170,7 @@ def test_criterion_5_canonical_scene_end_to_end():
     # transition under sigma=1 smoothing, hence the 1.5 px slack.
     frame, truth = _render("ROOF_EDGE")
     maps = evaluate_costmaps(SIM, frame)
-    cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
-                             SIM.fusion_weights(), SIM.uav_radius_m,
-                             SIM.safety_factor)
+    cands = dense_candidates(maps.decision, maps.flatness_raw, frame, SIM)
     assert len(cands) > 0, "ROOF_EDGE produced no candidates"
     edge_mask = ss.edge_mask_from_prim_ids(truth)
     edge_dist = np.sqrt(
@@ -235,15 +233,14 @@ def test_criterion_7_monotone_candidate_counts():
 
     tau_counts = []
     for tau in np.arange(0.60, 0.901, 0.05):
-        w = FusionWeights(0.05, 0.4, 0.4, 0.15, float(tau), math.radians(15))
+        config = dataclasses.replace(SIM, decision_threshold=float(tau))
         tau_counts.append(len(dense_candidates(
-            maps.decision, maps.flatness_raw, frame, w, SIM.uav_radius_m)))
+            maps.decision, maps.flatness_raw, frame, config)))
     assert all(a >= b for a, b in zip(tau_counts, tau_counts[1:])), tau_counts
 
     safety_counts = [
         len(dense_candidates(maps.decision, maps.flatness_raw, frame,
-                             SIM.fusion_weights(), SIM.uav_radius_m,
-                             safety_factor=s))
+                             dataclasses.replace(SIM, safety_factor=s)))
         for s in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)]
     assert all(a >= b for a, b in zip(safety_counts, safety_counts[1:])), \
         safety_counts

@@ -10,7 +10,6 @@ from landsite.costmaps import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     Costmap,
-    FusionWeights,
     NormalMap,
     _unit_normals,
     canny_edges,
@@ -28,10 +27,7 @@ from landsite.pipeline import evaluate_costmaps
 
 from oracles import loop_surface_normals
 
-SIM_WEIGHTS = FusionWeights(depth_confidence=0.05, flatness=0.4,
-                            steepness=0.4, energy=0.15,
-                            decision_threshold=0.72,
-                            slope_tolerance=math.radians(15.0))
+SIM = get_profile("sim")
 
 
 def uniform_costmap(value, shape=(4, 4), valid=None):
@@ -39,25 +35,6 @@ def uniform_costmap(value, shape=(4, 4), valid=None):
     if valid is None:
         valid = np.ones(shape, bool)
     return Costmap(values, valid)
-
-
-class TestFusionWeights:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ConfigError):
-            FusionWeights(0.3, 0.3, 0.3, 0.3, 0.7, 0.26)
-
-    def test_rejects_out_of_range_weight(self):
-        with pytest.raises(ConfigError):
-            FusionWeights(-0.1, 0.5, 0.4, 0.2, 0.7, 0.26)
-
-    def test_rejects_nonpositive_slope_tolerance(self):
-        with pytest.raises(ConfigError):
-            FusionWeights(0.25, 0.25, 0.25, 0.25, 0.7, 0.0)
-
-    def test_sum_tolerance_is_tight(self):
-        FusionWeights(0.25, 0.25, 0.25, 0.25 + 5e-7, 0.7, 0.26)
-        with pytest.raises(ConfigError):
-            FusionWeights(0.25, 0.25, 0.25, 0.25 + 5e-6, 0.7, 0.26)
 
 
 class TestDepthConfidence:
@@ -347,28 +324,26 @@ class TestMinmaxNormalize:
 class TestDecisionMap:
     def test_all_ones_fuse_to_one(self):
         one = uniform_costmap(1.0)
-        out = decision_map(one, one, one, one, SIM_WEIGHTS)
+        out = decision_map(one, one, one, one, SIM)
         assert np.all(out.values == 1.0)
 
     def test_weighted_example(self):
         out = decision_map(uniform_costmap(1.0), uniform_costmap(1.0),
                            uniform_costmap(1.0), uniform_costmap(0.0),
-                           SIM_WEIGHTS)
+                           SIM)
         assert np.allclose(out.values, 0.85)
 
     def test_affine_combination_of_halves(self):
         half = uniform_costmap(0.5)
-        for weights in (SIM_WEIGHTS,
-                        FusionWeights(0.15, 0.35, 0.4, 0.1, 0.7,
-                                      math.radians(15))):
-            out = decision_map(half, half, half, half, weights)
+        for config in (SIM, get_profile("real")):
+            out = decision_map(half, half, half, half, config)
             assert np.allclose(out.values, 0.5)
 
     def test_invalid_if_any_input_invalid(self):
         one = uniform_costmap(1.0)
         holey = uniform_costmap(1.0)
         holey.valid[1, 2] = False
-        out = decision_map(one, holey, one, one, SIM_WEIGHTS)
+        out = decision_map(one, holey, one, one, SIM)
         assert not out.valid[1, 2]
         assert out.valid.sum() == 15
 
@@ -376,7 +351,7 @@ class TestDecisionMap:
         with pytest.raises(ValueError):
             decision_map(uniform_costmap(1.0, shape=(3, 3)),
                          uniform_costmap(1.0), uniform_costmap(1.0),
-                         uniform_costmap(1.0), SIM_WEIGHTS)
+                         uniform_costmap(1.0), SIM)
 
     @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0))
     @settings(max_examples=30, deadline=None)
@@ -388,7 +363,7 @@ class TestDecisionMap:
 
         def fuse(values):
             m = minmax_normalize(Costmap(values, valid), LOWER_IS_BETTER)
-            return decision_map(other, other, other, m, SIM_WEIGHTS).values
+            return decision_map(other, other, other, m, SIM).values
 
         base = fuse(raw)
         rescaled = fuse(scale * raw + offset)
@@ -449,5 +424,5 @@ class TestValidityPropagation:
                                .flatness_raw, HIGHER_IS_BETTER)
         jn = steepness_map(surface_normals(frame, 3), math.radians(15))
         jec = minmax_normalize(energy_map(frame), LOWER_IS_BETTER)
-        decision = decision_map(jde, jfl, jn, jec, SIM_WEIGHTS)
+        decision = decision_map(jde, jfl, jn, jec, SIM)
         assert not decision.valid[~frame.valid].any()

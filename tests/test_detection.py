@@ -1,9 +1,9 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
-from landsite.costmaps import Costmap, FusionWeights
+from landsite.costmaps import Costmap
 from landsite.detection import Candidates, dense_candidates, world_positions
 from landsite.geometry import (
     CameraIntrinsics,
@@ -19,7 +19,7 @@ from landsite.config import get_profile
 
 from oracles import brute_force_squared_edt
 
-SIM_WEIGHTS = FusionWeights(0.05, 0.4, 0.4, 0.15, 0.72, math.radians(15))
+SIM = get_profile("sim")
 
 
 def _maps(frame, decision_value, flat_value):
@@ -34,21 +34,19 @@ class TestScoreThreshold:
     def test_score_just_above_threshold_is_emitted(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
         decision, flat = _maps(frame, 0.73, 1000.0)
-        cands = dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13)
+        cands = dense_candidates(decision, flat, frame, SIM)
         assert len(cands) == 48 * 64
         assert np.all(cands.score[:5] == 0.73)
 
     def test_score_below_threshold_is_dropped(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
         decision, flat = _maps(frame, 0.71, 1000.0)
-        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS,
-                                    0.13)) == 0
+        assert len(dense_candidates(decision, flat, frame, SIM)) == 0
 
     def test_score_at_threshold_is_emitted(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
         decision, flat = _maps(frame, 0.72, 1000.0)
-        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS,
-                                    0.13)) == 48 * 64
+        assert len(dense_candidates(decision, flat, frame, SIM)) == 48 * 64
 
 
 class TestFootprintFilter:
@@ -56,28 +54,24 @@ class TestFootprintFilter:
         frame = make_frame(np.full((48, 64), 2.0))
         required = project_uav_radius(0.13, 2.0, intrinsics_small)
         decision, flat_pass = _maps(frame, 0.9, required)
-        assert len(dense_candidates(decision, flat_pass, frame, SIM_WEIGHTS,
-                                    0.13)) == 48 * 64
+        assert len(dense_candidates(decision, flat_pass, frame, SIM)) == 48 * 64
         _, flat_fail = _maps(frame, 0.9, required - 1e-9)
-        assert len(dense_candidates(decision, flat_fail, frame, SIM_WEIGHTS,
-                                    0.13)) == 0
+        assert len(dense_candidates(decision, flat_fail, frame, SIM)) == 0
 
     def test_safety_factor_scales_requirement(self, make_frame,
                                               intrinsics_small):
         frame = make_frame(np.full((48, 64), 2.0))
         required = project_uav_radius(0.13, 2.0, intrinsics_small)
         decision, flat = _maps(frame, 0.9, 1.5 * required)
-        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13,
-                                    safety_factor=1.5)) == 48 * 64
-        assert len(dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13,
-                                    safety_factor=1.6)) == 0
+        assert len(dense_candidates(decision, flat, frame, dataclasses.replace(SIM, safety_factor=1.5))) == 48 * 64
+        assert len(dense_candidates(decision, flat, frame, dataclasses.replace(SIM, safety_factor=1.6))) == 0
 
     def test_misaligned_grids_rejected(self, make_frame):
         frame = make_frame(np.full((48, 64), 2.0))
         bad = Costmap(np.ones((10, 10)), np.ones((10, 10), bool))
         _, flat = _maps(frame, 0.9, 10.0)
         with pytest.raises(ValueError):
-            dense_candidates(bad, flat, frame, SIM_WEIGHTS, 0.13)
+            dense_candidates(bad, flat, frame, SIM)
 
 
 class TestPadSceneFootprint:
@@ -105,9 +99,11 @@ class TestPadSceneFootprint:
         frame, truth = ss.render_depth(scene, intr, camera_pose((0, 0, 2.5)))
         config = get_profile("sim")
         maps = evaluate_costmaps(config, frame)
-        weights = FusionWeights(0.0, 0.0, 1.0, 0.0, 0.5, math.radians(15))
+        steepness_only = dataclasses.replace(
+            config, weight_depth_confidence=0.0, weight_flatness=0.0,
+            weight_steepness=1.0, weight_energy=0.0, decision_threshold=0.5)
         cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
-                                 weights, config.uav_radius_m)
+                                 steepness_only)
         assert len(cands) > 0
 
         transitions = ss.edge_mask_from_prim_ids(truth)
@@ -149,8 +145,7 @@ class TestRubbleInvariants:
         config = get_profile("sim")
         maps = evaluate_costmaps(config, frame)
         cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
-                                 config.fusion_weights(), config.uav_radius_m,
-                                 config.safety_factor)
+                                 config)
         assert len(cands) > 0
         # primitive order in the scene: 0 ground, 1 safe pad,
         # 2 slab tilted 25 degrees, 3 canopy sphere, 4 tall block
@@ -167,19 +162,17 @@ class TestMonotonicity:
         frame, maps, config = rubble_maps
         counts = []
         for tau in np.arange(0.60, 0.91, 0.05):
-            weights = FusionWeights(0.05, 0.4, 0.4, 0.15, float(tau),
-                                    math.radians(15))
             counts.append(len(dense_candidates(
-                maps.decision, maps.flatness_raw, frame, weights,
-                config.uav_radius_m)))
+                maps.decision, maps.flatness_raw, frame,
+                dataclasses.replace(config, decision_threshold=float(tau)))))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[0] > counts[-1] > 0 or counts[-1] == 0
 
     def test_raising_safety_factor_never_adds_candidates(self, rubble_maps):
         frame, maps, config = rubble_maps
-        counts = [len(dense_candidates(maps.decision, maps.flatness_raw,
-                                       frame, config.fusion_weights(),
-                                       config.uav_radius_m, safety_factor=s))
+        counts = [len(dense_candidates(maps.decision, maps.flatness_raw, frame,
+                                       dataclasses.replace(config,
+                                                           safety_factor=s)))
                   for s in (0.5, 1.0, 1.5, 2.0, 3.0)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -225,7 +218,7 @@ class TestCandidatesToWorld:
         everywhere = np.ones(frame.shape, bool)
         decision = Costmap(np.full(frame.shape, 0.9), everywhere)
         flat = Costmap(np.full(frame.shape, 1000.0), everywhere)
-        cands = dense_candidates(decision, flat, frame, SIM_WEIGHTS, 0.13)
+        cands = dense_candidates(decision, flat, frame, SIM)
         assert len(cands) == 48 * 64 - 1
         assert not np.any((cands.xs == 5) & (cands.ys == 5))
         assert world_positions(cands, frame).shape == (48 * 64 - 1, 3)

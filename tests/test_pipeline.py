@@ -99,12 +99,22 @@ class TestConfig:
         ("d_max_m", None), ("uav_radius_m", True), ("profile", 1),
         ("dedup_radius_m", float("inf")), ("d_max_m", float("inf")),
         ("canny_high_m", float("nan")),
+        ("weight_energy", 0.35),  # the weights sum to 1.2
+        ("weight_energy", 0.15 + 5e-6),  # just past WEIGHT_SUM_TOL
+        # a negative weight while the four still sum to 1
+        pytest.param("weights", {"weight_depth_confidence": -0.1,
+                                 "weight_energy": 0.3},
+                     id="weight_depth_confidence--0.1"),
     ])
     def test_validation_rejects_bad_values(self, field, value):
         obj = get_profile("sim").to_json_obj()
-        obj[field] = value
+        obj.update(value if field == "weights" else {field: value})
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_obj(obj)
+
+    def test_weight_sum_within_tolerance_accepted(self):
+        obj = dict(get_profile("sim").to_json_obj(), weight_energy=0.15 + 5e-7)
+        assert PipelineConfig.from_json_obj(obj).weight_energy == 0.15 + 5e-7
 
 
 class TestFrameStream:
@@ -241,11 +251,26 @@ class TestRunPipeline:
         with caplog.at_level("WARNING", logger="landsite.pipeline"):
             result = run_pipeline(get_profile("sim"), [frame, empty])
         assert result.frames_empty == 1 and result.frames_failed == 0
-        assert "frame 1 has no valid depth pixel" in caplog.text
+        assert ("frame 1 has no pixel valid in every costmap "
+                "(0 valid depth pixels)") in caplog.text
         # still processed, so the outputs are those of the good frame alone
         assert [f.frame_id for f in result.frames] == [0, 1]
         assert len(result.frames[1].candidates) == 0
         assert result.registry.to_json_obj() == once.registry.to_json_obj()
+        # every depth pixel valid, but a smoothing window wider than the
+        # frame leaves no pixel with a steepness score
+        tiny = DepthFrame(np.full((3, 3), 4.0), np.ones((3, 3), bool),
+                          CameraIntrinsics(fx=50.0, fy=50.0, cx=1.0, cy=1.0,
+                                           width=3, height=3),
+                          camera_pose((0, 0, 4.0)), frame_id=2)
+        wide = dataclasses.replace(get_profile("sim"), smoothing_window_px=5)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="landsite.pipeline"):
+            result = run_pipeline(wide, [tiny])
+        assert result.frames_empty == 1 and result.frames_failed == 0
+        assert ("frame 2 has no pixel valid in every costmap "
+                "(9 valid depth pixels)") in caplog.text
+        assert len(result.frames[0].candidates) == 0
 
     def test_stage_timings_recorded(self):
         frames = [render_canonical("FLAT_PAD", frame_id=i, camera_xy=(0.3 * i, 0))
@@ -364,7 +389,8 @@ class TestBenchRunsPipeline:
                            frame_id=1)
         with caplog.at_level("WARNING", logger="landsite.pipeline"):
             report = bench(get_profile("sim"), [frame, empty])
-        assert "frame 1 has no valid depth pixel" in caplog.text
+        assert ("frame 1 has no pixel valid in every costmap "
+                "(0 valid depth pixels)") in caplog.text
         assert report.n_frames == 2
         means = [s.mean_ms for s in report.stages.values()]
         assert report.total.mean_ms == pytest.approx(sum(means), rel=1e-9)
@@ -432,6 +458,11 @@ STREAM_DAMAGE = {
     "intrinsics_width_1e999": ("intrinsics.json", "width", "1e999"),
     "intrinsics_fx_1e999": ("intrinsics.json", "fx", "1e999"),
     "intrinsics_deep_nesting": ("intrinsics.json", "fx", DEEP),
+    "frame_id_string": ("frames.jsonl", "frame_id", '"1"'),
+    "t_sec_bool": ("frames.jsonl", "t_sec", "true"),
+    "pose_tx_string": ("frames.jsonl", "tx", '"0.5"'),
+    "intrinsics_width_float": ("intrinsics.json", "width", "640.9"),
+    "intrinsics_fx_bool": ("intrinsics.json", "fx", "true"),
 }
 
 # Two sites that link into one cluster whose centroid x (or mean score)
@@ -443,6 +474,15 @@ OVERFLOW_SCORE_SITES = json.dumps([dict(VALID_SITE, score=1.7e308)] * 2)
 USER_FILE_DAMAGE = {
     "scene_seed_1e999": ("seed", "1e999"),
     "scene_deep_nesting": ("primitives", DEEP),
+    "scene_seed_float": ("seed", "1.5"),
+    "scene_seed_bool": ("seed", "true"),
+    "scene_noise_string": ("noise_sigma_m", '"0.01"'),
+    "scene_z_string": ("primitives", '[{"type": "ground_plane", "z_m": "0"}]'),
+    "scene_radius_string": ("primitives", '[{"type": "ground_plane", "z_m": 0},'
+                            ' {"type": "sphere", "center_m": [0, 0, 0],'
+                            ' "radius_m": "0.5"}]'),
+    "scene_safe_int": ("primitives",
+                       '[{"type": "ground_plane", "z_m": 0, "safe": 1}]'),
     "config_radius_inf": ("dedup_radius_m", "Infinity"),
     "config_deep_nesting": ("d_max_m", DEEP),
 }
@@ -497,6 +537,12 @@ class TestCli:
         assert cli_main(["costmap", "--in", str(stream),
                          "--out", str(tmp_path / "m")]) == 2
         assert "no readable frames" in capsys.readouterr().err
+        (stream / "000000.pfm").unlink()
+        assert cli_main(["detect", "--in", str(stream),
+                         "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no readable frames in {stream}\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
 
     def test_costmap_window_wider_than_frame(self, tmp_path, capsys):
         intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=1.0, cy=1.0,
