@@ -112,6 +112,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_obj(obj)
 
+    def test_rejects_nonpositive_slope_tolerance(self):
+        for value in (0.0, -0.0, -15.0):
+            obj = dict(get_profile("sim").to_json_obj(),
+                       slope_tolerance_deg=value)
+            with pytest.raises(ConfigError):
+                PipelineConfig.from_json_obj(obj)
+
     def test_weight_sum_within_tolerance_accepted(self):
         obj = dict(get_profile("sim").to_json_obj(), weight_energy=0.15 + 5e-7)
         assert PipelineConfig.from_json_obj(obj).weight_energy == 0.15 + 5e-7
