@@ -11,7 +11,8 @@ PFMs use NaN.
 JSON documents go through ``read_json``/``malformed`` (any parse failure
 becomes one error naming the file) and ``write_json`` (strict JSON only).
 Every reader takes its scalar fields through ``number`` (a finite int or
-float) and ``integer`` (an int); a bool is neither.
+float) and ``integer`` (an int); a bool is neither. Vector and matrix
+fields go through ``numbers``, element by element under the same rule.
 """
 
 from __future__ import annotations
@@ -47,11 +48,29 @@ def number(obj: dict, key: str, default: float | None = None) -> float:
     """``obj[key]`` as a float; it must be a finite int or float, not a bool.
     With ``default`` given, a missing key reads as ``default``."""
     value = obj[key] if default is None else obj.get(key, default)
+    return _finite(value, key)
+
+
+def _finite(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, not {value!r}")
+        raise TypeError(f"{name} must be a number, not {value!r}")
     if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, not {value!r}")
+        raise ValueError(f"{name} must be finite, not {value!r}")
     return float(value)
+
+
+def numbers(obj: dict, key: str, shape: tuple = (3,)) -> np.ndarray:
+    """``obj[key]`` as a float64 array of ``shape``, spelled as nested lists
+    of exactly that shape whose every element follows the ``number`` rule."""
+    def read(value, shape, name):
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise TypeError(f"{name} must be a list of {shape[0]}, "
+                            f"not {value!r}")
+        if len(shape) == 1:
+            return [_finite(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        return [read(v, shape[1:], f"{name}[{i}]")
+                for i, v in enumerate(value)]
+    return np.array(read(obj[key], shape, key))
 
 
 def integer(obj: dict, key: str, default: int | None = None) -> int:

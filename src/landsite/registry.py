@@ -5,12 +5,15 @@ contiguous (N, 3) array. Sites enter only through ``insert_positions``,
 one frame's batch at a time, which refuses a site strictly within
 ``dedup_radius`` of one accepted before it (stored or earlier in the
 batch), so the stored set is always sparse and a batch gives the same
-result as inserting its rows one by one.
+result as inserting its rows one by one. Each refusal test scans only the
+slab of the batch, sorted once by x, whose x lies within the radius (a
+hair wider) of the refusing site.
 Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
 within the z threshold (a config switch makes the distance criterion
-fully 3-D instead).
+fully 3-D instead). Clusters of equal size are summarised together, one
+array reduction per size, and ranked by one ``lexsort``.
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
@@ -112,34 +115,70 @@ class SiteRegistry:
         This is the registry's only dedup path. A candidate is accepted iff
         no site accepted before it, stored or earlier in the batch, has
         ``_d2 < r*r``, so a batch gives exactly what inserting its rows one
-        at a time would. Survivors start as every row; each stored site
-        inside the batch's bounding box (widened by the radius), then each
-        newly accepted candidate, drops the survivors within its radius.
-        LandingSite records are made only for accepted rows.
+        at a time would. Each stored site inside the batch's bounding box
+        (widened by the radius), then each newly accepted candidate, kills
+        the live rows within its radius; the next accepted row is the first
+        one still alive.
+
+        A kill only looks at the slab of rows whose x lies within
+        ``reach = r * (1 + 1e-9)`` of the killer's: a contiguous run of the
+        batch sorted once by x, bounded by binary search. The slab is a
+        superset of the rows the canonical test kills: ``_d2 < r*r`` needs
+        ``|dx| < r``, and rounding is monotone, so ``x ± reach`` rounded
+        still brackets every such row. The canonical ``_d2`` then decides
+        every kill.
+
+        Positions, scores and the timestamp must be finite and there must be
+        one score per position; otherwise ValueError, before anything is
+        stored. LandingSite records are made only for accepted rows.
         """
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        if len(pos) == 0:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (len(pos),):
+            raise ValueError(f"need one score per position: {scores.shape} "
+                             f"scores for {len(pos)} positions")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(scores))):
+            raise ValueError("site positions and scores must be finite")
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp must be finite, not {timestamp!r}")
+        n = len(pos)
+        if n == 0:
             return []
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("site position must be finite")
-        flags = [False] * len(pos)
-        r2 = self.dedup_radius * self.dedup_radius
+        r = self.dedup_radius
+        r2 = r * r
+        reach = r * (1 + 1e-9)
+        order = np.argsort(pos[:, 0], kind="stable")
+        by_x = pos[order]
+        xs = pos[order, 0]  # contiguous, so searchsorted does not copy it
+        alive = np.ones(n, dtype=bool)
+
+        def kill(q, lo, hi):  # re-killing a dead row changes nothing
+            alive[order[lo:hi][_d2(by_x[lo:hi], q) < r2]] = False
+
         existing = self.positions()
-        lo = pos.min(axis=0) - self.dedup_radius
-        hi = pos.max(axis=0) + self.dedup_radius
-        in_box = np.all((existing >= lo) & (existing <= hi), axis=1)
-        stored = iter(existing[in_box])
-        alive = np.arange(len(pos))
-        while alive.size:
-            q = next(stored, None)
-            if q is None:  # stored sites done: the first survivor is accepted
-                first = int(alive[0])
-                flags[first] = True
-                self._accept(LandingSite(
-                    position=pos[first], score=float(scores[first]),
-                    frame_id=frame_id, timestamp=timestamp))
-                q = pos[first]
-            alive = alive[~(_d2(pos[alive], q) < r2)]
+        in_box = np.all((existing >= pos.min(axis=0) - r)
+                        & (existing <= pos.max(axis=0) + r), axis=1)
+        stored = existing[in_box]
+        los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
+        his = np.searchsorted(xs, stored[:, 0] + reach, side="right")
+        for q, lo, hi in zip(stored, los.tolist(), his.tolist()):
+            if lo < hi:
+                kill(q, lo, hi)
+
+        flags = [False] * n
+        i = 0
+        while True:
+            i += int(alive[i:].argmax())  # first live row at or after i
+            if not alive[i]:
+                break
+            alive[i] = False
+            flags[i] = True
+            q = pos[i]
+            kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
+                 int(xs.searchsorted(q[0] + reach, side="right")))
+        for i in np.flatnonzero(flags).tolist():
+            self._accept(LandingSite(position=pos[i], score=float(scores[i]),
+                                     frame_id=frame_id, timestamp=timestamp))
         return flags
 
     def _accept(self, site: LandingSite) -> None:
@@ -243,13 +282,22 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     _, labels = connected_components(graph, directed=False)
 
     # A stable sort keeps each group's members in ascending index order,
-    # which fixes the summation order of centroids and mean scores.
+    # which fixes the summation order of centroids and mean scores. Groups
+    # of one size are summarised together from their (groups, size) member
+    # matrix; each row reduces exactly as a lone group's members would.
+    counts = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
-    clusters = []
-    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
-        clusters.append(ClusterSite(centroid=pos[idx].mean(axis=0),
-                                    mean_score=float(scores[idx].mean()),
-                                    member_count=len(idx)))
-    clusters.sort(key=lambda c: (-c.mean_score, -c.member_count,
-                                 c.centroid[0], c.centroid[1], c.centroid[2]))
-    return clusters
+    starts = np.cumsum(counts) - counts
+    centroids = np.empty((len(counts), 3))
+    mean_scores = np.empty(len(counts))
+    for size in np.unique(counts).tolist():
+        groups = np.flatnonzero(counts == size)
+        members = order[starts[groups][:, None] + np.arange(size)]
+        centroids[groups] = pos[members].mean(axis=1)
+        mean_scores[groups] = scores[members].mean(axis=1)
+    # lexsort is stable: clusters that tie on every key keep label order.
+    rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
+                       -counts, -mean_scores))
+    return [ClusterSite(centroid=c, mean_score=s, member_count=m)
+            for c, s, m in zip(centroids[rank], mean_scores[rank].tolist(),
+                               counts[rank].tolist())]

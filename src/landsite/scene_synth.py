@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import integer, number, read_json, write_json
+from .formats import integer, number, numbers, read_json, write_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
     rotation_x, rotation_z
 
@@ -396,17 +396,17 @@ def scene_from_json_obj(obj: dict) -> SceneSpec:
         if kind == "ground_plane":
             prims.append(GroundPlane(z=number(rec, "z_m"), safe=safe))
         elif kind == "tilted_plane":
-            prims.append(TiltedPlane(point=rec["point_m"], normal=rec["normal"],
-                                     safe=safe))
+            prims.append(TiltedPlane(point=numbers(rec, "point_m"),
+                                     normal=numbers(rec, "normal"), safe=safe))
         elif kind == "sphere":
-            prims.append(Sphere(center=rec["center_m"],
+            prims.append(Sphere(center=numbers(rec, "center_m"),
                                 radius=number(rec, "radius_m"), safe=safe))
         elif kind == "box":
-            rot = rec.get("rotation")
-            prims.append(Box(center=rec["center_m"],
-                             half_extents=rec["half_extents_m"],
-                             rotation=None if rot is None else np.array(rot),
-                             safe=safe))
+            rot = None if rec.get("rotation") is None \
+                else numbers(rec, "rotation", (3, 3))
+            prims.append(Box(center=numbers(rec, "center_m"),
+                             half_extents=numbers(rec, "half_extents_m"),
+                             rotation=rot, safe=safe))
         else:
             raise ValueError(f"unknown primitive type {kind!r}")
     return SceneSpec(primitives=tuple(prims),

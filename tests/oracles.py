@@ -354,3 +354,22 @@ def canonical_partition(labels) -> list[int]:
             remap[lab] = len(remap)
         out.append(remap[lab])
     return out
+
+
+def loop_cluster_summaries(positions, scores, labels) -> list[tuple]:
+    """Per-cluster ``(centroid, mean_score, member_count)``, one at a time.
+
+    Each group's members are gathered in ascending index order and
+    averaged with its own ``mean`` calls; the list is then sorted by mean
+    score descending, member count descending, then centroid
+    lexicographic, with a stable sort so full ties stay in label order.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    sc = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    out = []
+    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        out.append((pos[idx].mean(axis=0), float(sc[idx].mean()), len(idx)))
+    out.sort(key=lambda c: (-c[1], -c[2], c[0][0], c[0][1], c[0][2]))
+    return out

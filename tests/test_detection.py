@@ -78,12 +78,14 @@ class TestPadSceneFootprint:
     """Footprint semantics on a rendered pad, checked against the
     ground-truth primitive mask.
 
-    Steepness-only weights make every flat pixel pass the score test, so
-    the candidate set is exactly the footprint predicate. The reference
-    predicate measures the distance to the nearest ground-truth region
-    transition with a brute-force distance transform; the detector's
-    edges may sit one pixel off the labeled transition (sigma=1
-    smoothing), hence the +/-1.5 px acceptance band.
+    Steepness-only weights, used both to fuse the costmaps and to select
+    candidates, let every pixel the footprint keeps pass the score test
+    (checked against a near-zero threshold), so the candidate set is
+    exactly the footprint predicate. The reference predicate measures the
+    distance to the nearest ground-truth region transition with a
+    brute-force distance transform; the detector's edges may sit one pixel
+    off the labeled transition (sigma=1 smoothing), hence the +/-1.5 px
+    acceptance band.
     """
 
     def test_candidates_only_where_circle_fits(self):
@@ -97,14 +99,19 @@ class TestPadSceneFootprint:
                    safe=True),
         ))
         frame, truth = ss.render_depth(scene, intr, camera_pose((0, 0, 2.5)))
-        config = get_profile("sim")
+        config = dataclasses.replace(
+            get_profile("sim"), weight_depth_confidence=0.0,
+            weight_flatness=0.0, weight_steepness=1.0, weight_energy=0.0,
+            decision_threshold=0.5)
         maps = evaluate_costmaps(config, frame)
-        steepness_only = dataclasses.replace(
-            config, weight_depth_confidence=0.0, weight_flatness=0.0,
-            weight_steepness=1.0, weight_energy=0.0, decision_threshold=0.5)
         cands = dense_candidates(maps.decision, maps.flatness_raw, frame,
-                                 steepness_only)
+                                 config)
         assert len(cands) > 0
+        footprint_only = dense_candidates(
+            maps.decision, maps.flatness_raw, frame,
+            dataclasses.replace(config, decision_threshold=1e-12))
+        assert np.array_equal(cands.xs, footprint_only.xs)
+        assert np.array_equal(cands.ys, footprint_only.ys)
 
         transitions = ss.edge_mask_from_prim_ids(truth)
         gt_dist = np.sqrt(

@@ -490,6 +490,17 @@ USER_FILE_DAMAGE = {
                             ' "radius_m": "0.5"}]'),
     "scene_safe_int": ("primitives",
                        '[{"type": "ground_plane", "z_m": 0, "safe": 1}]'),
+    "scene_center_string_bool": (
+        "primitives", '[{"type": "ground_plane", "z_m": 0},'
+        ' {"type": "sphere", "center_m": ["0", true, "0"], "radius_m": 0.5}]'),
+    "scene_normal_nested": (
+        "primitives", '[{"type": "tilted_plane", "point_m": [0, 0, 0],'
+        ' "normal": [[0], [0], [1]]}]'),
+    "scene_rotation_bool": (
+        "primitives", '[{"type": "ground_plane", "z_m": 0},'
+        ' {"type": "box", "center_m": [0, 0, 0.5],'
+        ' "half_extents_m": [0.5, 0.5, 0.5],'
+        ' "rotation": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}]'),
     "config_radius_inf": ("dedup_radius_m", "Infinity"),
     "config_deep_nesting": ("d_max_m", DEEP),
 }

@@ -8,6 +8,7 @@ from landsite.registry import SiteRegistry, cluster_sites
 from oracles import (
     brute_force_partition,
     linear_scan_nearest,
+    loop_cluster_summaries,
     sequential_dedup,
     sequential_dedup_vectorized,
 )
@@ -139,6 +140,87 @@ class TestInsertBatch:
             insert_all(stored, [base])
             assert insert_all(stored, [cand]) == [ok]
             assert insert_all(SiteRegistry(0.5), [base, cand]) == [True, ok]
+
+    @pytest.mark.parametrize("scores,timestamp", [
+        ([0.8], 0.0), ([0.8, 0.8, 0.8], 0.0), ([0.8, np.nan], 0.0),
+        ([-np.inf, 0.8], 0.0), ([0.8, 0.8], np.nan), ([0.8, 0.8], np.inf)])
+    def test_bad_scores_or_timestamp_store_nothing(self, scores, timestamp):
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)])
+        before = reg.to_json_obj()
+        with pytest.raises(ValueError):
+            reg.insert_positions(np.array([(10.0, 0, 0), (20.0, 0, 0)]),
+                                 np.array(scores), 1, timestamp)
+        assert reg.to_json_obj() == before
+        assert len(reg) == 2 and len(reg.positions()) == 2
+
+
+def assert_dedup_matches_sequential(points, r):
+    """Flags equal the oracle's whether earlier points are stored (inserted
+    as an earlier batch) or earlier in the same batch."""
+    points = np.array(points, dtype=float)
+    expect = sequential_dedup(points, r)
+    for split in range(len(points) + 1):
+        reg = SiteRegistry(r)
+        got = insert_all(reg, points[:split]) + insert_all(reg, points[split:])
+        assert got == expect, (split, points.tolist())
+        assert np.array_equal(reg.positions(), points[np.array(expect)])
+
+
+class TestDedupExactness:
+    """Dedup at and one ulp either side of the radius, against the
+    insertion-order oracle.
+
+    Offsets along x sit on the edge of the slab the batch is scanned in;
+    offsets along y and z do not move x at all. Bases far from the origin
+    make the rounding of ``x ± reach`` coarser than the 1e-9 widening.
+    """
+
+    RADII = (0.5, 0.3, 1e-3)
+    BASES = ((0.0, 0.0, 0.0), (-7.25, 3.1, 0.4), (1e8 + 0.5, -2.0, 1.0),
+             (-0.0, -0.0, -0.0))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("r", RADII)
+    def test_offsets_at_radius_boundary(self, axis, r):
+        for base in map(np.array, self.BASES):
+            for off in (r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf)):
+                step = np.zeros(3)
+                step[axis] = off
+                plus, minus = base + step, base - step
+                # ties: the same candidate twice, before and after its base
+                assert_dedup_matches_sequential(
+                    [base, plus, minus, plus, base, minus], r)
+                assert_dedup_matches_sequential(
+                    [plus, base, base + 2 * step, minus, plus], r)
+
+    def test_radius_whose_square_underflows(self):
+        # r*r rounds to 0, so nothing is within the radius, not even a
+        # repeat of the same point: every row is accepted
+        r = 1e-170
+        assert r * r == 0.0
+        points = [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0 + 1e-9)]
+        assert sequential_dedup(points, r) == [True, True, True]
+        assert_dedup_matches_sequential(points, r)
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_batch_with_all_x_equal(self, r):
+        for spacing in (r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf),
+                        r / 2):
+            ys = np.arange(12) * spacing
+            points = np.column_stack([np.full(12, 2.0), ys, -ys / 3])
+            assert_dedup_matches_sequential(points[[0, 5, 1, 2, 2, 11, 3]], r)
+            assert_dedup_matches_sequential(points, r)
+
+    def test_stored_sites_on_both_slab_edges(self):
+        r = 0.5
+        stored = [(0.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
+        # x at and one ulp either side of each stored site's radius
+        xs = [x for edge in (-0.5, 0.5, 2.5, 3.5)
+              for x in (edge, np.nextafter(edge, -np.inf),
+                        np.nextafter(edge, np.inf))] + [1.5]
+        batch = [(x, 0.0, 0.0) for x in xs]
+        assert_dedup_matches_sequential(stored + batch, r)
 
 
 class TestNearest:
@@ -289,6 +371,81 @@ class TestClustering:
 
     def test_empty_registry_clusters_to_nothing(self):
         assert cluster_sites(SiteRegistry(0.5), 0.5, 0.01) == []
+
+
+def chained_groups(sizes, signed_zero_groups, seed):
+    """Sites in separate chains 0.25 m apart along x, with scores.
+
+    Groups listed in ``signed_zero_groups`` put signed zeros in y and z;
+    scores mix signed zeros with values up to 1e3 in magnitude.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for g, size in enumerate(sizes):
+        x = 0.25 * (np.arange(size) + sum(sizes[:g]) + 4 * g)
+        if g in signed_zero_groups:
+            y = rng.choice([0.0, -0.0], size)
+            z = rng.choice([0.0, -0.0], size)
+        else:
+            y = 3.0 + rng.uniform(-0.02, 0.02, size)
+            z = rng.uniform(-0.05, 0.05, size)
+        rows.append(np.column_stack([x, y, z]))
+    positions = np.concatenate(rows)[rng.permutation(sum(sizes))]
+    scores = np.where(rng.uniform(size=len(positions)) < 0.3,
+                      rng.choice([0.0, -0.0], len(positions)),
+                      rng.uniform(-1e3, 1e3, len(positions)))
+    return positions, scores
+
+
+# Group sizes straddling numpy's summation block sizes (8 and 128).
+GROUP_SIZES = st.lists(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 128, 129, 140]),
+                       min_size=1, max_size=5)
+
+
+def int_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestClusterSummaries:
+    @staticmethod
+    def assert_matches_loop(positions, scores, metric):
+        clusters = cluster_sites(registry_with(positions, scores), 0.3, 0.2,
+                                 metric=metric)
+        expect = loop_cluster_summaries(
+            positions, scores,
+            brute_force_partition(positions, 0.3, 0.2, metric=metric))
+        assert len(clusters) == len(expect)
+        for c, (centroid, mean_score, members) in zip(clusters, expect):
+            assert c.member_count == members
+            assert np.array_equal(int_bits(c.centroid), int_bits(centroid))
+            assert int_bits(c.mean_score) == int_bits(mean_score)
+
+    @given(GROUP_SIZES, st.sets(st.integers(0, 4)), st.integers(0, 2**32 - 1),
+           st.sampled_from(["xy", "xyz"]))
+    @settings(max_examples=20, deadline=None)
+    def test_bit_identical_to_per_cluster_loop(self, sizes, zero_groups,
+                                               seed, metric):
+        self.assert_matches_loop(*chained_groups(sizes, zero_groups, seed),
+                                 metric)
+
+    @pytest.mark.parametrize("metric", ["xy", "xyz"])
+    def test_large_groups_bit_identical(self, metric):
+        self.assert_matches_loop(*chained_groups(
+            [129, 1, 8, 300, 9, 140, 128], {1, 3}, 11), metric)
+
+    def test_signed_zeros_tie(self):
+        # -0.0 and 0.0 scores and x coordinates compare equal, so y decides
+        positions = np.array([(-0.0, 5.0, 0.0), (0.0, -5.0, 0.0),
+                              (3.0, 0.0, -0.0)])
+        for scores in ([-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]):
+            clusters = cluster_sites(registry_with(positions, scores),
+                                     0.5, 0.01)
+            expect = loop_cluster_summaries(positions, scores, [0, 1, 2])
+            assert [c.centroid[1] for c in clusters] == [-5.0, 5.0, 0.0]
+            assert [int_bits(c.mean_score) for c in clusters] == \
+                [int_bits(e[1]) for e in expect]
+            assert [int_bits(c.centroid).tolist() for c in clusters] == \
+                [int_bits(e[0]).tolist() for e in expect]
 
 
 class TestSnapshot:

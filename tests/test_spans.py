@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps package functions by name and reads work
 counts off their arguments and results. A renamed function or a changed
 signature silently zeroes a per-layer metric in traced benchmark runs;
-this test runs one small frame under the tracer so it fails instead.
+this test runs one small frame and clusters its sites under the tracer so
+it fails instead.
 """
 
 import importlib.util
@@ -11,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from landsite import pipeline
+from landsite import pipeline, registry
 from landsite.config import get_profile
 from landsite.geometry import CameraIntrinsics, DepthFrame, camera_pose
-from landsite.registry import SiteRegistry
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,8 +46,11 @@ def test_spans_attach_and_count():
     tracer.install()
     try:
         maps = pipeline.evaluate_costmaps(config, frame)
-        pipeline.detect_frame(config, frame, maps,
-                              SiteRegistry(config.dedup_radius_m))
+        sites = registry.SiteRegistry(config.dedup_radius_m)
+        pipeline.detect_frame(config, frame, maps, sites)
+        clusters = registry.cluster_sites(sites, config.cluster_dist_m,
+                                          config.cluster_z_m,
+                                          config.cluster_metric)
     finally:
         tracer.uninstall()
 
@@ -56,9 +59,11 @@ def test_spans_attach_and_count():
     assert names >= {"costmaps", "costmaps.depth_confidence", "canny", "edt",
                      "costmaps.normals", "costmaps.steepness",
                      "costmaps.energy", "costmaps.fuse", "detection",
-                     "detection.lift", "registry.insert"}, names
+                     "detection.lift", "registry.insert",
+                     "registry.cluster"}, names
     counts = {span[0]: span[5] for span in tracer.spans if span[5]}
     assert counts["canny"]["valid_px"] == 24 * 32
     assert counts["costmaps"] == {"valid_px": 24 * 32, "pixels": 24 * 32}
     assert counts["registry.insert"]["offered"] > 0
-    assert counts["registry.insert"]["accepted"] > 0
+    assert counts["registry.insert"]["accepted"] == len(sites) > 0
+    assert len(clusters) > 0
