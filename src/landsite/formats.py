@@ -13,6 +13,10 @@ becomes one error naming the file) and ``write_json`` (strict JSON only).
 Every reader takes its scalar fields through ``number`` (a finite int or
 float) and ``integer`` (an int); a bool is neither. Vector and matrix
 fields go through ``numbers``, element by element under the same rule.
+A list of records is read one field at a time by ``number_column`` and
+``integer_column`` (the same rules, checked over the whole column) and
+written column by column by ``write_records_json``, byte for byte what
+``write_json`` gives for the same document.
 """
 
 from __future__ import annotations
@@ -54,7 +58,11 @@ def number(obj: dict, key: str, default: float | None = None) -> float:
 def _finite(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, not {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        raise OverflowError(f"{name} is too large for a float") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, not {value!r}")
     return float(value)
 
@@ -77,9 +85,59 @@ def integer(obj: dict, key: str, default: int | None = None) -> int:
     """``obj[key]``, which must be an int and not a bool. With ``default``
     given, a missing key reads as ``default``."""
     value = obj[key] if default is None else obj.get(key, default)
+    return _integer(value, key)
+
+
+def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, not {value!r}")
+        raise TypeError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+def _field(records: list, where: str, key: str) -> list:
+    """``rec[key]`` of every record in the list ``records``; a failure names
+    the first bad record as ``where[i]``."""
+    if type(records) is not list:
+        raise TypeError(f"{where} must be a list, not {type(records).__name__}")
+    try:
+        return [rec[key] for rec in records]
+    except (KeyError, TypeError):
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise TypeError(f"{where}[{i}] must be an object, "
+                                f"not {type(rec).__name__}") from None
+            if key not in rec:
+                raise KeyError(f"{where}[{i}].{key}") from None
+        raise
+
+
+def number_column(records: list, where: str, key: str) -> np.ndarray:
+    """``rec[key]`` of every record as a float64 array, each value under the
+    ``number`` rule; a failure names the first bad record, ``where[i].key``.
+
+    JSON numbers are exactly the ints and floats, so one type scan, one
+    array conversion (OverflowError for an int too large for a float) and
+    one ``isfinite`` settle a valid column; only a failing column is
+    walked value by value, to name the record.
+    """
+    values = _field(records, where, key)
+    if all(type(v) is float or type(v) is int for v in values):
+        with contextlib.suppress(OverflowError):
+            column = np.array(values, dtype=np.float64)
+            if np.isfinite(column).all():
+                return column
+    return np.array([_finite(v, f"{where}[{i}].{key}")
+                     for i, v in enumerate(values)], dtype=np.float64)
+
+
+def integer_column(records: list, where: str, key: str) -> list[int]:
+    """``rec[key]`` of every record, a list of ints under the ``integer``
+    rule; a failure names the first bad record, ``where[i].key``."""
+    values = _field(records, where, key)
+    if not all(type(v) is int for v in values):
+        for i, v in enumerate(values):
+            _integer(v, f"{where}[{i}].{key}")
+    return values
 
 
 def write_json(path, obj) -> None:
@@ -93,6 +151,51 @@ def write_json(path, obj) -> None:
         raise OSError(f"{path}: cannot write as strict JSON ({exc})") from exc
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
+
+
+def write_records_json(path, head: dict, key: str, columns: dict) -> None:
+    """Write ``{**head, key: records}`` exactly as ``write_json`` would, where
+    record ``i`` maps each column name to the column's ``i``-th value.
+
+    ``head`` holds scalar values. Each column is a numpy array or a list of
+    ints and floats, all of one length. The records are formatted in one
+    pass with ``%r``: ``json.dumps`` writes an int with ``int.__repr__``
+    and a finite float with ``float.__repr__``, so the bytes match. A
+    non-finite float or any other value raises OSError naming ``path``
+    before the file opens.
+    """
+    try:
+        head_text = "".join(
+            f"  {json.dumps(k)}: {json.dumps(v, allow_nan=False)},\n"
+            for k, v in head.items())
+    except ValueError as exc:
+        raise OSError(f"{path}: cannot write as strict JSON ({exc})") from exc
+    values = [_json_numbers(path, name, column)
+              for name, column in columns.items()]
+    body = "[]"
+    if values and values[0]:
+        fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %r"
+                            for name in columns)
+        record = "    {\n" + fields + "\n    }"
+        rows = zip(*values, strict=True)
+        body = "[\n" + ",\n".join(record % row for row in rows) + "\n  ]"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{{\n{head_text}  {json.dumps(key)}: {body}\n}}\n")
+
+
+def _json_numbers(path, name: str, column) -> list:
+    """``column`` as a list of Python ints and finite floats, or OSError."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise OSError(f"{path}: cannot write as strict JSON "
+                          f"(non-finite {name})")
+        return column.tolist()
+    values = list(column)
+    if not all(type(v) is int or (type(v) is float and math.isfinite(v))
+               for v in values):
+        raise OSError(f"{path}: cannot write as strict JSON ({name} holds a "
+                      f"value that is not a finite number)")
+    return values
 
 
 def read_pfm(path) -> np.ndarray:

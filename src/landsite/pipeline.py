@@ -220,7 +220,16 @@ def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
 
 
 def write_clusters_json(path, clusters) -> None:
-    formats.write_json(path, {"clusters": [c.to_json_obj() for c in clusters]})
+    """Write ``clusters.json``, byte for byte ``write_json`` of each
+    cluster's ``to_json_obj()``, column by column."""
+    centroids = np.array([c.centroid for c in clusters],
+                         dtype=np.float64).reshape(-1, 3)
+    formats.write_records_json(path, {}, "clusters", {
+        "cx": centroids[:, 0], "cy": centroids[:, 1], "cz": centroids[:, 2],
+        "mean_score": np.array([c.mean_score for c in clusters],
+                               dtype=np.float64),
+        "members": np.array([c.member_count for c in clusters],
+                            dtype=np.int64)})
 
 
 def write_outputs(out_dir, result: PipelineResult) -> None:

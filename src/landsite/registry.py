@@ -1,13 +1,17 @@
 """Global world-frame site registry and its agglomerative clustering.
 
-The registry keeps every accepted landing site, with all positions in one
-contiguous (N, 3) array. Sites enter only through ``insert_positions``,
+The registry is columnar: one (N, 3) float64 position array, float64 score
+and timestamp columns and a list of int frame ids (a JSON frame id may
+exceed int64), all growing together by capacity doubling. Records
+(``LandingSite``) are built only on request, by ``sites`` and
+``nearest()``. Sites enter only through ``insert_positions``,
 one frame's batch at a time, which refuses a site strictly within
 ``dedup_radius`` of one accepted before it (stored or earlier in the
 batch), so the stored set is always sparse and a batch gives the same
 result as inserting its rows one by one. Each refusal test scans only the
 slab of the batch, sorted once by x, whose x lies within the radius (a
-hair wider) of the refusing site.
+hair wider) of the refusing site. A snapshot (``sites.json``) is read one
+field at a time over all its records and written column by column.
 Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
@@ -36,7 +40,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .formats import integer, number, read_json, write_json
+from .formats import integer_column, number, number_column, read_json, \
+    write_records_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,19 +63,6 @@ class LandingSite:
                 "z": float(self.position[2]), "score": float(self.score),
                 "frame_id": int(self.frame_id),
                 "timestamp": float(self.timestamp)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LandingSite":
-        """Rebuild a site from a snapshot record.
-
-        x, y, z, score and timestamp must be finite numbers and frame_id
-        an integer (bools are neither); anything else raises TypeError,
-        ValueError or KeyError.
-        """
-        return cls(position=np.array([number(obj, k) for k in "xyz"]),
-                   score=number(obj, "score"),
-                   frame_id=integer(obj, "frame_id"),
-                   timestamp=number(obj, "timestamp"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +87,31 @@ class SiteRegistry:
         if not dedup_radius > 0:
             raise ValueError("dedup radius must be positive")
         self.dedup_radius = float(dedup_radius)
-        self.sites: list[LandingSite] = []
-        # Rows [0, len(sites)) hold the positions; capacity doubles on demand.
+        # Rows [0, len(self)) of each array hold the sites; capacity doubles
+        # on demand, for all three at once.
         self._pos = np.empty((16, 3))
+        self._score = np.empty(16)
+        self._timestamp = np.empty(16)
+        self._frame_id: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.sites)
+        return len(self._frame_id)
 
     def positions(self) -> np.ndarray:
         """Read-only (N, 3) view of the stored positions, in insertion order."""
-        view = self._pos[: len(self.sites)]
+        view = self._pos[: len(self)]
         view.flags.writeable = False
         return view
+
+    @property
+    def sites(self) -> list[LandingSite]:
+        """The stored sites as records, in insertion order (built per call)."""
+        return [self._site(i) for i in range(len(self))]
+
+    def _site(self, i: int) -> LandingSite:
+        return LandingSite(position=self._pos[i], score=float(self._score[i]),
+                           frame_id=self._frame_id[i],
+                           timestamp=float(self._timestamp[i]))
 
     def insert_positions(self, positions: np.ndarray, scores: np.ndarray,
                          frame_id: int, timestamp: float) -> list[bool]:
@@ -130,7 +135,7 @@ class SiteRegistry:
 
         Positions, scores and the timestamp must be finite and there must be
         one score per position; otherwise ValueError, before anything is
-        stored. LandingSite records are made only for accepted rows.
+        stored. The accepted rows are appended to the columns in one call.
         """
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         scores = np.asarray(scores, dtype=np.float64)
@@ -176,17 +181,30 @@ class SiteRegistry:
             q = pos[i]
             kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
                  int(xs.searchsorted(q[0] + reach, side="right")))
-        for i in np.flatnonzero(flags).tolist():
-            self._accept(LandingSite(position=pos[i], score=float(scores[i]),
-                                     frame_id=frame_id, timestamp=timestamp))
+        accepted = np.flatnonzero(flags)
+        self._append(pos[accepted], scores[accepted],
+                     [int(frame_id)] * len(accepted), timestamp)
         return flags
 
     def _accept(self, site: LandingSite) -> None:
-        n = len(self.sites)
-        if n == len(self._pos):
-            self._pos = np.concatenate([self._pos, np.empty_like(self._pos)])
-        self._pos[n] = site.position
-        self.sites.append(site)
+        """Store one record as it is (no dedup)."""
+        self._append(site.position[None], [site.score], [int(site.frame_id)],
+                     site.timestamp)
+
+    def _append(self, pos, score, frame_id: list[int], timestamp) -> None:
+        """Store rows as they are (no dedup): every column grows together."""
+        n, k = len(self), len(frame_id)
+        if n + k > len(self._pos):
+            cap = max(2 * len(self._pos), n + k)
+            for name in ("_pos", "_score", "_timestamp"):
+                old = getattr(self, name)
+                new = np.empty((cap, *old.shape[1:]))
+                new[:n] = old[:n]
+                setattr(self, name, new)
+        self._pos[n:n + k] = pos
+        self._score[n:n + k] = score
+        self._timestamp[n:n + k] = timestamp
+        self._frame_id.extend(frame_id)
 
     def nearest(self, query) -> tuple[LandingSite, float] | None:
         """Closest stored site and its Euclidean distance, or None if empty.
@@ -201,31 +219,52 @@ class SiteRegistry:
         idx = int(np.argmin(d2))
         if not d2[idx] < np.inf:
             return None
-        return self.sites[idx], float(np.sqrt(d2[idx]))
+        return self._site(idx), float(np.sqrt(d2[idx]))
+
+    def _columns(self) -> dict:
+        """Snapshot record fields, one column each, in record key order."""
+        n = len(self)
+        x, y, z = self._pos[:n].T
+        return {"x": x, "y": y, "z": z, "score": self._score[:n],
+                "frame_id": self._frame_id, "timestamp": self._timestamp[:n]}
 
     def to_json_obj(self) -> dict:
+        columns = {k: v if isinstance(v, list) else v.tolist()
+                   for k, v in self._columns().items()}
         return {"dedup_radius_m": self.dedup_radius,
-                "sites": [s.to_json_obj() for s in self.sites]}
+                "sites": [dict(zip(columns, row))
+                          for row in zip(*columns.values())]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
         """Rebuild a registry from a snapshot, as stored (no dedup).
 
-        The radius must be a finite positive number, each record valid for
-        ``LandingSite.from_json_obj`` and each coordinate and score column
-        small enough for clustering to average (``math.fsum`` of its
-        magnitudes raises OverflowError, where numpy's mean would only warn);
-        anything else raises one of ``formats.PARSE_FAILURES``.
+        The radius must be a finite positive number and ``sites`` a list of
+        records whose x, y, z, score and timestamp are finite numbers and
+        whose frame_id is an integer (bools are neither). Each field is read
+        in one pass over the records, and a failure names the first bad
+        record (``sites[3].x must be a number, not 'a'``). Each coordinate
+        and score column must be small enough for clustering to average
+        (``math.fsum`` of its magnitudes raises OverflowError, where numpy's
+        mean would only warn). Anything else raises one of
+        ``formats.PARSE_FAILURES``.
         """
         reg = cls(number(obj, "dedup_radius_m"))
-        for rec in obj["sites"]:
-            reg._accept(LandingSite.from_json_obj(rec))
-        for column in (*reg.positions().T, [s.score for s in reg.sites]):
+        records = obj["sites"]
+        pos = np.column_stack([number_column(records, "sites", k)
+                               for k in "xyz"])
+        score = number_column(records, "sites", "score")
+        frame_id = integer_column(records, "sites", "frame_id")
+        timestamp = number_column(records, "sites", "timestamp")
+        for column in (*pos.T, score):
             math.fsum(np.abs(column).tolist())
+        reg._append(pos, score, frame_id, timestamp)
         return reg
 
     def save(self, path) -> None:
-        write_json(path, self.to_json_obj())
+        """Write the snapshot, byte for byte ``write_json(to_json_obj())``."""
+        write_records_json(path, {"dedup_radius_m": self.dedup_radius},
+                           "sites", self._columns())
 
     @classmethod
     def load(cls, path) -> "SiteRegistry":
@@ -261,7 +300,7 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     if n == 0:
         return []
     pos = registry.positions()
-    scores = np.array([s.score for s in registry.sites])
+    scores = registry._score[:n]
 
     # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
     # tree only prefilters (radius widened past rounding), the canonical
@@ -298,6 +337,10 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     # lexsort is stable: clusters that tie on every key keep label order.
     rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
                        -counts, -mean_scores))
+    # Every ClusterSite.centroid is a row view of this one array, so it is
+    # read-only like LandingSite.position: no caller can rewrite a summary.
+    ranked = centroids[rank]
+    ranked.flags.writeable = False
     return [ClusterSite(centroid=c, mean_score=s, member_count=m)
-            for c, s, m in zip(centroids[rank], mean_scores[rank].tolist(),
+            for c, s, m in zip(ranked, mean_scores[rank].tolist(),
                                counts[rank].tolist())]

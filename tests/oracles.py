@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, linear scans, O(N^2) pair checks) and shares no code with the
-package under test. The Canny reference follows the documented detector
+package under test; the snapshot reader only fills its plain
+``LandingSite`` records. The Canny reference follows the documented detector
 conventions tap for tap so the comparison is exact.
 """
 
@@ -13,6 +14,8 @@ import math
 from collections import deque
 
 import numpy as np
+
+from landsite.registry import LandingSite
 
 TAN_22_5 = math.tan(math.pi / 8.0)
 TAN_67_5 = math.tan(3.0 * math.pi / 8.0)
@@ -373,3 +376,45 @@ def loop_cluster_summaries(positions, scores, labels) -> list[tuple]:
         out.append((pos[idx].mean(axis=0), float(sc[idx].mean()), len(idx)))
     out.sort(key=lambda c: (-c[1], -c[2], c[0][0], c[0][1], c[0][2]))
     return out
+
+
+def _snapshot_number(obj: dict, key: str) -> float:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, not {value!r}")
+    if not math.isfinite(value):  # OverflowError for an int past float range
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return float(value)
+
+
+def landing_site_from_json_obj(obj: dict) -> LandingSite:
+    """One snapshot record as a site: x, y, z, score and timestamp finite
+    numbers, frame_id an integer (bools are neither)."""
+    position = np.array([_snapshot_number(obj, k) for k in "xyz"])
+    score = _snapshot_number(obj, "score")
+    frame_id = obj["frame_id"]
+    if isinstance(frame_id, bool) or not isinstance(frame_id, int):
+        raise TypeError(f"frame_id must be an integer, not {frame_id!r}")
+    return LandingSite(position=position, score=score, frame_id=frame_id,
+                       timestamp=_snapshot_number(obj, "timestamp"))
+
+
+def record_snapshot_loader(obj: dict) -> tuple[float, list[LandingSite]]:
+    """Reference snapshot reader, one record at a time: (radius, sites).
+
+    The radius must be a finite positive number and ``sites`` a list of
+    records valid for ``landing_site_from_json_obj``. Each coordinate and
+    score column's magnitudes must ``math.fsum`` without overflow, so that
+    clustering can average them.
+    """
+    radius = _snapshot_number(obj, "dedup_radius_m")
+    if not radius > 0:
+        raise ValueError("dedup radius must be positive")
+    records = obj["sites"]
+    if not isinstance(records, list):
+        raise TypeError(f"sites must be a list, not {type(records).__name__}")
+    sites = [landing_site_from_json_obj(rec) for rec in records]
+    for k in range(3):
+        math.fsum(abs(float(s.position[k])) for s in sites)
+    math.fsum(abs(s.score) for s in sites)
+    return radius, sites

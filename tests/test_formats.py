@@ -1,7 +1,12 @@
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landsite.formats import (
     malformed,
@@ -13,6 +18,7 @@ from landsite.formats import (
     write_pfm,
     write_pgm,
     write_json,
+    write_records_json,
     write_values_pfm,
 )
 
@@ -130,6 +136,14 @@ class TestPreview:
         assert np.all(out == 0)
 
 
+# Finite JSON numbers: floats of every magnitude (signed zeros, subnormals,
+# near the float limit) and ints past int64.
+JSON_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.1,
+                                   1.7e308, -1.7e308, 2**70, -2**70])
+                | st.integers(-2**70, 2**70))
+
+
 class TestJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_write_refuses_non_finite_and_leaves_no_file(self, tmp_path, value):
@@ -137,6 +151,65 @@ class TestJson:
         with pytest.raises(OSError, match=re.escape(str(path))):
             write_json(path, {"clusters": [{"cx": value}]})
         assert not path.exists()
+
+    @pytest.mark.parametrize("column", ["x", "y", "z", "score", "frame_id",
+                                        "timestamp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_records_refuse_non_finite_and_leave_no_file(self, tmp_path,
+                                                         column, value):
+        columns = {"x": np.array([0.0, 1.0]), "y": np.array([0.0, 1.0]),
+                   "z": np.array([0.5, 1.5]), "score": [0.25, 0.75],
+                   "frame_id": [0, 2**70], "timestamp": np.array([0.0, 1.0])}
+        columns[column][1] = value
+        path = tmp_path / "doc.json"
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_records_json(path, {"dedup_radius_m": 0.5}, "sites", columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("head,column", [
+        ({"r": float("nan")}, [1.0]), ({}, [True]), ({}, [None]),
+        ({}, ["1.0"]), ({}, np.array([True]))])
+    def test_records_refuse_non_numbers_and_leave_no_file(self, tmp_path,
+                                                          head, column):
+        path = tmp_path / "doc.json"
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_records_json(path, head, "rows", {"v": column})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("head,columns", [
+        ({"dedup_radius_m": 0.5}, {"x": np.empty(0), "frame_id": []}),
+        ({}, {}),
+        ({"r": -0.0, "n": 2**70}, {"v": [5e-324, -1.7e308, 0.1, 2**70]})])
+    def test_records_match_json_dumps_fixed(self, tmp_path, head, columns):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        path = tmp_path / "doc.json"
+        write_records_json(path, head, "rows", columns)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            {**head, "rows": rows}, indent=2, allow_nan=False) + "\n"
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_records_match_json_dumps(self, data):
+        names = data.draw(st.lists(st.text(max_size=4), max_size=4,
+                                   unique=True))
+        n = data.draw(st.integers(0, 5)) if names else 0
+        head = data.draw(st.dictionaries(
+            st.text(max_size=3).filter(lambda k: k != "rows"),
+            JSON_NUMBERS, max_size=2))
+        values = {name: data.draw(st.lists(JSON_NUMBERS, min_size=n,
+                                           max_size=n)) for name in names}
+        # float columns go in as arrays or lists, the rest as lists
+        columns = {name: np.array(v) if all(type(x) is float for x in v)
+                   and data.draw(st.booleans()) else v
+                   for name, v in values.items()}
+        doc = {**head, "rows": [{name: values[name][i] for name in names}
+                                for i in range(n)]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            write_records_json(path, head, "rows", columns)
+            assert path.read_text(encoding="utf-8") == \
+                json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     def test_malformed_names_the_line_and_passes_other_errors(self):
         with pytest.raises(OSError, match=r"^f\.jsonl:3: malformed pose record \(KeyError"):

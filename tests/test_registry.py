@@ -1,14 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landsite.formats import PARSE_FAILURES
+from landsite.pipeline import write_clusters_json
 from landsite.registry import SiteRegistry, cluster_sites
 
 from oracles import (
     brute_force_partition,
     linear_scan_nearest,
     loop_cluster_summaries,
+    record_snapshot_loader,
     sequential_dedup,
     sequential_dedup_vectorized,
 )
@@ -276,6 +282,20 @@ class TestClustering:
         assert np.allclose(clusters[0].centroid, [0.15, 0, 0.0025])
         assert clusters[0].member_count == 2
 
+    def test_centroids_are_read_only(self, tmp_path):
+        clusters = cluster_sites(registry_with([(0, 0, 0), (5, 0, 0)]),
+                                 0.5, 0.01)
+        before = [c.to_json_obj() for c in clusters]
+        for c in clusters:
+            with pytest.raises(ValueError):
+                c.centroid[0] = 99.0
+            with pytest.raises(ValueError):
+                c.centroid.flags.writeable = True
+        assert [c.to_json_obj() for c in clusters] == before
+        write_clusters_json(tmp_path / "c.json", clusters)
+        assert json.loads((tmp_path / "c.json").read_text()) == \
+            {"clusters": before}
+
     def test_z_criterion_splits(self):
         reg = registry_with([(0, 0, 0), (0.3, 0, 0.02)])
         clusters = cluster_sites(reg, 0.5, 0.01)
@@ -475,3 +495,108 @@ class TestSnapshot:
              "timestamp": 0.0}]}
         with pytest.raises((TypeError, ValueError)):
             SiteRegistry.from_json_obj(obj)
+
+
+# Snapshot field values: finite floats of every magnitude (signed zeros,
+# subnormals, near the float limit) and ints past int64.
+SNAPSHOT_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 0.1,
+                                       1.7e308, -1.7e308])
+                    | st.integers(-2**70, 2**70))
+SNAPSHOT_RECORD = st.fixed_dictionaries({
+    "x": SNAPSHOT_NUMBERS, "y": SNAPSHOT_NUMBERS, "z": SNAPSHOT_NUMBERS,
+    "score": SNAPSHOT_NUMBERS, "frame_id": st.integers(-2**70, 2**70),
+    "timestamp": SNAPSHOT_NUMBERS})
+# One damaged value: (kind, replacement)
+BAD_VALUES = {"string": "a", "bool": True, "nan": float("nan"),
+              "1e400": float("1e400"), "int_1e400": 10**400, "null": None}
+
+
+def site_columns(radius, sites) -> tuple:
+    """A registry's radius and site columns, floats as raw bytes (so signed
+    zeros count) and frame ids with their types."""
+    return (radius,
+            np.array([s.position for s in sites]).reshape(-1, 3).tobytes(),
+            np.array([s.score for s in sites]).tobytes(),
+            np.array([s.timestamp for s in sites]).tobytes(),
+            [(type(s.frame_id), s.frame_id) for s in sites])
+
+
+class TestSnapshotLoader:
+    """The columnar loader against the record-by-record reference."""
+
+    @staticmethod
+    def assert_same_decision(obj):
+        try:
+            expect = site_columns(*record_snapshot_loader(obj))
+        except PARSE_FAILURES as exc:
+            with pytest.raises(type(exc)):
+                SiteRegistry.from_json_obj(obj)
+            return
+        reg = SiteRegistry.from_json_obj(obj)
+        assert site_columns(reg.dedup_radius, reg.sites) == expect
+
+    @given(st.lists(SNAPSHOT_RECORD, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_snapshot_matches_reference(self, records):
+        self.assert_same_decision({"dedup_radius_m": 0.5, "sites": records})
+
+    @given(st.lists(SNAPSHOT_RECORD, min_size=1, max_size=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_damaged_value_matches_reference(self, records, data):
+        i = data.draw(st.integers(0, len(records) - 1))
+        damage = data.draw(st.sampled_from(
+            [*BAD_VALUES, "missing_key", "non_dict_record", "non_list_sites"]))
+        obj = {"dedup_radius_m": 0.5, "sites": records}
+        key = data.draw(st.sampled_from(sorted(records[i])))
+        if damage in BAD_VALUES:
+            records[i][key] = BAD_VALUES[damage]
+        elif damage == "missing_key":
+            del records[i][key]
+        elif damage == "non_dict_record":
+            records[i] = data.draw(st.sampled_from(
+                [[1.0, 2.0], "x", None, 5, list(records[i].values())]))
+        else:
+            obj["sites"] = data.draw(st.sampled_from(
+                [{}, "", None, 7, dict(enumerate(records)), tuple(records)]))
+        self.assert_same_decision(obj)
+
+    @pytest.mark.parametrize("damage,error,message", [
+        ("a", TypeError, "sites[3].x must be a number, not 'a'"),
+        (True, TypeError, "sites[3].x must be a number, not True"),
+        (float("nan"), ValueError, "sites[3].x must be finite, not nan"),
+        (10**400, OverflowError, "sites[3].x is too large for a float"),
+    ])
+    def test_failure_names_first_bad_record(self, damage, error, message):
+        sites = [{"x": float(i), "y": 0.0, "z": 0.0, "score": 0.5,
+                  "frame_id": 0, "timestamp": 0.0} for i in range(6)]
+        sites[3]["x"] = sites[5]["x"] = damage
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SiteRegistry.from_json_obj({"dedup_radius_m": 0.5,
+                                        "sites": sites})
+
+    def test_missing_key_and_non_dict_record_named(self):
+        site = {"x": 0.0, "y": 0.0, "z": 0.0, "score": 0.5, "frame_id": 0,
+                "timestamp": 0.0}
+        missing = [dict(site), {k: v for k, v in site.items() if k != "z"}]
+        with pytest.raises(KeyError, match=r"sites\[1\]\.z"):
+            SiteRegistry.from_json_obj({"dedup_radius_m": 0.5,
+                                        "sites": missing})
+        with pytest.raises(TypeError, match=r"^sites\[1\] must be an object"):
+            SiteRegistry.from_json_obj({"dedup_radius_m": 0.5,
+                                        "sites": [site, [0.0, 0.0, 0.0]]})
+
+    def test_huge_frame_id_round_trips_byte_for_byte(self, tmp_path):
+        obj = {"dedup_radius_m": 0.5, "sites": [
+            {"x": 0.1, "y": -0.0, "z": 5e-324, "score": 0.75,
+             "frame_id": 2**70, "timestamp": 1.5},
+            {"x": 3.0, "y": 1e150, "z": 2.0, "score": 0.5,
+             "frame_id": -2**70, "timestamp": 0.0}]}
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        (tmp_path / "in.json").write_text(text)
+        reg = SiteRegistry.load(tmp_path / "in.json")
+        assert [s.frame_id for s in reg.sites] == [2**70, -2**70]
+        assert len(cluster_sites(reg, 0.5, 0.01)) == 2
+        reg.save(tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_text() == text
+        assert reg.to_json_obj() == obj

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps package functions by name and reads work
 counts off their arguments and results. A renamed function or a changed
 signature silently zeroes a per-layer metric in traced benchmark runs;
-this test runs one small frame and clusters its sites under the tracer so
-it fails instead.
+these tests run one small frame and clusters its sites, then one
+``landsite cluster`` job on a saved snapshot, under the tracer so they
+fail instead.
 """
 
 import importlib.util
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from landsite import pipeline, registry
+from landsite import cli, pipeline, registry
 from landsite.config import get_profile
 from landsite.geometry import CameraIntrinsics, DepthFrame, camera_pose
 
@@ -67,3 +68,26 @@ def test_spans_attach_and_count():
     assert counts["registry.insert"]["offered"] > 0
     assert counts["registry.insert"]["accepted"] == len(sites) > 0
     assert len(clusters) > 0
+
+
+def test_cluster_job_spans_attach(tmp_path, capsys):
+    config = get_profile("sim")
+    sites = registry.SiteRegistry(config.dedup_radius_m)
+    sites.insert_positions(np.array([(0.0, 0.0, 0.0), (3.0, 0.0, 0.0)]),
+                           np.array([0.9, 0.8]), 0, 0.0)
+    sites.save(tmp_path / "sites.json")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["cluster", "--sites", str(tmp_path / "sites.json"),
+                         "--profile", "sim", "--out", str(tmp_path / "c.json")])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0, capsys.readouterr().err
+    assert set(tracer.missing) <= KNOWN_MISSING, tracer.missing
+    names = [span[0] for span in tracer.spans]
+    assert names.count("registry.load") == 1, names
+    assert names.count("registry.cluster") == 1, names
+    assert names.count("pipeline.write") == 1, names
+    assert (tmp_path / "c.json").exists()
