@@ -44,7 +44,13 @@ from .pipeline import (
     run_pipeline,
     write_frame_stream,
 )
-from .registry import ClusterSite, LandingSite, SiteRegistry, cluster_sites
+from .registry import (
+    Clusters,
+    ClusterSite,
+    LandingSite,
+    SiteRegistry,
+    cluster_sites,
+)
 from .scene_synth import (
     Box,
     GroundPlane,
@@ -62,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryMap", "Box", "CameraIntrinsics", "Candidates", "ClusterSite",
-    "ConfigError", "Costmap", "DepthFrame", "FrameMaps",
+    "Clusters", "ConfigError", "Costmap", "DepthFrame", "FrameMaps",
     "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER", "LandingSite", "NormalMap", "PROFILES",
     "PipelineConfig", "PipelineResult", "Pose", "SceneSpec", "SiteRegistry",

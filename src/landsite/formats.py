@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import re
 
 import numpy as np
 
@@ -226,28 +225,6 @@ def write_pfm(path, values: np.ndarray) -> None:
         f.write(np.flipud(a).astype("<f4").tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM into a uint8 (H, W) array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    fields = []
-    for m in re.finditer(rb"#[^\n]*|\S+", data):  # '#' starts a comment
-        if not m[0].startswith(b"#"):
-            fields.append(m)
-            if len(fields) == 4:
-                break
-    if not fields or fields[0][0] != b"P5":
-        raise OSError(f"{path}: not a binary PGM file")
-    with malformed(path, "PGM file"):
-        width, height, maxval = (int(m[0]) for m in fields[1:])
-        if maxval != 255:
-            raise OSError(f"{path}: only 8-bit PGM supported")
-        payload = data[fields[-1].end() + 1:]  # one whitespace after maxval
-        pixels = np.frombuffer(payload, np.uint8,
-                               count=_pixels(width, height, 1, payload))
-    return pixels.reshape(height, width).copy()
-
-
 def _pixels(width: int, height: int, pixel_bytes: int, payload: bytes) -> int:
     """Pixel count a raster header declares; ValueError unless both sides
     are >= 1 and ``payload`` holds every pixel."""
@@ -279,14 +256,6 @@ def write_values_pfm(path, values: np.ndarray, valid: np.ndarray) -> None:
     out = np.asarray(values, dtype=np.float32).copy()
     out[~np.asarray(valid, dtype=bool)] = np.nan
     write_pfm(path, out)
-
-
-def read_values_pfm(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`write_values_pfm`: returns (values, valid)."""
-    raw = read_pfm(path)
-    valid = np.isfinite(raw)
-    values = np.where(valid, raw, 0.0)
-    return values, valid
 
 
 def preview_u8(values: np.ndarray, valid: np.ndarray) -> np.ndarray:

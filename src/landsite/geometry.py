@@ -97,10 +97,6 @@ class Pose:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_quaternion(cls, qw: float, qx: float, qy: float, qz: float,
                         translation) -> "Pose":
         """Build a pose from a (w, x, y, z) quaternion, normalizing it first."""

@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .detection import Candidates, dense_candidates, world_positions
 from .geometry import DepthFrame, load_intrinsics, load_pose_records, \
     save_intrinsics, save_pose_records
-from .registry import SiteRegistry, cluster_sites
+from .registry import Clusters, SiteRegistry, cluster_fields, cluster_sites
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ class FrameResult:
 class PipelineResult:
     frames: list[FrameResult] = field(default_factory=list)
     registry: SiteRegistry | None = None
-    clusters: list = field(default_factory=list)
+    clusters: Clusters = field(default_factory=lambda: Clusters([], [], []))
     frames_failed: int = 0
     frames_empty: int = 0
     cluster_ms: float = 0.0  # the one cluster_sites call, at the end
@@ -219,17 +219,11 @@ def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
                                          c.flat_radius_px.tolist()))
 
 
-def write_clusters_json(path, clusters) -> None:
-    """Write ``clusters.json``, byte for byte ``write_json`` of each
-    cluster's ``to_json_obj()``, column by column."""
-    centroids = np.array([c.centroid for c in clusters],
-                         dtype=np.float64).reshape(-1, 3)
-    formats.write_records_json(path, {}, "clusters", {
-        "cx": centroids[:, 0], "cy": centroids[:, 1], "cz": centroids[:, 2],
-        "mean_score": np.array([c.mean_score for c in clusters],
-                               dtype=np.float64),
-        "members": np.array([c.member_count for c in clusters],
-                            dtype=np.int64)})
+def write_clusters_json(path, clusters: Clusters) -> None:
+    """Write ``clusters.json`` from the columns, byte for byte ``write_json``
+    of each ``ClusterSite.to_json_obj()``."""
+    formats.write_records_json(path, {}, "clusters", cluster_fields(
+        clusters.centroids, clusters.mean_score, clusters.members))
 
 
 def write_outputs(out_dir, result: PipelineResult) -> None:

@@ -17,7 +17,11 @@ pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
 within the z threshold (a config switch makes the distance criterion
 fully 3-D instead). Clusters of equal size are summarised together, one
-array reduction per size, and ranked by one ``lexsort``.
+array reduction per size, and ranked by one ``lexsort``. The result is a
+``Clusters``, read-only columns in rank order (centroids, mean scores,
+member counts) from which ``clusters.json`` is written directly;
+``ClusterSite`` records are built only on request, by iterating it, and
+``cluster_fields`` names the record fields for both.
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
@@ -74,10 +78,49 @@ class ClusterSite:
     member_count: int
 
     def to_json_obj(self) -> dict:
-        return {"cx": float(self.centroid[0]), "cy": float(self.centroid[1]),
-                "cz": float(self.centroid[2]),
-                "mean_score": float(self.mean_score),
-                "members": int(self.member_count)}
+        fields = cluster_fields(np.asarray(self.centroid, dtype=np.float64),
+                                np.float64(self.mean_score),
+                                np.int64(self.member_count))
+        return {k: v.item() for k, v in fields.items()}
+
+
+def cluster_fields(centroids, mean_score, members) -> dict:
+    """The ``clusters.json`` record fields, in key order, from ``Clusters``
+    columns or from one cluster's values; the one place they are named."""
+    return {"cx": centroids[..., 0], "cy": centroids[..., 1],
+            "cz": centroids[..., 2], "mean_score": mean_score,
+            "members": members}
+
+
+@dataclass(frozen=True, eq=False)
+class Clusters:
+    """Ranked cluster summaries, one read-only column per field.
+
+    Row i of ``centroids`` (k, 3), ``mean_score`` (k,) and ``members`` (k,)
+    describes the i-th ranked cluster. The columns are copied on
+    construction, so nothing a caller holds can change them. Iterating
+    builds one ``ClusterSite`` per row, in rank order.
+    """
+
+    centroids: np.ndarray
+    mean_score: np.ndarray
+    members: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype, shape in (("centroids", np.float64, (-1, 3)),
+                                   ("mean_score", np.float64, (-1,)),
+                                   ("members", np.int64, (-1,))):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            # a view of a read-only array cannot be made writeable again
+            object.__setattr__(self, name, column.reshape(shape))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self):
+        return map(ClusterSite, self.centroids, self.mean_score.tolist(),
+                   self.members.tolist())
 
 
 class SiteRegistry:
@@ -284,38 +327,45 @@ def _d2(points: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
-                  metric: str = "xy") -> list[ClusterSite]:
+                  metric: str = "xy") -> Clusters:
     """Single-linkage clusters of the registry under the dual threshold.
 
     Clusters are the connected components of the linkability graph, so the
-    partition is independent of site ordering. Output is sorted by mean
+    partition is independent of site ordering. Rows are ranked by mean
     score descending, ties by member count descending, then centroid
-    lexicographic.
+    lexicographic; an empty registry gives an empty ``Clusters``.
+
+    Linking and averaging run on the stored positions, where a difference
+    or a sum may overflow to inf, without a warning: an inf difference
+    fails its threshold, so such sites do not link, and an inf summary is
+    refused by the JSON writers.
     """
     if not (dist_th > 0 and z_th > 0):
         raise ValueError("clustering thresholds must be positive")
     if metric not in ("xy", "xyz"):
         raise ValueError(f"unknown cluster metric {metric!r}")
     n = len(registry)
-    if n == 0:
-        return []
     pos = registry.positions()
     scores = registry._score[:n]
 
     # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
-    # tree only prefilters (radius widened past rounding), the canonical
-    # arithmetic below decides.
-    reach = np.sqrt(dist_th * dist_th + z_th * z_th) * (1 + 1e-9)
-    pairs = cKDTree(pos).query_pairs(reach, output_type="ndarray")
+    # tree only prefilters (radius widened past rounding, and floored where
+    # a square would lose its relative precision), the canonical arithmetic
+    # below decides. It sees the positions clipped to +-1e153: clipping
+    # moves no two sites apart, and no squared span can overflow.
+    reach = max(math.hypot(dist_th, z_th), 1e-150) * (1 + 1e-9)
+    pairs = cKDTree(np.clip(pos, -1e153, 1e153)).query_pairs(
+        reach, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    dx = pos[i, 0] - pos[j, 0]
-    dy = pos[i, 1] - pos[j, 1]
-    dz = pos[i, 2] - pos[j, 2]
-    xy2 = dx * dx + dy * dy
-    if metric == "xy":
-        link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
-    else:
-        link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+    with np.errstate(over="ignore"):
+        dx = pos[i, 0] - pos[j, 0]
+        dy = pos[i, 1] - pos[j, 1]
+        dz = pos[i, 2] - pos[j, 2]
+        xy2 = dx * dx + dy * dy
+        if metric == "xy":
+            link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+        else:
+            link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
     graph = coo_matrix((np.ones(int(link.sum()), dtype=bool),
                         (i[link], j[link])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
@@ -332,15 +382,10 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     for size in np.unique(counts).tolist():
         groups = np.flatnonzero(counts == size)
         members = order[starts[groups][:, None] + np.arange(size)]
-        centroids[groups] = pos[members].mean(axis=1)
-        mean_scores[groups] = scores[members].mean(axis=1)
+        with np.errstate(over="ignore"):
+            centroids[groups] = pos[members].mean(axis=1)
+            mean_scores[groups] = scores[members].mean(axis=1)
     # lexsort is stable: clusters that tie on every key keep label order.
     rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
                        -counts, -mean_scores))
-    # Every ClusterSite.centroid is a row view of this one array, so it is
-    # read-only like LandingSite.position: no caller can rewrite a summary.
-    ranked = centroids[rank]
-    ranked.flags.writeable = False
-    return [ClusterSite(centroid=c, mean_score=s, member_count=m)
-            for c, s, m in zip(ranked, mean_scores[rank].tolist(),
-                               counts[rank].tolist())]
+    return Clusters(centroids[rank], mean_scores[rank], counts[rank])

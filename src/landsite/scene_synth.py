@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import integer, number, numbers, read_json, write_json
+from .formats import integer, number, numbers, read_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
     rotation_x, rotation_z
 
@@ -255,17 +255,6 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
                               safe_mask=safe_mask)
 
 
-def edge_mask_from_prim_ids(truth: GroundTruth) -> np.ndarray:
-    """Pixels 4-adjacent to a different primitive id (or to invalid space)."""
-    pid = truth.prim_id
-    mask = np.zeros(pid.shape, dtype=bool)
-    mask[:, :-1] |= pid[:, :-1] != pid[:, 1:]
-    mask[:, 1:] |= pid[:, 1:] != pid[:, :-1]
-    mask[:-1, :] |= pid[:-1, :] != pid[1:, :]
-    mask[1:, :] |= pid[1:, :] != pid[:-1, :]
-    return mask
-
-
 # --- canonical scene set -----------------------------------------------------
 
 FLAT_PAD = "FLAT_PAD"
@@ -412,10 +401,6 @@ def scene_from_json_obj(obj: dict) -> SceneSpec:
     return SceneSpec(primitives=tuple(prims),
                      noise_sigma=number(obj, "noise_sigma_m", 0.0),
                      seed=integer(obj, "seed", 0))
-
-
-def save_scene(path, scene: SceneSpec) -> None:
-    write_json(path, scene_to_json_obj(scene))
 
 
 def load_scene(path) -> SceneSpec:

@@ -31,7 +31,8 @@ def make_frame(intrinsics_small):
         valid = np.isfinite(d) & (d > 0)
         return DepthFrame(depth=np.where(valid, d, 0.0), valid=valid,
                           intrinsics=intr,
-                          pose_world_from_camera=pose or Pose.identity(),
+                          pose_world_from_camera=(
+                              pose or Pose(np.eye(3), np.zeros(3))),
                           frame_id=frame_id, timestamp=timestamp)
 
     return _make

@@ -3,8 +3,10 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, linear scans, O(N^2) pair checks) and shares no code with the
 package under test; the snapshot reader only fills its plain
-``LandingSite`` records. The Canny reference follows the documented detector
-conventions tap for tap so the comparison is exact.
+``LandingSite`` records. ``edge_mask_from_prim_ids`` derives the edge
+ground truth from a render's primitive ids. The Canny reference follows
+the documented detector conventions tap for tap so the comparison is
+exact.
 """
 
 from __future__ import annotations
@@ -249,6 +251,18 @@ def json_dumps_candidates_jsonl(frame_results) -> str:
                    "flat_radius_px": float(c.flat_radius_px[i])}
             lines.append(json.dumps(obj) + "\n")
     return "".join(lines)
+
+
+def edge_mask_from_prim_ids(truth) -> np.ndarray:
+    """Pixels of a render's ground truth 4-adjacent to a different
+    primitive id (or to invalid space)."""
+    pid = truth.prim_id
+    mask = np.zeros(pid.shape, dtype=bool)
+    mask[:, :-1] |= pid[:, :-1] != pid[:, 1:]
+    mask[:, 1:] |= pid[:, 1:] != pid[:, :-1]
+    mask[:-1, :] |= pid[:-1, :] != pid[1:, :]
+    mask[1:, :] |= pid[1:, :] != pid[:-1, :]
+    return mask
 
 
 def linear_scan_nearest(points, query):

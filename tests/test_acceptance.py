@@ -50,6 +50,7 @@ from landsite.registry import SiteRegistry, cluster_sites
 from oracles import (
     brute_force_partition,
     brute_force_squared_edt,
+    edge_mask_from_prim_ids,
     linear_scan_nearest,
     sequential_dedup_vectorized,
 )
@@ -154,9 +155,9 @@ def test_criterion_5_canonical_scene_end_to_end():
     # FLAT_PAD: best cluster on the pad
     frame, _ = _render("FLAT_PAD")
     result = run_pipeline(SIM, [frame])
-    assert result.clusters, "FLAT_PAD produced no clusters"
-    top = result.clusters[0]
-    pad_dist = float(np.hypot(top.centroid[0], top.centroid[1]))
+    assert len(result.clusters), "FLAT_PAD produced no clusters"
+    top = result.clusters.centroids[0]
+    pad_dist = float(np.hypot(top[0], top[1]))
     assert pad_dist < 0.5
 
     # STEEP_WALL and TREE: nothing registered
@@ -172,7 +173,7 @@ def test_criterion_5_canonical_scene_end_to_end():
     maps = evaluate_costmaps(SIM, frame)
     cands = dense_candidates(maps.decision, maps.flatness_raw, frame, SIM)
     assert len(cands) > 0, "ROOF_EDGE produced no candidates"
-    edge_mask = ss.edge_mask_from_prim_ids(truth)
+    edge_mask = edge_mask_from_prim_ids(truth)
     edge_dist = np.sqrt(
         squared_distance_transform(edge_mask.astype(np.uint8)).astype(float))
     worst_cross = max(0.0, float(np.max(
@@ -197,7 +198,8 @@ def test_criterion_6_clustering_and_dedup_oracles():
             groups.setdefault(lab, []).append(i)
         expect = sorted((tuple(positions[np.array(g)].mean(axis=0)), len(g))
                         for g in groups.values())
-        got = sorted((tuple(c.centroid), c.member_count) for c in clusters)
+        got = sorted(zip(map(tuple, clusters.centroids.tolist()),
+                         clusters.members.tolist()))
         assert got == expect, f"partition mismatch on seed {seed}"
 
     # dedup vs linear-scan reference over 10,000 insertions, 10 batches

@@ -68,7 +68,7 @@ class TestFlatness:
     def test_uniform_plane_center_value(self, intrinsics_vga):
         depth = np.full((480, 640), 5.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intrinsics_vga,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         flat = distance_transform(canny_edges(frame, 0.05, 0.2))
         # no interior edges: nearest site is the virtual border ring
         assert flat.values.max() == 240.0
@@ -241,7 +241,7 @@ class TestEnergy:
                                 height=48)
         depth = np.full((48, 128), 4.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         assert energy_map(frame).values[24, 92] == pytest.approx(5.0)
 
     def test_three_four_five_world_point(self):

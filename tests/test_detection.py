@@ -17,7 +17,7 @@ from landsite.pipeline import detect_frame, evaluate_costmaps
 from landsite.registry import SiteRegistry
 from landsite.config import get_profile
 
-from oracles import brute_force_squared_edt
+from oracles import brute_force_squared_edt, edge_mask_from_prim_ids
 
 SIM = get_profile("sim")
 
@@ -113,7 +113,7 @@ class TestPadSceneFootprint:
         assert np.array_equal(cands.xs, footprint_only.xs)
         assert np.array_equal(cands.ys, footprint_only.ys)
 
-        transitions = ss.edge_mask_from_prim_ids(truth)
+        transitions = edge_mask_from_prim_ids(truth)
         gt_dist = np.sqrt(
             brute_force_squared_edt(transitions.astype(np.uint8)).astype(float))
         required = project_uav_radius(config.uav_radius_m, frame.depth, intr)
@@ -190,7 +190,7 @@ class TestCandidatesToWorld:
                                 height=48)
         depth = np.full((48, 64), 4.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         world = world_positions(candidates_at(frame, [(32, 24)]), frame)
         assert np.allclose(world[0], [0, 0, 4.0])
 

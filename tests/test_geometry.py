@@ -93,7 +93,7 @@ class TestBackprojection:
         intr = CameraIntrinsics(fx=80, fy=80, cx=32, cy=24, width=64, height=48)
         depth = np.full((48, 64), 2.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         pts, _ = backproject(frame)
         assert np.allclose(pts[24, 32], [0.0, 0.0, 2.0])
 
@@ -101,7 +101,7 @@ class TestBackprojection:
         intr = CameraIntrinsics(fx=10, fy=10, cx=8, cy=8, width=32, height=32)
         depth = np.ones((32, 32))
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         pts, _ = backproject(frame)
         # pixel at cx + fx with depth 1 backprojects to x = z = 1
         assert np.allclose(pts[8, 18], [1.0, 0.0, 1.0])
@@ -128,7 +128,7 @@ class TestBackprojection:
 class TestTransformPoints:
     def test_identity(self):
         pts = np.array([[1.0, 2.0, 3.0]])
-        assert np.allclose(Pose.identity().apply(pts), pts)
+        assert np.allclose(Pose(np.eye(3), np.zeros(3)).apply(pts), pts)
 
     def test_pure_translation(self):
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 5.0]))
@@ -179,7 +179,7 @@ class TestPixelToWorld:
         intr = CameraIntrinsics(fx=80, fy=80, cx=32, cy=24, width=64, height=48)
         depth = np.full((48, 64), 3.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
-                           Pose.identity())
+                           Pose(np.eye(3), np.zeros(3)))
         world = world_positions(candidates_at(frame, [(32, 24)]), frame)
         assert np.allclose(world[0], [0, 0, 3.0])
 
@@ -218,14 +218,16 @@ class TestDepthFrame:
         valid = np.ones((48, 64), bool)
         valid[3, 4] = False
         depth[3, 4] = 123.0  # garbage that must not survive
-        frame = DepthFrame(depth, valid, intrinsics_small, Pose.identity())
+        frame = DepthFrame(depth, valid, intrinsics_small,
+                           Pose(np.eye(3), np.zeros(3)))
         assert frame.depth[3, 4] == 0.0
 
     def test_rejects_nonpositive_valid_depth(self, intrinsics_small):
         depth = np.zeros((48, 64))
         valid = np.ones((48, 64), bool)
         with pytest.raises(ValueError):
-            DepthFrame(depth, valid, intrinsics_small, Pose.identity())
+            DepthFrame(depth, valid, intrinsics_small,
+                       Pose(np.eye(3), np.zeros(3)))
 
 
 class TestPoseStream:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landsite import scene_synth as ss
@@ -16,7 +16,7 @@ from landsite.cli import main as cli_main
 from landsite.config import PROFILES, PipelineConfig, get_profile
 from landsite.detection import Candidates
 from landsite.errors import ConfigError
-from landsite.formats import read_values_pfm, write_pfm
+from landsite.formats import read_pfm, write_json, write_pfm
 from landsite.geometry import (CameraIntrinsics, DepthFrame, camera_pose,
                                project_uav_radius)
 from landsite.registry import SiteRegistry, cluster_sites
@@ -178,7 +178,7 @@ class TestFrameStream:
                                  width=64, height=48)
         depth = np.full((48, 64), 2.0)
         b = DepthFrame(depth, np.ones_like(depth, bool), small,
-                       Pose.identity(), frame_id=1)
+                       Pose(np.eye(3), np.zeros(3)), frame_id=1)
         with pytest.raises(ValueError):
             write_frame_stream(tmp_path / "s", [a, b])
 
@@ -189,22 +189,23 @@ class TestRunPipeline:
         result = run_pipeline(get_profile("sim"), [frame])
         assert len(result.registry) > 0
         assert len(result.clusters) > 0
-        top = result.clusters[0]
-        assert np.hypot(top.centroid[0], top.centroid[1]) < 0.5
-        assert abs(top.centroid[2] - 0.8) < 0.02
+        top = result.clusters.centroids[0]
+        assert np.hypot(top[0], top[1]) < 0.5
+        assert abs(top[2] - 0.8) < 0.02
 
     def test_steep_wall_finds_nothing(self):
         frame = render_canonical("STEEP_WALL")
         result = run_pipeline(get_profile("sim"), [frame])
         assert len(result.registry) == 0
-        assert result.clusters == []
+        assert len(result.clusters) == 0
+        assert result.clusters.centroids.shape == (0, 3)
 
     def test_real_profile_behaves_on_canonical_scenes(self):
         real = get_profile("real")
         pad = run_pipeline(real, [render_canonical("FLAT_PAD")])
         assert len(pad.registry) > 0
-        top = pad.clusters[0]
-        assert np.hypot(top.centroid[0], top.centroid[1]) < 0.5
+        top = pad.clusters.centroids[0]
+        assert np.hypot(top[0], top[1]) < 0.5
         wall = run_pipeline(real, [render_canonical("STEEP_WALL")])
         assert len(wall.registry) == 0
 
@@ -218,15 +219,16 @@ class TestRunPipeline:
     def test_scores_sorted_descending(self):
         frame = render_canonical("RUBBLE")
         result = run_pipeline(get_profile("sim"), [frame])
-        scores = [c.mean_score for c in result.clusters]
-        assert scores == sorted(scores, reverse=True)
+        scores = result.clusters.mean_score.tolist()
+        assert len(scores) > 1 and scores == sorted(scores, reverse=True)
 
     def test_dumped_maps_reproduce_decisions(self, tmp_path):
         frame = render_canonical("RUBBLE")
         config = get_profile("sim")
         result = run_pipeline(config, [frame], dump_dir=tmp_path / "maps")
-        decision, dec_valid = read_values_pfm(tmp_path / "maps" / "000000_decision.pfm")
-        flat, flat_valid = read_values_pfm(tmp_path / "maps" / "000000_flatness_raw.pfm")
+        decision = read_pfm(tmp_path / "maps" / "000000_decision.pfm")
+        flat = read_pfm(tmp_path / "maps" / "000000_flatness_raw.pfm")
+        dec_valid, flat_valid = np.isfinite(decision), np.isfinite(flat)
         cands = result.frames[0].candidates
         assert len(cands) > 0
         # dumps are the decision arrays themselves, float32-quantized
@@ -437,7 +439,9 @@ def test_outside_timing_harness_calls():
     assert np.array_equal(reg.nearest(q)[0].position, reg.positions()[0])
     clusters = cluster_sites(reg, config.cluster_dist_m, config.cluster_z_m,
                              config.cluster_metric)
-    assert sum(c.member_count for c in clusters) == len(reg)
+    assert clusters.members.sum() == len(reg)
+    records = [c.to_json_obj() for c in clusters]
+    assert len(records) == len(clusters) > 0
 
 
 # Arbitrary JSON values for the snapshot fuzz test: huge and non-finite
@@ -476,6 +480,11 @@ STREAM_DAMAGE = {
 # overflows float range.
 OVERFLOW_X_SITES = json.dumps([dict(VALID_SITE, x=1.7e308)] * 2)
 OVERFLOW_SCORE_SITES = json.dumps([dict(VALID_SITE, score=1.7e308)] * 2)
+
+# Two sites whose y difference, squared, overflows float range: they do
+# not link, and clustering them must not overflow either.
+FAR_APART_SITES = [dict(VALID_SITE, x=3.0, y=1.7e308, z=2.0),
+                   dict(VALID_SITE, x=0.1)]
 
 # Raw JSON text put in place of one field of a scene or config file.
 USER_FILE_DAMAGE = {
@@ -573,8 +582,7 @@ class TestCli:
         out = tmp_path / "maps"
         assert cli_main(["costmap", "--in", str(tmp_path / "s"), "--config",
                          str(config), "--out", str(out)]) == 0
-        _, steep_valid = read_values_pfm(out / "000000_steepness.pfm")
-        assert not steep_valid.any()
+        assert not np.isfinite(read_pfm(out / "000000_steepness.pfm")).any()
         assert cli_main(["detect", "--in", str(tmp_path / "s"), "--config",
                          str(config), "--out", str(tmp_path / "o")]) == 0
         assert "(failed: 0)" in capsys.readouterr().out
@@ -586,9 +594,8 @@ class TestCli:
                          "--ground-truth", "--seed", "3"]) == 0
         assert (stream / "ground_truth" / "000001_safe_mask.pgm").exists()
         assert (stream / "ground_truth" / "000000_prim_id.pgm").exists()
-        nx, nx_valid = read_values_pfm(
-            stream / "ground_truth" / "000000_normal_x.pfm")
-        assert nx_valid.any()
+        assert np.isfinite(read_pfm(
+            stream / "ground_truth" / "000000_normal_x.pfm")).any()
         frames = list(read_frame_stream(stream, 0.05, 20.0))
         assert len(frames) == 2
         # per-frame noise differs but stays seed-determined
@@ -596,7 +603,8 @@ class TestCli:
 
     def test_synth_scene_file(self, tmp_path):
         scene_path = tmp_path / "scene.json"
-        ss.save_scene(scene_path, ss.canonical_scenes()["FLAT_PAD"])
+        write_json(scene_path,
+                   ss.scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"]))
         stream = tmp_path / "custom_scene"
         assert cli_main(["synth", "--scene-file", str(scene_path), "--out",
                          str(stream)]) == 0
@@ -724,6 +732,7 @@ class TestCli:
            sites=st.lists(st.fixed_dictionaries(
                {k: st.one_of(st.just(v), JSON_VALUES)
                 for k, v in VALID_SITE.items()}), max_size=3))
+    @example(radius=0.5, sites=FAR_APART_SITES)
     @settings(max_examples=200, deadline=None)
     def test_fuzzed_registry_snapshot_exits_0_or_2(self, radius, sites):
         with tempfile.TemporaryDirectory() as tmp:
@@ -738,6 +747,42 @@ class TestCli:
         assert code in (0, 2)
         assert err.getvalue().count("\n") <= 1
         assert "Traceback" not in err.getvalue()
+
+    def test_far_apart_snapshot_clusters(self, tmp_path, capsys):
+        path = tmp_path / "sites.json"
+        write_json(path, {"dedup_radius_m": 0.5, "sites": FAR_APART_SITES})
+        capsys.readouterr()
+        assert cli_main(["cluster", "--sites", str(path), "--profile", "sim",
+                         "--out", str(tmp_path / "c.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "2 sites -> 2 clusters\n"
+        clusters = json.loads((tmp_path / "c.json").read_text())["clusters"]
+        assert sorted((c["cx"], c["cy"], c["members"]) for c in clusters) == \
+            [(0.1, 0.0, 1), (3.0, 1.7e308, 1)]
+
+    def test_far_apart_frames_detect(self, tmp_path, capsys):
+        # frames +-1.7e308 m apart along x: every cross-frame difference
+        # overflows, so no site of one frame links to one of the other
+        intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=15.5, cy=11.5,
+                                width=32, height=24)
+        depth = np.full((24, 32), 4.0)
+        write_frame_stream(tmp_path / "s", [
+            DepthFrame(depth, np.ones_like(depth, bool), intr,
+                       camera_pose((tx, 0.0, 4.0)), frame_id=i)
+            for i, tx in enumerate((1.7e308, -1.7e308))])
+        capsys.readouterr()
+        assert cli_main(["detect", "--in", str(tmp_path / "s"), "--profile",
+                         "sim", "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        sites = json.loads((tmp_path / "o" / "sites.json").read_text())
+        clusters = json.loads((tmp_path / "o" / "clusters.json").read_text())
+        xs = {s["x"] for s in sites["sites"]}
+        assert xs == {1.7e308, -1.7e308}
+        assert f"clusters: {len(clusters['clusters'])}" in captured.out
+        assert sum(c["members"] for c in clusters["clusters"]) == \
+            len(sites["sites"])
 
     @pytest.mark.parametrize("case,code", [
         ("spacing_nan", 1), ("height_inf", 1), ("negative_noise", 1),

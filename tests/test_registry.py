@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landsite.formats import PARSE_FAILURES
+from landsite.formats import PARSE_FAILURES, write_json
 from landsite.pipeline import write_clusters_json
-from landsite.registry import SiteRegistry, cluster_sites
+from landsite.registry import Clusters, SiteRegistry, cluster_sites
 
 from oracles import (
     brute_force_partition,
@@ -45,7 +49,7 @@ def assert_brute_force_partition(positions, scores, dist_th, z_th, metric):
     clusters = cluster_sites(registry_with(positions, scores), dist_th, z_th,
                              metric=metric)
     labels = brute_force_partition(positions, dist_th, z_th, metric=metric)
-    assert sum(c.member_count for c in clusters) == len(positions)
+    assert clusters.members.sum() == len(positions)
     groups: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         groups.setdefault(lab, []).append(i)
@@ -53,8 +57,8 @@ def assert_brute_force_partition(positions, scores, dist_th, z_th, metric):
         (tuple(positions[idx].mean(axis=0)), float(scores[idx].mean()),
          len(idx))
         for idx in (np.array(g) for g in groups.values()))
-    got = sorted((tuple(c.centroid), c.mean_score, c.member_count)
-                 for c in clusters)
+    got = sorted(zip(map(tuple, clusters.centroids.tolist()),
+                     clusters.mean_score.tolist(), clusters.members.tolist()))
     assert got == expect
 
 
@@ -279,22 +283,44 @@ class TestClustering:
         reg = registry_with([(0, 0, 0), (0.3, 0, 0.005)])
         clusters = cluster_sites(reg, 0.5, 0.01)
         assert len(clusters) == 1
-        assert np.allclose(clusters[0].centroid, [0.15, 0, 0.0025])
-        assert clusters[0].member_count == 2
+        assert np.allclose(clusters.centroids, [(0.15, 0, 0.0025)])
+        assert clusters.members.tolist() == [2]
 
     def test_centroids_are_read_only(self, tmp_path):
+        # every column, and every record built from them, so no caller can
+        # make a record disagree with clusters.json
         clusters = cluster_sites(registry_with([(0, 0, 0), (5, 0, 0)]),
                                  0.5, 0.01)
         before = [c.to_json_obj() for c in clusters]
+        for name in ("centroids", "mean_score", "members"):
+            column = getattr(clusters, name)
+            with pytest.raises(ValueError):
+                column[0] = 99
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(clusters, name, column.copy())
         for c in clusters:
             with pytest.raises(ValueError):
                 c.centroid[0] = 99.0
             with pytest.raises(ValueError):
                 c.centroid.flags.writeable = True
+            for name in ("centroid", "mean_score", "member_count"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(c, name, 99)
         assert [c.to_json_obj() for c in clusters] == before
         write_clusters_json(tmp_path / "c.json", clusters)
         assert json.loads((tmp_path / "c.json").read_text()) == \
             {"clusters": before}
+
+    def test_columns_are_copied_in(self):
+        centroids = np.array([(1.0, 2.0, 3.0)])
+        scores, members = np.array([0.5]), np.array([4])
+        clusters = Clusters(centroids, scores, members)
+        centroids[0, 0] = scores[0] = members[0] = 9
+        assert clusters.centroids.tolist() == [[1.0, 2.0, 3.0]]
+        assert clusters.mean_score.tolist() == [0.5]
+        assert clusters.members.tolist() == [4]
 
     def test_z_criterion_splits(self):
         reg = registry_with([(0, 0, 0), (0.3, 0, 0.02)])
@@ -355,22 +381,24 @@ class TestClustering:
         base = cluster_sites(registry_with(positions, scores), 0.6, 0.4)
         permuted = cluster_sites(
             registry_with(positions[order], scores[np.array(order)]), 0.6, 0.4)
-        key = lambda c: (round(c.mean_score, 12), c.member_count,
-                         tuple(np.round(c.centroid, 12)))
-        assert sorted(map(key, base)) == sorted(map(key, permuted))
+        def keys(clusters):
+            return sorted(zip(np.round(clusters.mean_score, 12).tolist(),
+                              clusters.members.tolist(),
+                              map(tuple, np.round(clusters.centroids,
+                                                  12).tolist())))
+        assert keys(base) == keys(permuted)
 
     def test_singleton_centroid_is_exact(self):
         reg = registry_with([(1.25, -3.5, 0.75)])
         clusters = cluster_sites(reg, 0.5, 0.01)
-        assert np.array_equal(clusters[0].centroid,
-                              np.array([1.25, -3.5, 0.75]))
-        assert clusters[0].member_count == 1
+        assert np.array_equal(clusters.centroids, [(1.25, -3.5, 0.75)])
+        assert clusters.members.tolist() == [1]
 
     def test_total_membership_equals_registry_size(self):
         rng = np.random.default_rng(60)
         reg = registry_with(rng.uniform(-2, 2, (120, 3)))
         clusters = cluster_sites(reg, 0.5, 0.2)
-        assert sum(c.member_count for c in clusters) == len(reg)
+        assert clusters.members.sum() == len(reg)
 
     def test_sorted_by_score_then_size_then_centroid(self):
         # cluster A: two sites, mean score 0.9; B: one site, 0.9; C: 0.5
@@ -378,9 +406,55 @@ class TestClustering:
                              (5.0, 5.0, 0.0), (-5.0, -5.0, 0.0)],
                             [0.8, 1.0, 0.9, 0.5])
         clusters = cluster_sites(reg, 0.5, 0.1)
-        assert [c.mean_score for c in clusters] == [0.9, 0.9, 0.5]
-        assert clusters[0].member_count == 2  # size breaks the tie
-        assert clusters[1].member_count == 1
+        assert clusters.mean_score.tolist() == [0.9, 0.9, 0.5]
+        assert clusters.members.tolist() == [2, 1, 1]  # size breaks the tie
+
+    @pytest.mark.parametrize("th", [1e-170, 1e-160, 1.7793417853750285e-162,
+                                    1e-157, 1e-155])
+    def test_thresholds_whose_squares_underflow(self, th):
+        # th**2 rounds to zero or to a subnormal, so a difference above th
+        # can square to no more than it and link: at th = 1.779e-162 the
+        # last three sites link to the one before them, one from 1.877e-162
+        # away in x
+        positions = np.array([
+            (0.0, 0.0, 0.0), (1e-165, 0.0, 0.0), (0.0, 3e-162, 0.0),
+            (2e-158, 2e-158, 0.0), (1.0, 0.0, 0.0),
+            (4.27341714149893e-163, 8.418575568703179e-163,
+             -8.169478055525212e-163),
+            (-6.694485367934597e-163, -9.897546698458618e-164,
+             -1.9629593071757074e-162),
+            (2.304427981751029e-162, 1.0958967344453445e-162,
+             -2.4109587652340886e-162),
+            (-3.779572715745979e-163, 6.685210892930018e-164,
+             5.581334993874598e-163)])
+        for metric in ("xy", "xyz"):
+            clusters = cluster_sites(
+                registry_with(positions, dedup_radius=1e-300), th, th, metric)
+            labels = brute_force_partition(positions, th, th, metric)
+            assert sorted(clusters.members.tolist()) == \
+                sorted(np.bincount(labels).tolist()), metric
+
+    def test_overflowing_differences_do_not_link(self, tmp_path):
+        # differences (and their squares) past float range fail the
+        # thresholds quietly; sites near the range's edge still link
+        positions = np.array([(3.0, 1.7e308, 2.0), (0.1, 0.0, 0.0),
+                              (-1.7e308, 0.0, 0.0), (8e307, 0.0, 0.0),
+                              (8e307, 0.25, 0.0), (0.0, 0.0, -1.7e308)])
+        scores = np.linspace(0.1, 0.6, len(positions))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for metric in ("xy", "xyz"):
+                assert_brute_force_partition(positions, scores, 0.5, 0.01,
+                                             metric)
+            assert len(cluster_sites(registry_with(positions, scores),
+                                     0.5, 0.01)) == 5
+            # a linked pair whose x sum overflows gets an inf centroid,
+            # also quietly, and the writer refuses it
+            clusters = cluster_sites(registry_with(
+                [(1.7e308, 0.0, 0.0), (1.7e308, 0.25, 0.0)]), 0.5, 0.01)
+        assert clusters.centroids[:, 0].tolist() == [np.inf]
+        with pytest.raises(OSError, match="non-finite cx"):
+            write_clusters_json(tmp_path / "c.json", clusters)
 
     def test_rejects_bad_thresholds(self):
         reg = registry_with([(0, 0, 0)])
@@ -390,7 +464,10 @@ class TestClustering:
             cluster_sites(reg, 0.5, 0.1, metric="polar")
 
     def test_empty_registry_clusters_to_nothing(self):
-        assert cluster_sites(SiteRegistry(0.5), 0.5, 0.01) == []
+        clusters = cluster_sites(SiteRegistry(0.5), 0.5, 0.01)
+        assert len(clusters) == 0 and list(clusters) == []
+        assert clusters.centroids.shape == (0, 3)
+        assert clusters.mean_score.shape == clusters.members.shape == (0,)
 
 
 def chained_groups(sizes, signed_zero_groups, seed):
@@ -434,11 +511,12 @@ class TestClusterSummaries:
         expect = loop_cluster_summaries(
             positions, scores,
             brute_force_partition(positions, 0.3, 0.2, metric=metric))
-        assert len(clusters) == len(expect)
-        for c, (centroid, mean_score, members) in zip(clusters, expect):
-            assert c.member_count == members
-            assert np.array_equal(int_bits(c.centroid), int_bits(centroid))
-            assert int_bits(c.mean_score) == int_bits(mean_score)
+        centroids, mean_scores, members = zip(*expect)
+        assert clusters.members.tolist() == list(members)
+        assert np.array_equal(int_bits(clusters.centroids),
+                              int_bits(centroids))
+        assert np.array_equal(int_bits(clusters.mean_score),
+                              int_bits(mean_scores))
 
     @given(GROUP_SIZES, st.sets(st.integers(0, 4)), st.integers(0, 2**32 - 1),
            st.sampled_from(["xy", "xyz"]))
@@ -461,11 +539,42 @@ class TestClusterSummaries:
             clusters = cluster_sites(registry_with(positions, scores),
                                      0.5, 0.01)
             expect = loop_cluster_summaries(positions, scores, [0, 1, 2])
-            assert [c.centroid[1] for c in clusters] == [-5.0, 5.0, 0.0]
-            assert [int_bits(c.mean_score) for c in clusters] == \
-                [int_bits(e[1]) for e in expect]
-            assert [int_bits(c.centroid).tolist() for c in clusters] == \
+            assert clusters.centroids[:, 1].tolist() == [-5.0, 5.0, 0.0]
+            assert int_bits(clusters.mean_score).tolist() == \
+                int_bits([e[1] for e in expect]).tolist()
+            assert int_bits(clusters.centroids).tolist() == \
                 [int_bits(e[0]).tolist() for e in expect]
+
+
+# Lattice coordinates, in steps of 0.25 with signed zeros, give chains and
+# links exactly at the thresholds; a few scores give ranking ties.
+LATTICE = st.sampled_from([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+CLUSTER_SITE = st.tuples(LATTICE | st.floats(-2, 2),
+                         LATTICE | st.floats(-2, 2),
+                         st.sampled_from([0.0, -0.0, 0.005, 0.25])
+                         | st.floats(-0.5, 0.5),
+                         st.sampled_from([0.0, -0.0, 0.5, 0.9])
+                         | st.floats(-1e3, 1e3))
+
+
+class TestClustersJson:
+    @given(st.lists(CLUSTER_SITE, max_size=40),
+           st.sampled_from([0.25, 0.3, 0.5]), st.sampled_from([0.01, 0.25]),
+           st.sampled_from(["xy", "xyz"]))
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_records(self, rows, dist_th, z_th, metric):
+        """clusters.json from the columns equals write_json of the records,
+        the path the benchmark compares against."""
+        rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        reg = SiteRegistry(1e-9)
+        reg.insert_positions(rows[:, :3], rows[:, 3], 0, 0.0)
+        clusters = cluster_sites(reg, dist_th, z_th, metric)
+        with tempfile.TemporaryDirectory() as tmp:
+            columns, records = Path(tmp) / "columns.json", Path(tmp) / "r.json"
+            write_clusters_json(columns, clusters)
+            write_json(records, {"clusters": [c.to_json_obj()
+                                              for c in clusters]})
+            assert columns.read_bytes() == records.read_bytes()
 
 
 class TestSnapshot:
