@@ -69,28 +69,41 @@ class CameraIntrinsics:
         )
 
 
+def rotation_matrix(value) -> np.ndarray:
+    """``value`` as a new float64 3x3 rotation matrix.
+
+    Raises ValueError unless it is 3x3, finite, orthonormal and of
+    determinant +1, the last two checked to ``ROTATION_TOL``.
+    """
+    r = np.array(value, dtype=np.float64)
+    if r.shape != (3, 3):
+        raise ValueError("rotation must be 3x3")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("rotation entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail
+        if not np.max(np.abs(r.T @ r - np.eye(3))) <= ROTATION_TOL:
+            raise ValueError("rotation is not orthonormal")
+    if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
+        raise ValueError("rotation determinant must be +1")
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform mapping camera/body coordinates into the world.
 
-    ``rotation`` must be orthonormal with determinant +1 (checked to
-    1e-9); ``translation`` is the camera position in world coordinates.
+    ``rotation`` must pass ``rotation_matrix``; ``translation`` is the
+    camera position in world coordinates.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=np.float64)
+        r = rotation_matrix(self.rotation)
         t = np.array(self.translation, dtype=np.float64).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
-            raise ValueError("pose entries must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ROTATION_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
-            raise ValueError("rotation determinant must be +1")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("pose translation must be finite")
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)

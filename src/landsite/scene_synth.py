@@ -4,11 +4,26 @@ Scenes are built from four primitive kinds (ground plane, tilted plane,
 box, sphere) and rendered by per-pixel ray casting, which yields depth
 frames plus analytic surface normals, a per-pixel primitive id and a
 safe-landing mask for oracle-style testing. Boxes default to axis
-aligned but accept an optional rotation so cluttered scenes can contain
-tilted slabs.
+aligned but accept an optional rotation (a proper rotation matrix) so
+cluttered scenes can contain tilted slabs.
 
 Rendering is deterministic: with the noise knob off, the same scene,
 intrinsics and pose produce bit-identical frames on every run.
+
+Screen-space culling. Planes are cast against every pixel; a box or a
+sphere only against its screen window. The window is the bounding
+rectangle of the projections of 8 corners (the box's own, or those of
+the sphere's bounding cube), widened by ``_CULL_MARGIN_PX`` pixels and
+clipped to the image; a window with no pixel skips the primitive. This
+is exact, not an approximation: a convex solid lying wholly in front of
+the camera projects inside the convex hull of its corners' projections,
+so a ray through a pixel outside the window cannot meet it, and the
+margin covers rounding in the projection and in the rays. A corner at
+or behind the camera plane, or one whose projection is not finite,
+voids that argument, and then the window is the whole frame. Inside the
+window each pixel gets the same arithmetic as in an unculled cast, so
+frames, normals, primitive ids and safe masks match it bit for bit
+(``tests/oracles.py`` keeps the unculled renderer as the reference).
 """
 
 from __future__ import annotations
@@ -20,18 +35,30 @@ import numpy as np
 
 from .formats import integer, number, numbers, read_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
-    rotation_x, rotation_z
+    rotation_matrix, rotation_x, rotation_z
 
 D_MIN_DEFAULT = 0.05
 D_MAX_DEFAULT = 20.0
 
 _EPS = 1e-12
 
+# Pixels added on every side of a box's or sphere's projected bounds;
+# they cover rounding in the projection and in the per-pixel rays.
+_CULL_MARGIN_PX = 2
+
+# The corners of the cube [-1, 1]^3.
+_CORNER_SIGNS = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                          for z in (-1.0, 1.0)])
+
 
 @dataclass(frozen=True)
 class GroundPlane:
     z: float
     safe: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.z):
+            raise ValueError("ground plane height must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +70,13 @@ class TiltedPlane:
     def __post_init__(self):
         p = np.array(self.point, dtype=np.float64).reshape(3)
         n = np.array(self.normal, dtype=np.float64).reshape(3)
-        norm = np.linalg.norm(n)
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(n))):
+            raise ValueError("plane point and normal must be finite")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(n)
+        if norm == np.inf:  # too long to square: shorten it first
+            n = n / np.max(np.abs(n))
+            norm = np.linalg.norm(n)
         if norm < _EPS:
             raise ValueError("plane normal must be nonzero")
         n = n / norm
@@ -61,13 +94,14 @@ class Box:
     def __post_init__(self):
         c = np.array(self.center, dtype=np.float64).reshape(3)
         h = np.array(self.half_extents, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
+            raise ValueError("box center and half extents must be finite")
         if np.any(h <= 0):
             raise ValueError("box half extents must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_extents", h)
         if self.rotation is not None:
-            r = np.array(self.rotation, dtype=np.float64).reshape(3, 3)
-            object.__setattr__(self, "rotation", r)
+            object.__setattr__(self, "rotation", rotation_matrix(self.rotation))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +112,8 @@ class Sphere:
 
     def __post_init__(self):
         c = np.array(self.center, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(c)) and math.isfinite(self.radius)):
+            raise ValueError("sphere center and radius must be finite")
         if not self.radius > 0:
             raise ValueError("sphere radius must be positive")
         object.__setattr__(self, "center", c)
@@ -123,8 +159,7 @@ class GroundTruth:
 def _intersect_plane(point, normal, origin, dirs):
     denom = dirs @ normal
     offset = float(normal @ (point - origin))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = offset / denom
+    t = offset / denom
     t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
     n = np.broadcast_to(normal, dirs.shape)
     return t, n
@@ -138,9 +173,8 @@ def _intersect_sphere(center, radius, origin, dirs):
     disc = b * b - 4.0 * a * c
     hit = disc >= 0
     sq = np.sqrt(np.where(hit, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_near = (-b - sq) / (2.0 * a)
-        t_far = (-b + sq) / (2.0 * a)
+    t_near = (-b - sq) / (2.0 * a)
+    t_far = (-b + sq) / (2.0 * a)
     t = np.where(t_near > _EPS, t_near, t_far)
     t = np.where(hit & (t > _EPS), t, np.inf)
     t_safe = np.where(np.isfinite(t), t, 0.0)
@@ -149,48 +183,97 @@ def _intersect_sphere(center, radius, origin, dirs):
     return t, n
 
 
+def _box_frame_origin(box: Box, origin) -> np.ndarray:
+    """``origin`` in the box's own frame, relative to its center."""
+    o = origin - box.center
+    return o if box.rotation is None else box.rotation.T @ o
+
+
 def _intersect_box(box: Box, origin, dirs):
-    if box.rotation is not None:
-        rot = box.rotation
-        o = rot.T @ (origin - box.center)
-        d = dirs @ rot
-    else:
-        rot = None
-        o = origin - box.center
-        d = dirs
+    o = _box_frame_origin(box, origin)
+    d = dirs if box.rotation is None else dirs @ box.rotation
     h = box.half_extents
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-    t1 = (-h - o) * inv
-    t2 = (h - o) * inv
-    # Zero direction components: inside the slab -> (-inf, inf), else miss.
-    parallel = np.abs(d) < _EPS
-    inside = np.abs(o) <= h
-    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
-    t_enter = lo.max(axis=-1)
-    t_exit = hi.min(axis=-1)
+    # Slab entry and exit one axis at a time (numpy is slow on a length-3
+    # last axis).
+    lo, hi = [], []
+    for k in range(3):
+        dk = d[..., k]
+        inv = 1.0 / dk
+        t1 = (-h[k] - o[k]) * inv
+        t2 = (h[k] - o[k]) * inv
+        # A zero direction component: inside the slab -> (-inf, inf), else miss.
+        parallel = np.abs(dk) < _EPS
+        inside = abs(o[k]) <= h[k]
+        lo.append(np.where(parallel, -np.inf if inside else np.inf,
+                           np.minimum(t1, t2)))
+        hi.append(np.where(parallel, np.inf if inside else -np.inf,
+                           np.maximum(t1, t2)))
+    t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+    t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     hit = (t_exit >= t_enter) & (t_enter > _EPS)
     t = np.where(hit, t_enter, np.inf)
-    axis = lo.argmax(axis=-1)
-    sign = -np.sign(np.take_along_axis(d, axis[..., None], axis=-1)[..., 0])
+    # The ray enters through the face of the first axis holding t_enter
+    # (argmax's tie rule); its normal opposes the ray along that axis.
+    first = (lo[0] >= lo[1]) & (lo[0] >= lo[2])
+    second = ~first & (lo[1] >= lo[2])
     n_local = np.zeros(d.shape)
-    np.put_along_axis(n_local, axis[..., None], sign[..., None], axis=-1)
-    n = n_local @ rot.T if rot is not None else n_local
+    for k, on_axis in enumerate((first, second, ~(first | second))):
+        n_local[..., k] = np.where(on_axis, -np.sign(d[..., k]), 0.0)
+    n = n_local if box.rotation is None else n_local @ box.rotation.T
     return t, n
+
+
+def _box_corners(box: Box, origin) -> np.ndarray:
+    """The box's 8 corners as world-frame offsets from ``origin``.
+
+    They are built from the slab bounds ``_intersect_box`` tests, so they
+    bound the box it renders even where the box's and the camera's world
+    coordinates are too large to subtract exactly.
+    """
+    o = _box_frame_origin(box, origin)
+    h = box.half_extents
+    local = np.where(_CORNER_SIGNS > 0, h - o, -h - o)
+    return local if box.rotation is None else local @ box.rotation.T
+
+
+def _screen_window(corners, intrinsics: CameraIntrinsics, rotation):
+    """The pixels whose rays can meet the convex hull of ``corners``.
+
+    ``corners`` are world-frame offsets from the camera, and ``rotation``
+    is the camera's world-from-camera rotation. Returns a (rows, columns)
+    pair of slices: the projected bounds widened by ``_CULL_MARGIN_PX``
+    and clipped to the image, or the whole frame when a corner is not in
+    front of the camera or does not project to a finite pixel. Returns
+    None when the window holds no pixel.
+    """
+    with np.errstate(all="ignore"):
+        cam = corners @ rotation
+        z = cam[:, 2]
+        u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
+        v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
+    if np.any(z <= _EPS) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        return slice(None), slice(None)
+    x0 = max(math.floor(u.min()) - _CULL_MARGIN_PX, 0)
+    x1 = min(math.ceil(u.max()) + _CULL_MARGIN_PX + 1, intrinsics.width)
+    y0 = max(math.floor(v.min()) - _CULL_MARGIN_PX, 0)
+    y1 = min(math.ceil(v.max()) + _CULL_MARGIN_PX + 1, intrinsics.height)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return slice(y0, y1), slice(x0, x1)
 
 
 def _camera_inside(prim: Primitive, origin) -> bool:
     if isinstance(prim, Sphere):
         return bool(np.linalg.norm(origin - prim.center) <= prim.radius)
     if isinstance(prim, Box):
-        o = origin - prim.center
-        if prim.rotation is not None:
-            o = prim.rotation.T @ o
-        return bool(np.all(np.abs(o) <= prim.half_extents))
+        return bool(np.all(np.abs(_box_frame_origin(prim, origin))
+                           <= prim.half_extents))
     return False
 
 
+# Coordinates near the float limit overflow to inf or nan, which a ray
+# reads as a miss and a screen window as the whole frame: no warning is due.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
                  d_min: float = D_MIN_DEFAULT, d_max: float = D_MAX_DEFAULT,
                  frame_id: int = 0, timestamp: float = 0.0,
@@ -198,8 +281,9 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     """Ray-cast a scene into a depth frame plus its ground truth.
 
     The ray parameter equals z-depth by construction, and depths outside
-    [d_min, d_max] (after optional noise) are marked invalid. Raises if
-    the camera sits inside a solid.
+    [d_min, d_max] (after optional noise) are marked invalid. Planes meet
+    every pixel; a box or sphere meets only its screen window (see the
+    module docstring). Raises if the camera sits inside a solid.
     """
     origin = pose.translation
     for prim in scene.primitives:
@@ -217,20 +301,33 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     best_t = np.full(dirs.shape[:2], np.inf)
     best_n = np.zeros(dirs.shape)
     prim_id = np.full(dirs.shape[:2], -1, dtype=np.int32)
+    whole = (slice(None), slice(None))
     for idx, prim in enumerate(scene.primitives):
         if isinstance(prim, GroundPlane):
+            win = whole
             t, n = _intersect_plane(np.array([0.0, 0.0, prim.z]),
                                     np.array([0.0, 0.0, 1.0]), origin, dirs)
         elif isinstance(prim, TiltedPlane):
+            win = whole
             t, n = _intersect_plane(prim.point, prim.normal, origin, dirs)
         elif isinstance(prim, Sphere):
-            t, n = _intersect_sphere(prim.center, prim.radius, origin, dirs)
+            # The corners of the sphere's bounding cube, as the quadratic
+            # sees it: centered at -(origin - center).
+            corners = (prim.center - origin) + prim.radius * _CORNER_SIGNS
+            win = _screen_window(corners, intrinsics, pose.rotation)
+            if win is None:
+                continue
+            t, n = _intersect_sphere(prim.center, prim.radius, origin, dirs[win])
         else:
-            t, n = _intersect_box(prim, origin, dirs)
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_n = np.where(closer[..., None], n, best_n)
-        prim_id = np.where(closer, np.int32(idx), prim_id)
+            win = _screen_window(_box_corners(prim, origin), intrinsics,
+                                 pose.rotation)
+            if win is None:
+                continue
+            t, n = _intersect_box(prim, origin, dirs[win])
+        closer = t < best_t[win]
+        np.copyto(best_t[win], t, where=closer)
+        np.copyto(best_n[win], n, where=closer[..., None])
+        np.copyto(prim_id[win], np.int32(idx), where=closer)
 
     depth = np.where(np.isfinite(best_t), best_t, 0.0)
     if scene.noise_sigma > 0:
@@ -239,10 +336,13 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     valid = np.isfinite(best_t) & (depth >= d_min) & (depth <= d_max)
     depth = np.where(valid, depth, 0.0)
 
-    # Orient truth normals toward the camera, matching the estimator.
-    toward = np.sum(best_n * dirs, axis=-1)
-    normals = np.where((toward > 0.0)[..., None], -best_n, best_n)
-    normals = np.where(valid[..., None], normals, 0.0)
+    # Orient truth normals toward the camera, matching the estimator. The
+    # dot product adds its terms in np.sum's order: the same value up to
+    # the sign of a zero, which the comparison does not read.
+    toward = (best_n[..., 0] * dirs[..., 0] + best_n[..., 1] * dirs[..., 1]) \
+        + best_n[..., 2] * dirs[..., 2]
+    normals = np.negative(best_n, out=best_n, where=(toward > 0.0)[..., None])
+    np.copyto(normals, 0.0, where=~valid[..., None])
     prim_id = np.where(valid, prim_id, np.int32(-1))
     safe_ids = np.array([i for i, p in enumerate(scene.primitives) if p.safe],
                         dtype=np.int32)

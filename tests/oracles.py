@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, linear scans, O(N^2) pair checks) and shares no code with the
-package under test; the snapshot reader only fills its plain
-``LandingSite`` records. ``edge_mask_from_prim_ids`` derives the edge
-ground truth from a render's primitive ids. The Canny reference follows
-the documented detector conventions tap for tap so the comparison is
-exact.
+loops, linear scans, O(N^2) pair checks, every primitive against every
+pixel) and shares no code with the package under test; the snapshot
+reader only fills its plain ``LandingSite`` records, and the reference
+renderer only reads the package's scene, frame and ground-truth types.
+``edge_mask_from_prim_ids`` derives the edge ground truth from a
+render's primitive ids. The Canny reference follows the documented
+detector conventions tap for tap so the comparison is exact.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from collections import deque
 
 import numpy as np
 
+from landsite.geometry import DepthFrame
 from landsite.registry import LandingSite
+from landsite.scene_synth import D_MAX_DEFAULT, D_MIN_DEFAULT, Box, \
+    GroundPlane, GroundTruth, Sphere, TiltedPlane
 
 TAN_22_5 = math.tan(math.pi / 8.0)
 TAN_67_5 = math.tan(3.0 * math.pi / 8.0)
+
+_EPS = 1e-12  # the renderer's ray-parameter and parallel-ray threshold
 
 
 def brute_force_squared_edt(bits: np.ndarray) -> np.ndarray:
@@ -432,3 +438,137 @@ def record_snapshot_loader(obj: dict) -> tuple[float, list[LandingSite]]:
         math.fsum(abs(float(s.position[k])) for s in sites)
     math.fsum(abs(s.score) for s in sites)
     return radius, sites
+
+
+def _ref_intersect_plane(point, normal, origin, dirs):
+    denom = dirs @ normal
+    offset = float(normal @ (point - origin))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = offset / denom
+    t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
+    n = np.broadcast_to(normal, dirs.shape)
+    return t, n
+
+
+def _ref_intersect_sphere(center, radius, origin, dirs):
+    oc = origin - center
+    a = np.sum(dirs * dirs, axis=-1)
+    b = 2.0 * (dirs @ oc)
+    c = float(oc @ oc) - radius * radius
+    disc = b * b - 4.0 * a * c
+    hit = disc >= 0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_near = (-b - sq) / (2.0 * a)
+        t_far = (-b + sq) / (2.0 * a)
+    t = np.where(t_near > _EPS, t_near, t_far)
+    t = np.where(hit & (t > _EPS), t, np.inf)
+    t_safe = np.where(np.isfinite(t), t, 0.0)
+    points = origin + t_safe[..., None] * dirs
+    n = (points - center) / radius
+    return t, n
+
+
+def _ref_intersect_box(box, origin, dirs):
+    if box.rotation is not None:
+        rot = box.rotation
+        o = rot.T @ (origin - box.center)
+        d = dirs @ rot
+    else:
+        rot = None
+        o = origin - box.center
+        d = dirs
+    h = box.half_extents
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+    t1 = (-h - o) * inv
+    t2 = (h - o) * inv
+    # Zero direction components: inside the slab -> (-inf, inf), else miss.
+    parallel = np.abs(d) < _EPS
+    inside = np.abs(o) <= h
+    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    t_enter = lo.max(axis=-1)
+    t_exit = hi.min(axis=-1)
+    hit = (t_exit >= t_enter) & (t_enter > _EPS)
+    t = np.where(hit, t_enter, np.inf)
+    axis = lo.argmax(axis=-1)
+    sign = -np.sign(np.take_along_axis(d, axis[..., None], axis=-1)[..., 0])
+    n_local = np.zeros(d.shape)
+    np.put_along_axis(n_local, axis[..., None], sign[..., None], axis=-1)
+    n = n_local @ rot.T if rot is not None else n_local
+    return t, n
+
+
+def _ref_camera_inside(prim, origin) -> bool:
+    if isinstance(prim, Sphere):
+        return bool(np.linalg.norm(origin - prim.center) <= prim.radius)
+    if isinstance(prim, Box):
+        o = origin - prim.center
+        if prim.rotation is not None:
+            o = prim.rotation.T @ o
+        return bool(np.all(np.abs(o) <= prim.half_extents))
+    return False
+
+
+def reference_render_depth(scene, intrinsics, pose, d_min=D_MIN_DEFAULT,
+                           d_max=D_MAX_DEFAULT, frame_id=0, timestamp=0.0):
+    """Reference ``render_depth``: every primitive against every pixel.
+
+    The renderer as it was before screen-space culling, unchanged: each
+    primitive is intersected with the whole frame and merged into the
+    nearest hit, with ``argmax``/``take_along_axis`` box normals.
+    Returns (DepthFrame, GroundTruth).
+    """
+    origin = pose.translation
+    for prim in scene.primitives:
+        if _ref_camera_inside(prim, origin):
+            raise ValueError("camera must be outside all solids")
+
+    u = (np.arange(intrinsics.width, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
+    v = (np.arange(intrinsics.height, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
+    dirs_cam = np.empty((intrinsics.height, intrinsics.width, 3))
+    dirs_cam[..., 0] = u[None, :]
+    dirs_cam[..., 1] = v[:, None]
+    dirs_cam[..., 2] = 1.0
+    dirs = dirs_cam @ pose.rotation.T
+
+    best_t = np.full(dirs.shape[:2], np.inf)
+    best_n = np.zeros(dirs.shape)
+    prim_id = np.full(dirs.shape[:2], -1, dtype=np.int32)
+    for idx, prim in enumerate(scene.primitives):
+        if isinstance(prim, GroundPlane):
+            t, n = _ref_intersect_plane(np.array([0.0, 0.0, prim.z]),
+                                        np.array([0.0, 0.0, 1.0]), origin, dirs)
+        elif isinstance(prim, TiltedPlane):
+            t, n = _ref_intersect_plane(prim.point, prim.normal, origin, dirs)
+        elif isinstance(prim, Sphere):
+            t, n = _ref_intersect_sphere(prim.center, prim.radius, origin, dirs)
+        else:
+            t, n = _ref_intersect_box(prim, origin, dirs)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_n = np.where(closer[..., None], n, best_n)
+        prim_id = np.where(closer, np.int32(idx), prim_id)
+
+    depth = np.where(np.isfinite(best_t), best_t, 0.0)
+    if scene.noise_sigma > 0:
+        rng = np.random.default_rng(scene.seed)
+        depth = depth + rng.normal(0.0, scene.noise_sigma, depth.shape)
+    valid = np.isfinite(best_t) & (depth >= d_min) & (depth <= d_max)
+    depth = np.where(valid, depth, 0.0)
+
+    # Orient truth normals toward the camera, matching the estimator.
+    toward = np.sum(best_n * dirs, axis=-1)
+    normals = np.where((toward > 0.0)[..., None], -best_n, best_n)
+    normals = np.where(valid[..., None], normals, 0.0)
+    prim_id = np.where(valid, prim_id, np.int32(-1))
+    safe_ids = np.array([i for i, p in enumerate(scene.primitives) if p.safe],
+                        dtype=np.int32)
+    safe_mask = valid & np.isin(prim_id, safe_ids)
+
+    frame = DepthFrame(depth=depth, valid=valid, intrinsics=intrinsics,
+                       pose_world_from_camera=pose, frame_id=frame_id,
+                       timestamp=timestamp)
+    return frame, GroundTruth(normals=normals, prim_id=prim_id,
+                              safe_mask=safe_mask)

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from landsite.detection import Candidates
 from landsite.errors import ConfigError
 from landsite.formats import read_pfm, write_json, write_pfm
 from landsite.geometry import (CameraIntrinsics, DepthFrame, camera_pose,
-                               project_uav_radius)
+                               project_uav_radius, rotation_x, rotation_z)
 from landsite.registry import SiteRegistry, cluster_sites
 from landsite import pipeline
 from landsite.pipeline import (
@@ -510,6 +512,21 @@ USER_FILE_DAMAGE = {
         ' {"type": "box", "center_m": [0, 0, 0.5],'
         ' "half_extents_m": [0.5, 0.5, 0.5],'
         ' "rotation": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}]'),
+    "scene_rotation_scaled": (
+        "primitives", '[{"type": "ground_plane", "z_m": 0},'
+        ' {"type": "box", "center_m": [0, 0, 0.5],'
+        ' "half_extents_m": [0.5, 0.5, 0.5],'
+        ' "rotation": [[0.5, 0, 0], [0, 1, 0], [0, 0, 1]]}]'),
+    "scene_rotation_zero": (
+        "primitives", '[{"type": "ground_plane", "z_m": 0},'
+        ' {"type": "box", "center_m": [0, 0, 0.5],'
+        ' "half_extents_m": [0.5, 0.5, 0.5],'
+        ' "rotation": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}]'),
+    "scene_rotation_reflection": (
+        "primitives", '[{"type": "ground_plane", "z_m": 0},'
+        ' {"type": "box", "center_m": [0, 0, 0.5],'
+        ' "half_extents_m": [0.5, 0.5, 0.5],'
+        ' "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}]'),
     "config_radius_inf": ("dedup_radius_m", "Infinity"),
     "config_deep_nesting": ("d_max_m", DEEP),
 }
@@ -520,6 +537,78 @@ CONFIG_FILE_BYTES = {
     "config_null": b"null",
     "config_non_utf8": b'{"profile": "\xff"}',
 }
+
+
+# A valid scene file with one primitive of each kind, for the fuzz test.
+FUZZ_SCENE = {
+    "primitives": [
+        {"type": "ground_plane", "z_m": 0.0, "safe": False},
+        {"type": "tilted_plane", "point_m": [0.0, 0.0, -0.5],
+         "normal": [0.1, 0.0, 1.0], "safe": False},
+        {"type": "box", "center_m": [0.5, 0.2, 0.4],
+         "half_extents_m": [0.6, 0.4, 0.3],
+         "rotation": (rotation_z(0.3) @ rotation_x(0.4)).tolist(),
+         "safe": True},
+        {"type": "sphere", "center_m": [-0.8, 0.5, 0.6], "radius_m": 0.5,
+         "safe": False},
+    ],
+    "noise_sigma_m": 0.002,
+    "seed": 3,
+}
+
+# Numbers a damaged file may hold in place of a vector element.
+EXTREME_NUMBERS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e200, -1e200, 1e300, 1.7e308, -1.7e308, 10**400])
+
+
+@st.composite
+def damaged_scenes(draw):
+    """``FUZZ_SCENE`` with one to three fields damaged: a value replaced by
+    arbitrary JSON, a key deleted, one vector element made extreme, or a
+    box rotation replaced by an arbitrary 3x3 matrix."""
+    scene = copy.deepcopy(FUZZ_SCENE)
+    for _ in range(draw(st.integers(1, 3))):
+        prims = scene.get("primitives")
+        records = [scene] + [p for p in prims if isinstance(p, dict)] \
+            if isinstance(prims, list) else [scene]
+        rec = records[draw(st.integers(0, len(records) - 1))]
+        if not rec:
+            continue
+        key = draw(st.sampled_from(sorted(rec)))
+        damage = draw(st.sampled_from(["value", "missing", "element",
+                                       "rotation"]))
+        if damage == "missing":
+            del rec[key]
+        elif damage == "element" and isinstance(rec[key], list) and rec[key]:
+            rec[key][draw(st.integers(0, len(rec[key]) - 1))] = \
+                draw(EXTREME_NUMBERS)
+        elif damage == "rotation" and rec.get("type") == "box":
+            row = st.lists(EXTREME_NUMBERS | st.sampled_from([0, 1, -1]),
+                           min_size=3, max_size=3)
+            rec["rotation"] = draw(st.lists(row, min_size=3, max_size=3))
+        else:
+            rec[key] = draw(JSON_VALUES)
+    return scene
+
+
+def with_box(**fields) -> dict:
+    """``FUZZ_SCENE`` with its box's fields replaced by ``fields``."""
+    scene = copy.deepcopy(FUZZ_SCENE)
+    scene["primitives"][2].update(fields)
+    return scene
+
+
+# A ground plane and a sphere 1e200 m across whose quadratic overflows.
+HUGE_SPHERE_SCENE = {"primitives": [
+    {"type": "ground_plane", "z_m": 0},
+    {"type": "sphere", "center_m": [0, 0, -1e200], "radius_m": 1e200}]}
+
+# A plane and a rotated box whose offsets from the camera overflow.
+FLOAT_LIMIT_PLANE_SCENE = {"primitives": [
+    {"type": "tilted_plane", "point_m": [1.7e308, 0, 1.7e308],
+     "normal": [1, 0, 1]}]}
+FLOAT_LIMIT_BOX_SCENE = with_box(center_m=[1.7e308, 1.7e308, 0.5],
+                                 half_extents_m=[1.7e308, 1.7e308, 0.5])
 
 
 def with_raw_value(obj: dict, field: str, text: str) -> str:
@@ -612,6 +701,40 @@ class TestCli:
         assert cli_main(["synth", "--scene-file",
                          str(tmp_path / "missing.json"),
                          "--out", str(stream)]) == 2
+
+    def test_synth_huge_sphere_warns_nothing(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(HUGE_SPHERE_SCENE))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["synth", "--scene-file", str(path),
+                             "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @given(damaged_scenes())
+    @example(with_box(rotation=[[0.5, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @example(with_box(rotation=[[0, 0, 0]] * 3))
+    @example(HUGE_SPHERE_SCENE)
+    @example(FLOAT_LIMIT_PLANE_SCENE)
+    @example(FLOAT_LIMIT_BOX_SCENE)
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_scene_file_exits_with_one_line_at_most(self, scene):
+        # A warning would reach stderr too, so none may be raised.
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = Path(tmp) / "scene.json"
+            path.write_text(json.dumps(scene))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["synth", "--scene-file", str(path),
+                                 "--out", str(Path(tmp) / "s")])
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
 
     def test_bench_command(self, tmp_path):
         stream = self._synth(tmp_path)
@@ -853,6 +976,8 @@ class TestCli:
         assert "Traceback" not in err
         if case.startswith(("scene_", "config_")):
             assert err.startswith(f"error: {path}: ")
+        if case.startswith("scene_"):
+            assert err.startswith(f"error: {path}: malformed scene (")
 
     def test_detect_reports_empty_frames(self, tmp_path, capsys):
         stream = self._synth(tmp_path, frames=2)

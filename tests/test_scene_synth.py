@@ -1,13 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landsite import scene_synth as ss
 from landsite.formats import write_json
-from landsite.geometry import CameraIntrinsics, Pose, backproject, camera_pose
+from landsite.geometry import CameraIntrinsics, Pose, backproject, \
+    camera_pose, rotation_x, rotation_y, rotation_z
 
-from oracles import edge_mask_from_prim_ids
+from oracles import edge_mask_from_prim_ids, reference_render_depth
+
+# Matrices a scene file may offer as a box rotation that are not one.
+NON_ROTATIONS = {
+    "scaled_axis": np.diag([0.5, 1.0, 1.0]),
+    "reflection": np.diag([1.0, 1.0, -1.0]),
+    "all_zero": np.zeros((3, 3)),
+    "nan_entry": np.where(np.eye(3) == 1.0, np.nan, 0.0),
+    "nearly_orthonormal": np.eye(3) * (1.0 + 1e-6),
+}
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +239,156 @@ class TestSpecValidation:
             ss.Box(center=(0, 0, 0), half_extents=(1, 0, 1))
         with pytest.raises(ValueError):
             ss.TiltedPlane(point=(0, 0, 0), normal=(0, 0, 0))
+
+    def test_plane_normal_too_long_to_square(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = ss.TiltedPlane(point=(0, 0, 0), normal=(0.1, 0, 1e200))
+        assert np.allclose(plane.normal, [0.0, 0.0, 1.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(NON_ROTATIONS))
+    def test_box_refuses_what_pose_refuses(self, name):
+        rotation = NON_ROTATIONS[name]
+        with pytest.raises(ValueError, match="rotation"):
+            ss.Box(center=(0, 0, 0), half_extents=(1, 1, 1), rotation=rotation)
+        with pytest.raises(ValueError, match="rotation"):
+            Pose(rotation, np.zeros(3))
+
+    @pytest.mark.parametrize("kind,field", [
+        (ss.Box, "center"), (ss.Box, "half_extents"), (ss.Sphere, "center"),
+        (ss.Sphere, "radius"), (ss.TiltedPlane, "point"),
+        (ss.TiltedPlane, "normal"), (ss.GroundPlane, "z")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_primitives_refuse_non_finite_fields(self, kind, field, value):
+        valid = {ss.Box: {"center": [0.0, 0.0, 0.0],
+                          "half_extents": [1.0, 1.0, 1.0]},
+                 ss.Sphere: {"center": [0.0, 0.0, 0.0], "radius": 1.0},
+                 ss.TiltedPlane: {"point": [0.0, 0.0, 0.0],
+                                  "normal": [0.0, 0.0, 1.0]},
+                 ss.GroundPlane: {"z": 0.0}}[kind]
+        if isinstance(valid[field], list):
+            valid[field][1] = value
+        else:
+            valid[field] = value
+        with pytest.raises(ValueError):
+            kind(**valid)
+
+
+# A small frame keeps each unculled reference render cheap; its half field
+# of view is about 0.67 rad across and 0.49 rad down.
+CULL_INTRINSICS = CameraIntrinsics(fx=60.0, fy=60.0, cx=39.5, cy=29.5,
+                                   width=80, height=60)
+ANGLE = st.floats(-math.pi, math.pi)
+SIZE = st.floats(0.02, 1.5)
+
+
+@st.composite
+def culling_cases(draw):
+    """(scene, pose): a camera at any attitude, with boxes and spheres
+    placed in its own frame so they fall in view, across the image
+    border, wholly off screen, or partly or wholly behind it. One box in
+    four has one 1e300 half extent."""
+    pose = camera_pose((draw(st.floats(-2, 2)), draw(st.floats(-2, 2)),
+                        draw(st.floats(1, 8))),
+                       roll=draw(ANGLE), pitch=draw(ANGLE), yaw=draw(ANGLE))
+    prims = [ss.GroundPlane(z=0.0)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 5))):
+        local = (draw(st.floats(-6, 6)), draw(st.floats(-6, 6)),
+                 draw(st.floats(0.5, 12) | st.floats(-3, 12)))
+        center = pose.apply(np.array(local))
+        safe = draw(st.booleans())
+        if draw(st.integers(0, 2)) == 0:
+            prims.append(ss.Sphere(center=center, radius=draw(SIZE), safe=safe))
+            continue
+        half = [draw(SIZE) for _ in range(3)]
+        huge_axis = draw(st.integers(0, 11))
+        if huge_axis < 3:
+            half[huge_axis] = 1e300
+        rotation = None if draw(st.booleans()) else \
+            rotation_z(draw(ANGLE)) @ rotation_y(draw(ANGLE)) @ rotation_x(draw(ANGLE))
+        prims.append(ss.Box(center=center, half_extents=half,
+                            rotation=rotation, safe=safe))
+    scene = ss.SceneSpec(prims, noise_sigma=0.002,
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    return scene, pose
+
+
+# A box 2e307 m wide under a sphere, seen from above: its corners are in
+# front of the camera but project to infinite pixel coordinates.
+NON_FINITE_CASE = (
+    ss.SceneSpec((ss.GroundPlane(z=-2.0),
+                  ss.Box(center=(0, 0, -1.0), half_extents=(1e307, 1e307, 0.5),
+                         rotation=rotation_z(0.4)),
+                  ss.Sphere(center=(0.5, 0.3, 0.2), radius=0.4)),
+                 noise_sigma=0.002, seed=5),
+    camera_pose((0.0, 0.0, 5.0)))
+# A wall 2e300 m tall and long beside the camera: it fills part of the
+# frame, and half its corners lie behind the camera.
+BEHIND_CASE = (
+    ss.SceneSpec((ss.GroundPlane(z=0.0),
+                  ss.Box(center=(3.0, 0, 0), half_extents=(1.0, 1e300, 1e300),
+                         rotation=rotation_z(0.2), safe=True),
+                  ss.Sphere(center=(-1.0, 0.5, 1.0), radius=0.4)),
+                 noise_sigma=0.002, seed=6),
+    camera_pose((0.0, 0.0, 5.0), roll=0.3, yaw=0.2))
+# A box and a sphere outside the field of view, both skipped.
+OFF_SCREEN_CASE = (
+    ss.SceneSpec((ss.GroundPlane(z=0.0),
+                  ss.Box(center=(9.0, 0.0, 0.5), half_extents=(0.5,) * 3,
+                         rotation=rotation_x(0.3)),
+                  ss.Sphere(center=(0.0, -9.0, 0.5), radius=0.5)),
+                 noise_sigma=0.002, seed=7),
+    camera_pose((0.0, 0.0, 5.0)))
+
+
+def assert_renders_match(scene, pose, intrinsics=CULL_INTRINSICS):
+    """The culled render equals the unculled reference byte for byte:
+    depth, valid mask, normals, primitive ids and safe mask. A camera
+    inside a solid must be refused by both."""
+    try:
+        # The reference warns where huge boxes overflow; the renderer does not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_frame, ref_truth = reference_render_depth(scene, intrinsics,
+                                                          pose)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ss.render_depth(scene, intrinsics, pose)
+        return
+    frame, truth = ss.render_depth(scene, intrinsics, pose)
+    for got, want in [(frame.depth, ref_frame.depth),
+                      (frame.valid, ref_frame.valid),
+                      (truth.normals, ref_truth.normals),
+                      (truth.prim_id, ref_truth.prim_id),
+                      (truth.safe_mask, ref_truth.safe_mask)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestScreenSpaceCulling:
+    """``render_depth`` casts each box and sphere only over its screen
+    window; ``reference_render_depth`` casts everything everywhere."""
+
+    @given(culling_cases())
+    @example(NON_FINITE_CASE)
+    @example(BEHIND_CASE)
+    @example(OFF_SCREEN_CASE)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unculled_reference(self, case):
+        assert_renders_match(*case)
+
+    @pytest.mark.parametrize("name", sorted(ss.canonical_scenes()))
+    def test_canonical_scenes_match_at_full_size(self, name):
+        scene = ss.canonical_scenes(seed=11)[name]
+        scene = ss.SceneSpec(scene.primitives, noise_sigma=0.002, seed=11)
+        assert_renders_match(scene, ss.canonical_camera(name, (0.7, -0.4)),
+                             ss.default_intrinsics())
+
+    @pytest.mark.parametrize("case,window", [
+        (NON_FINITE_CASE, "whole"), (BEHIND_CASE, "whole"),
+        (OFF_SCREEN_CASE, None)])
+    def test_window_falls_back_or_skips(self, case, window):
+        scene, pose = case
+        box = scene.primitives[1]
+        got = ss._screen_window(ss._box_corners(box, pose.translation),
+                                CULL_INTRINSICS, pose.rotation)
+        assert got == ((slice(None), slice(None)) if window else None)
