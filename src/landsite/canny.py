@@ -23,6 +23,14 @@ pixel-for-pixel, floats included.
 * Hysteresis: weak = mag >= low, strong = mag >= high, 8-connectivity.
 * Finally, every invalid pixel and every pixel 8-adjacent to one is
   forced to 1.
+
+All four filter passes are ``scipy.ndimage.correlate(..., mode="nearest")``,
+which clamps like ``np.pad(mode="edge")`` and adds ``tap * pixel`` in
+row-major tap order into a double that starts at +0.0. It skips taps
+with |w| <= DBL_EPSILON: here only Sobel's zero taps, whose products are
++-0.0 for finite input and cannot change a sum that started at +0.0.
+The smallest sigma-1 Gaussian tap is about 4.4e-3, so none is skipped;
+a kernel with a nonzero tap at or below DBL_EPSILON would break this.
 """
 
 from __future__ import annotations
@@ -42,27 +50,16 @@ SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64) / 8.0
 _TAN_22_5 = math.tan(math.pi / 8.0)
 _TAN_67_5 = math.tan(3.0 * math.pi / 8.0)
 
+# (dy, dx) of the "next" neighbour of direction classes 0-3 (horizontal,
+# 45 deg, vertical, 135 deg); "prev" is the opposite neighbour.
+_NEXT_OFFSETS = ((0, 1), (1, 1), (1, 0), (1, -1))
+
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     radius = int(math.ceil(3.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
-
-
-def _correlate2d_clamped(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    kh, kw = kernel.shape
-    p = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
-    h, w = img.shape
-    out = np.zeros_like(img)
-    for dy in range(kh):
-        for dx in range(kw):
-            out += kernel[dy, dx] * p[dy : dy + h, dx : dx + w]
-    return out
-
-
-def _shifted(padded: np.ndarray, dy: int, dx: int, h: int, w: int) -> np.ndarray:
-    return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
 
 
 def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
@@ -78,42 +75,34 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
     h, w = d.shape
 
     k = gaussian_kernel(GAUSSIAN_SIGMA)
-    smoothed = _correlate2d_clamped(d, k[:, None])
-    smoothed = _correlate2d_clamped(smoothed, k[None, :])
+    smoothed = ndimage.correlate(d, k[:, None], mode="nearest")
+    smoothed = ndimage.correlate(smoothed, k[None, :], mode="nearest")
 
-    gx = _correlate2d_clamped(smoothed, SOBEL_X)
-    gy = _correlate2d_clamped(smoothed, SOBEL_Y)
+    gx = ndimage.correlate(smoothed, SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(smoothed, SOBEL_Y, mode="nearest")
     mag = np.sqrt(gx * gx + gy * gy)
 
+    # Direction classes, each assignment overriding the ones before it:
+    # horizontal wins over vertical, and both over the diagonals.
     ax = np.abs(gx)
     ay = np.abs(gy)
-    horizontal = ay <= _TAN_22_5 * ax
-    vertical = ay > _TAN_67_5 * ax
-    diagonal = ~horizontal & ~vertical
-    diag_main = diagonal & (gx * gy >= 0)
-    diag_anti = diagonal & ~diag_main
+    direction = np.where(gx * gy >= 0, 1, 3)
+    direction[ay > _TAN_67_5 * ax] = 2
+    direction[ay <= _TAN_22_5 * ax] = 0
 
     padded = np.pad(mag, 1, mode="constant")
-    prev_mag = np.select(
-        [horizontal, diag_main, vertical, diag_anti],
-        [_shifted(padded, 0, -1, h, w), _shifted(padded, -1, -1, h, w),
-         _shifted(padded, -1, 0, h, w), _shifted(padded, -1, 1, h, w)])
-    next_mag = np.select(
-        [horizontal, diag_main, vertical, diag_anti],
-        [_shifted(padded, 0, 1, h, w), _shifted(padded, 1, 1, h, w),
-         _shifted(padded, 1, 0, h, w), _shifted(padded, 1, -1, h, w)])
-    peak = (mag > prev_mag) & (mag >= next_mag)
+    peak = np.zeros((h, w), dtype=bool)
+    for c, (dy, dx) in enumerate(_NEXT_OFFSETS):
+        nxt = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        prev = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
+        peak |= (direction == c) & (mag > prev) & (mag >= nxt)
 
     weak = peak & (mag >= low)
     strong = peak & (mag >= high)
     labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
-    if n_labels:
-        keep = np.zeros(n_labels + 1, dtype=bool)
-        keep[np.unique(labels[strong])] = True
-        keep[0] = False
-        edges = keep[labels]
-    else:
-        edges = np.zeros_like(weak)
+    keep = np.zeros(n_labels + 1, dtype=bool)
+    keep[labels[strong]] = True  # strong pixels are weak, so keep[0] stays False
+    edges = keep[labels]
 
     invalid = ~np.asarray(valid, dtype=bool)
     if invalid.any():

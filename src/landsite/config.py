@@ -55,8 +55,17 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "float":
+                # Stored as a float: an int such as 10**200 + 1 would square
+                # exactly into an int that no float comparison accepts.
+                try:
+                    as_float = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is too large for a float") \
+                        from None
+                if not math.isfinite(as_float):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                object.__setattr__(self, f.name, as_float)
         weights = (self.weight_depth_confidence, self.weight_flatness,
                    self.weight_steepness, self.weight_energy)
         if not all(0.0 <= w <= 1.0 for w in weights):

@@ -17,6 +17,7 @@ its inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +148,10 @@ def _box_average(field: np.ndarray, ok: np.ndarray, window: int):
     box lies inside the frame and every sample in it is valid."""
     if window == 1:
         return field, ok
-    # Boxes wider than the frame all reach outside it; the cap bounds buffers.
-    size = min(window, max(ok.shape) + 1)
-    full = ndimage.minimum_filter(ok, size=size, mode="constant")
+    # Boxes wider than the frame all reach outside it, so capping the
+    # window changes no output; the cap bounds buffers and 1 / window^2.
+    window = min(window, max(ok.shape) + 1)
+    full = ndimage.minimum_filter(ok, size=window, mode="constant")
     avg = _box_sum(field, window)
     avg *= 1.0 / float(window * window)
     avg *= full
@@ -196,8 +198,12 @@ def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:
     product makes the score independent of normal orientation; values live
     in (0, 1].
     """
-    if not slope_tolerance > 0:
-        raise ConfigError("slope tolerance must be positive")
+    # From this bound on, theta^2 / (2 tol^2) <= (pi/2)^2 / DBL_MIN stays
+    # finite; below it 2 tol^2 underflows and theta = 0 gives 0 / 0.
+    if not (slope_tolerance > 0
+            and 2.0 * slope_tolerance * slope_tolerance >= sys.float_info.min):
+        raise ConfigError("slope tolerance must be positive and large enough "
+                          "that 2 tol^2 does not underflow")
     cos_theta = np.clip(np.abs(normals.normals[..., 2]), 0.0, 1.0)
     theta = np.arccos(cos_theta)
     values = np.exp(-(theta * theta) / (2.0 * slope_tolerance * slope_tolerance))

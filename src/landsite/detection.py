@@ -50,8 +50,10 @@ def dense_candidates(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
     ok = decision.valid & flat_raw.valid & frame.valid
     required = np.zeros_like(frame.depth)
     if ok.any():
-        required[ok] = config.safety_factor * project_uav_radius(
-            config.uav_radius_m, frame.depth[ok], frame.intrinsics)
+        # An overflowing footprint is inf, which no flat radius reaches.
+        with np.errstate(over="ignore"):
+            required[ok] = config.safety_factor * project_uav_radius(
+                config.uav_radius_m, frame.depth[ok], frame.intrinsics)
     passing = (ok & (decision.values >= config.decision_threshold)
                & (flat_raw.values >= required))
     ys, xs = np.nonzero(passing)

@@ -252,8 +252,9 @@ def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
 def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Project camera-frame points (..., 3) to pixel coordinates (..., 2).
 
-    Callers must ensure z > 0; this is the inverse of :func:`backproject`
-    on valid pixels.
+    This is the inverse of :func:`backproject` on valid pixels. A point
+    with z <= 0 projects to a mirrored or non-finite pixel, which the
+    caller must handle.
     """
     p = np.asarray(points, dtype=np.float64)
     z = p[..., 2]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .formats import integer, number, numbers, read_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
-    rotation_matrix, rotation_x, rotation_z
+    project_points, rotation_matrix, rotation_x, rotation_z
 
 D_MIN_DEFAULT = 0.05
 D_MAX_DEFAULT = 20.0
@@ -248,11 +248,10 @@ def _screen_window(corners, intrinsics: CameraIntrinsics, rotation):
     """
     with np.errstate(all="ignore"):
         cam = corners @ rotation
-        z = cam[:, 2]
-        u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
-        v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
-    if np.any(z <= _EPS) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        uv = project_points(cam, intrinsics)
+    if np.any(cam[:, 2] <= _EPS) or not np.all(np.isfinite(uv)):
         return slice(None), slice(None)
+    u, v = uv.T
     x0 = max(math.floor(u.min()) - _CULL_MARGIN_PX, 0)
     x1 = min(math.ceil(u.max()) + _CULL_MARGIN_PX + 1, intrinsics.width)
     y0 = max(math.floor(v.min()) - _CULL_MARGIN_PX, 0)

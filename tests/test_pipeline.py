@@ -1,8 +1,12 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import json
+import logging
+import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -100,6 +104,7 @@ class TestConfig:
         ("smoothing_window_px", 3.5), ("weight_flatness", "a"),
         ("d_max_m", None), ("uav_radius_m", True), ("profile", 1),
         ("dedup_radius_m", float("inf")), ("d_max_m", float("inf")),
+        pytest.param("cluster_dist_m", 10**400, id="cluster_dist_m-10**400"),
         ("canny_high_m", float("nan")),
         ("weight_energy", 0.35),  # the weights sum to 1.2
         ("weight_energy", 0.15 + 5e-6),  # just past WEIGHT_SUM_TOL
@@ -616,6 +621,160 @@ def with_raw_value(obj: dict, field: str, text: str) -> str:
     return json.dumps(dict(obj, **{field: "@"})).replace('"@"', text)
 
 
+@functools.cache
+def small_stream() -> dict[str, bytes]:
+    """The files of a 2-frame 24x32 stream, by name: a floor 4 m below the
+    camera with a 0.5 m step up on its right third, seen from two poses."""
+    intr = CameraIntrinsics(fx=60.0, fy=60.0, cx=15.5, cy=11.5,
+                            width=32, height=24)
+    depth = np.full((24, 32), 4.0)
+    depth[:, 22:] = 3.5
+    frames = [DepthFrame(depth, np.ones_like(depth, bool), intr,
+                         camera_pose((0.3 * i, 0.0, 4.0)), frame_id=i)
+              for i in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_frame_stream(tmp, frames)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+def detect_damaged(files: dict[str, bytes], config=None):
+    """Run ``detect`` on a stream of ``files`` (``config``: a config file's
+    JSON value, or None for the sim profile).
+
+    Returns (exit code, stderr, warning messages). The landsite logger
+    prints to the captured stderr as the CLI's last-resort handler would.
+    """
+    err = io.StringIO()
+    handler = logging.StreamHandler(err)
+    logger = logging.getLogger("landsite")
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stream = Path(tmp) / "stream"
+        stream.mkdir()
+        for name, data in files.items():
+            (stream / name).write_bytes(data)
+        argv = ["detect", "--in", str(stream), "--out", str(Path(tmp) / "o")]
+        if config is not None:
+            (Path(tmp) / "c.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(tmp) / "c.json")]
+        logger.addHandler(handler)
+        try:
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
+        finally:
+            logger.removeHandler(handler)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+FRAME_LINE = re.compile(r"(?:skipping frame (-?\d+): |frame (-?\d+) has no "
+                        r"pixel valid )")
+
+
+def assert_one_line_per_failure(code: int, err: str, caught: list) -> None:
+    """Exit code 0-2, no traceback or warning, at most one ``error:`` line
+    and at most one skipped- or empty-frame line per frame."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert caught == []
+    lines = err.splitlines()
+    assert sum(line.startswith("error: ") for line in lines) <= 1
+    frame_lines = [line for line in lines if not line.startswith("error: ")]
+    matches = [FRAME_LINE.match(line) for line in frame_lines]
+    assert all(matches), frame_lines
+    ids = [m.group(1) or m.group(2) for m in matches]
+    assert len(ids) == len(set(ids)), frame_lines
+
+
+SIM_CONFIG = get_profile("sim").to_json_obj()
+
+# Config values whose arithmetic leaves float range: a box sum over a
+# window wider than the frame, 2 tol^2 below DBL_MIN, an overflowing
+# footprint and a link distance whose exact int square is too large.
+HUGE_WINDOW_CONFIG = dict(SIM_CONFIG, smoothing_window_px=10**200 + 1)
+TINY_SLOPE_CONFIG = dict(SIM_CONFIG, slope_tolerance_deg=1e-200)
+HUGE_SAFETY_CONFIG = dict(SIM_CONFIG, safety_factor=1e308)
+HUGE_INT_LINK_CONFIG = dict(SIM_CONFIG, cluster_dist_m=10**200 + 1)
+
+# Numbers a damaged config or pose line may hold: extreme, tiny or odd.
+FUZZ_NUMBERS = EXTREME_NUMBERS | st.sampled_from(
+    [1e-200, 1e-310, 5e-324, 10**200 + 1, 10**400 + 1, -1, 1, 3])
+
+
+def damage_record(draw, obj: dict) -> dict:
+    """``obj`` with one to three fields deleted or set to arbitrary JSON or
+    an extreme number."""
+    obj = dict(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        if not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        damage = draw(st.sampled_from(["value", "missing", "number"]))
+        if damage == "missing":
+            del obj[key]
+        else:
+            obj[key] = draw(JSON_VALUES if damage == "value" else FUZZ_NUMBERS)
+    return obj
+
+
+@st.composite
+def damaged_configs(draw):
+    return damage_record(draw, SIM_CONFIG)
+
+
+@st.composite
+def damaged_pose_streams(draw):
+    """``small_stream()`` with one ``frames.jsonl`` line damaged: fields
+    damaged as in ``damage_record``, or the line replaced by arbitrary
+    text or bytes."""
+    lines = small_stream()["frames.jsonl"].splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    damage = draw(st.sampled_from(["record", "text", "bytes"]))
+    if damage == "record":
+        lines[i] = json.dumps(damage_record(draw, json.loads(lines[i]))).encode()
+    elif damage == "text":
+        lines[i] = draw(st.text(max_size=40)).encode()
+    else:
+        lines[i] = draw(st.binary(max_size=40))
+    return dict(small_stream(), **{"frames.jsonl": b"\n".join(lines) + b"\n"})
+
+
+PFM_HEADER_LINES = st.sampled_from(
+    [b"Pf", b"PF", b"P5", b"32 24", b"24 32", b"0 24", b"-32 24", b"32",
+     b"32 24 1", b"1 1", b"99999999 99999999", b"9" * 5000, b"-1.0", b"1.0",
+     b"0", b"nan", b"-inf", b"1e400", b""]) | st.binary(max_size=12)
+
+
+@st.composite
+def damaged_pfm_streams(draw):
+    """``small_stream()`` with one PFM file damaged: a header line replaced,
+    pixels set to arbitrary float32 values, a span of bytes overwritten or
+    the file truncated."""
+    name = draw(st.sampled_from(["000000.pfm", "000001.pfm"]))
+    data = small_stream()[name]
+    magic, dims, scale, payload = data.split(b"\n", 3)
+    damage = draw(st.sampled_from(["header", "pixels", "bytes", "truncate"]))
+    if damage == "header":
+        header = [magic, dims, scale]
+        header[draw(st.integers(0, 2))] = draw(PFM_HEADER_LINES)
+        data = b"\n".join(header) + b"\n" + payload
+    elif damage == "pixels":
+        pixels = bytearray(payload)
+        for _ in range(draw(st.integers(1, 20))):
+            at = 4 * draw(st.integers(0, len(pixels) // 4 - 1))
+            pixels[at:at + 4] = struct.pack("<f", draw(
+                st.floats(width=32) | st.sampled_from([0.04, 0.05, 20.0,
+                                                       20.5, 3.4e38])))
+        data = b"\n".join([magic, dims, scale, bytes(pixels)])
+    elif damage == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(max_size=16)) + data[at + 16:]
+    else:
+        data = data[:draw(st.integers(0, len(data)))]
+    return dict(small_stream(), **{name: data})
+
+
 class TestCli:
     def _synth(self, tmp_path, scene="flat_pad", frames=1):
         stream = tmp_path / "stream"
@@ -735,6 +894,43 @@ class TestCli:
         assert err.getvalue().count("\n") <= 1
         assert "Traceback" not in err.getvalue()
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("config,code,first_line", [
+        # a window wider than the frame: no pixel valid, no OverflowError
+        (HUGE_WINDOW_CONFIG, 0, "frame 0 has no pixel valid in every costmap"),
+        # 2 tol^2 would underflow and give NaN steepness
+        (TINY_SLOPE_CONFIG, 1, "error: slope tolerance must be positive"),
+        # the footprint overflows to inf, which no flat radius reaches
+        (HUGE_SAFETY_CONFIG, 0, None),
+        # read as a float, so squaring it cannot make an int too large
+        (HUGE_INT_LINK_CONFIG, 0, None),
+    ], ids=["huge_window", "tiny_slope_tolerance", "huge_safety_factor",
+            "huge_int_link_distance"])
+    def test_extreme_config_value_one_line_at_most(self, config, code,
+                                                   first_line):
+        got, err, caught = detect_damaged(small_stream(), config)
+        assert_one_line_per_failure(got, err, caught)
+        assert got == code
+        assert err.startswith(first_line) if first_line else err == ""
+
+    @given(damaged_configs())
+    @example(HUGE_WINDOW_CONFIG)
+    @example(TINY_SLOPE_CONFIG)
+    @example(HUGE_SAFETY_CONFIG)
+    @example(HUGE_INT_LINK_CONFIG)
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_config_file_exits_with_one_line_at_most(self, config):
+        assert_one_line_per_failure(*detect_damaged(small_stream(), config))
+
+    @given(damaged_pose_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_pose_line_exits_with_one_line_at_most(self, files):
+        assert_one_line_per_failure(*detect_damaged(files))
+
+    @given(damaged_pfm_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_pfm_file_exits_with_one_line_at_most(self, files):
+        assert_one_line_per_failure(*detect_damaged(files))
 
     def test_bench_command(self, tmp_path):
         stream = self._synth(tmp_path)
