@@ -11,6 +11,15 @@ normalized; steepness is already in (0, 1] and is never normalized. The
 decision map is their convex combination with the ``PipelineConfig``
 weights; ``steepness_map`` takes its falloff scale in radians.
 
+Flatness is the exact Euclidean distance transform of the edge map,
+``scipy.ndimage.distance_transform_edt`` (the linear-time EDT of Maurer,
+Qi & Raghavan, TPAMI 2003). A virtual one-pixel ring of set pixels
+surrounds the image, so the result is finite even with no edge at all.
+scipy sums the squared integer offsets to the nearest set pixel in
+float64, which is exact below 2^53, then takes the square root; each
+distance is therefore the correctly rounded square root of the exact
+integer squared distance.
+
 Everything here is a pure, deterministic, single-threaded function of
 its inputs.
 """
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import canny, edt
+from . import canny
 from .config import PipelineConfig
 from .errors import ConfigError
 from .geometry import DepthFrame, backproject
@@ -91,14 +100,16 @@ def canny_edges(frame: DepthFrame, low: float, high: float) -> BinaryMap:
     return BinaryMap(canny.detect_edges(frame.depth, frame.valid, low, high))
 
 
-def distance_transform(edges: BinaryMap) -> Costmap:
-    """Exact Euclidean distance in pixels to the nearest edge pixel.
+def distance_transform(edges: BinaryMap, valid: np.ndarray) -> Costmap:
+    """Flatness: Euclidean distance in pixels to the nearest edge pixel,
+    valid on a copy of ``valid``.
 
-    The frame border counts as an edge ring, so the result is finite
-    everywhere; see :mod:`landsite.edt`.
+    The ring just outside the frame counts as edge pixels, so the result
+    is finite everywhere; see the module docstring for its exactness.
     """
-    d = edt.distance_transform(edges.bits)
-    return Costmap(d, np.ones_like(d, dtype=bool))
+    padded = np.pad(edges.bits != 0, 1, constant_values=True)
+    return Costmap(ndimage.distance_transform_edt(~padded)[1:-1, 1:-1],
+                   np.array(valid, dtype=bool))
 
 
 def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:

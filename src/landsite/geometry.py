@@ -42,8 +42,10 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
             raise ValueError("focal lengths and principal point must be finite")
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        # Below 1 px, backprojected offsets (x - cx) / fx can overflow and
+        # poison the tangents, normals and normalization downstream.
+        if not (self.fx >= 1 and self.fy >= 1):
+            raise ValueError("focal lengths must be at least 1 px")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -160,10 +162,6 @@ class Pose:
         """Apply R p + t to points of shape (..., 3)."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
-
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -(rt @ self.translation))
 
 
 def rotation_x(angle: float) -> np.ndarray:

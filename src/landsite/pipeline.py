@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +91,7 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     clock.lap("depth_accuracy")
 
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
-    flat = cm.distance_transform(edges)
-    flat_raw = cm.Costmap(flat.values, frame.valid.copy())
+    flat_raw = cm.distance_transform(edges, frame.valid)
     clock.lap("flatness")
 
     normals = cm.surface_normals(frame, config.smoothing_window_px)
@@ -175,27 +174,20 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
 def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps) -> None:
     """Write one frame's stage outputs under dump_dir.
 
-    Scalar maps go out as PFM with NaN at invalid pixels, each with a PGM
-    preview scaled over the valid range; the edge map as 0/255 PGM.
+    Each ``Costmap`` field of ``maps`` goes out as PFM named after the
+    field, with NaN at invalid pixels, and a PGM preview scaled over the
+    valid range; the edge map as 0/255 PGM.
     """
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{frame_id:06d}"
-    scalar = {
-        "depth_confidence_raw": maps.depth_confidence_raw,
-        "flatness_raw": maps.flatness_raw,
-        "steepness": maps.steepness,
-        "energy_raw": maps.energy_raw,
-        "depth_confidence": maps.depth_confidence,
-        "flatness": maps.flatness,
-        "energy": maps.energy,
-        "decision": maps.decision,
-    }
-    for name, costmap in scalar.items():
-        formats.write_values_pfm(out / f"{prefix}_{name}.pfm",
-                                 costmap.values, costmap.valid)
-        formats.write_pgm(out / f"{prefix}_{name}.pgm",
-                          formats.preview_u8(costmap.values, costmap.valid))
+    for name in (f.name for f in fields(maps)):
+        costmap = getattr(maps, name)
+        if isinstance(costmap, cm.Costmap):
+            formats.write_values_pfm(out / f"{prefix}_{name}.pfm",
+                                     costmap.values, costmap.valid)
+            formats.write_pgm(out / f"{prefix}_{name}.pgm",
+                              formats.preview_u8(costmap.values, costmap.valid))
     formats.write_binary_pgm(out / f"{prefix}_edges.pgm", maps.edges.bits)
 
 

@@ -454,26 +454,6 @@ def canonical_camera(name: str, position_xy=(0.0, 0.0)) -> Pose:
 
 # --- JSON interchange --------------------------------------------------------
 
-def scene_to_json_obj(scene: SceneSpec) -> dict:
-    prims = []
-    for p in scene.primitives:
-        if isinstance(p, GroundPlane):
-            prims.append({"type": "ground_plane", "z_m": p.z, "safe": p.safe})
-        elif isinstance(p, TiltedPlane):
-            prims.append({"type": "tilted_plane", "point_m": list(p.point),
-                          "normal": list(p.normal), "safe": p.safe})
-        elif isinstance(p, Sphere):
-            prims.append({"type": "sphere", "center_m": list(p.center),
-                          "radius_m": p.radius, "safe": p.safe})
-        else:
-            rot = None if p.rotation is None else [list(row) for row in p.rotation]
-            prims.append({"type": "box", "center_m": list(p.center),
-                          "half_extents_m": list(p.half_extents),
-                          "rotation": rot, "safe": p.safe})
-    return {"primitives": prims, "noise_sigma_m": scene.noise_sigma,
-            "seed": scene.seed}
-
-
 def scene_from_json_obj(obj: dict) -> SceneSpec:
     prims: list[Primitive] = []
     for rec in obj["primitives"]:

@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, linear scans, O(N^2) pair checks, every primitive against every
 pixel) and shares no code with the package under test; the snapshot
 reader only fills its plain ``LandingSite`` records, and the reference
-renderer only reads the package's scene, frame and ground-truth types.
+renderer and the scene-file writer only read the package's scene, frame
+and ground-truth types.
 ``edge_mask_from_prim_ids`` derives the edge ground truth from a
 render's primitive ids. The Canny reference follows the documented
 detector conventions tap for tap so the comparison is exact.
@@ -21,7 +22,7 @@ import numpy as np
 from landsite.geometry import DepthFrame
 from landsite.registry import LandingSite
 from landsite.scene_synth import D_MAX_DEFAULT, D_MIN_DEFAULT, Box, \
-    GroundPlane, GroundTruth, Sphere, TiltedPlane
+    GroundPlane, GroundTruth, SceneSpec, Sphere, TiltedPlane
 
 TAN_22_5 = math.tan(math.pi / 8.0)
 TAN_67_5 = math.tan(3.0 * math.pi / 8.0)
@@ -438,6 +439,27 @@ def record_snapshot_loader(obj: dict) -> tuple[float, list[LandingSite]]:
         math.fsum(abs(float(s.position[k])) for s in sites)
     math.fsum(abs(s.score) for s in sites)
     return radius, sites
+
+
+def scene_to_json_obj(scene: SceneSpec) -> dict:
+    """A scene file's JSON value for ``scene``: what ``load_scene`` reads."""
+    prims = []
+    for p in scene.primitives:
+        if isinstance(p, GroundPlane):
+            prims.append({"type": "ground_plane", "z_m": p.z, "safe": p.safe})
+        elif isinstance(p, TiltedPlane):
+            prims.append({"type": "tilted_plane", "point_m": list(p.point),
+                          "normal": list(p.normal), "safe": p.safe})
+        elif isinstance(p, Sphere):
+            prims.append({"type": "sphere", "center_m": list(p.center),
+                          "radius_m": p.radius, "safe": p.safe})
+        else:
+            rot = None if p.rotation is None else [list(row) for row in p.rotation]
+            prims.append({"type": "box", "center_m": list(p.center),
+                          "half_extents_m": list(p.half_extents),
+                          "rotation": rot, "safe": p.safe})
+    return {"primitives": prims, "noise_sigma_m": scene.noise_sigma,
+            "seed": scene.seed}
 
 
 def _ref_intersect_plane(point, normal, origin, dirs):

@@ -39,9 +39,9 @@ import pytest
 from landsite import scene_synth as ss
 from landsite.bench import bench
 from landsite.config import get_profile
-from landsite.costmaps import NormalMap, steepness_map, surface_normals
+from landsite.costmaps import BinaryMap, NormalMap, distance_transform, \
+    steepness_map, surface_normals
 from landsite.detection import dense_candidates
-from landsite.edt import squared_distance_transform
 from landsite.geometry import camera_pose
 from landsite.pipeline import evaluate_costmaps, run_pipeline, \
     write_frame_stream, read_frame_stream, write_outputs
@@ -65,16 +65,22 @@ def _render(name, frame_id=0, seed=7, camera_xy=(0.0, 0.0)):
                            frame_id=frame_id, timestamp=frame_id / 20.0)
 
 
+def _edt(bits: np.ndarray) -> np.ndarray:
+    return distance_transform(BinaryMap(bits), np.ones(bits.shape, bool)).values
+
+
 def test_criterion_1_edt_exactly_matches_brute_force():
+    # Equal float64 square roots mean equal integer squared distances;
+    # see tests/test_edt.py.
     rng = np.random.default_rng(2024)
     densities = [0.0, 0.002, 0.01, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 1.0]
     start = time.perf_counter()
     for i in range(100):
         density = densities[i % len(densities)]
         bits = (rng.random((64, 64)) < density).astype(np.uint8)
-        got = squared_distance_transform(bits)
-        expect = brute_force_squared_edt(bits)
-        assert got.dtype.kind == "i"
+        got = _edt(bits)
+        expect = np.sqrt(brute_force_squared_edt(bits).astype(np.float64))
+        assert got.dtype == np.float64
         assert np.array_equal(got, expect), f"mismatch on map {i}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -174,8 +180,7 @@ def test_criterion_5_canonical_scene_end_to_end():
     cands = dense_candidates(maps.decision, maps.flatness_raw, frame, SIM)
     assert len(cands) > 0, "ROOF_EDGE produced no candidates"
     edge_mask = edge_mask_from_prim_ids(truth)
-    edge_dist = np.sqrt(
-        squared_distance_transform(edge_mask.astype(np.uint8)).astype(float))
+    edge_dist = _edt(edge_mask.astype(np.uint8))
     worst_cross = max(0.0, float(np.max(
         cands.flat_radius_px - edge_dist[cands.ys, cands.xs])))
     assert worst_cross <= 1.5

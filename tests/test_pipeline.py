@@ -38,7 +38,7 @@ from landsite.pipeline import (
     write_outputs,
 )
 
-from oracles import json_dumps_candidates_jsonl
+from oracles import json_dumps_candidates_jsonl, scene_to_json_obj
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +481,8 @@ STREAM_DAMAGE = {
     "pose_tx_string": ("frames.jsonl", "tx", '"0.5"'),
     "intrinsics_width_float": ("intrinsics.json", "width", "640.9"),
     "intrinsics_fx_bool": ("intrinsics.json", "fx", "true"),
+    "intrinsics_fx_1e-310": ("intrinsics.json", "fx", "1e-310"),
+    "intrinsics_fy_0.5": ("intrinsics.json", "fy", "0.5"),
 }
 
 # Two sites that link into one cluster whose centroid x (or mean score)
@@ -621,15 +623,17 @@ def with_raw_value(obj: dict, field: str, text: str) -> str:
     return json.dumps(dict(obj, **{field: "@"})).replace('"@"', text)
 
 
+SMALL_INTRINSICS = CameraIntrinsics(fx=60.0, fy=60.0, cx=15.5, cy=11.5,
+                                    width=32, height=24)
+
+
 @functools.cache
 def small_stream() -> dict[str, bytes]:
     """The files of a 2-frame 24x32 stream, by name: a floor 4 m below the
     camera with a 0.5 m step up on its right third, seen from two poses."""
-    intr = CameraIntrinsics(fx=60.0, fy=60.0, cx=15.5, cy=11.5,
-                            width=32, height=24)
     depth = np.full((24, 32), 4.0)
     depth[:, 22:] = 3.5
-    frames = [DepthFrame(depth, np.ones_like(depth, bool), intr,
+    frames = [DepthFrame(depth, np.ones_like(depth, bool), SMALL_INTRINSICS,
                          camera_pose((0.3 * i, 0.0, 4.0)), frame_id=i)
               for i in range(2)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -721,6 +725,16 @@ def damage_record(draw, obj: dict) -> dict:
 @st.composite
 def damaged_configs(draw):
     return damage_record(draw, SIM_CONFIG)
+
+
+@st.composite
+def damaged_intrinsics(draw):
+    return damage_record(draw, SMALL_INTRINSICS.to_json_obj())
+
+
+# Focal lengths whose backprojected offsets overflow float range.
+TINY_FOCAL_INTRINSICS = dict(SMALL_INTRINSICS.to_json_obj(), fx=1e-310,
+                             fy=1e-310)
 
 
 @st.composite
@@ -852,7 +866,7 @@ class TestCli:
     def test_synth_scene_file(self, tmp_path):
         scene_path = tmp_path / "scene.json"
         write_json(scene_path,
-                   ss.scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"]))
+                   scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"]))
         stream = tmp_path / "custom_scene"
         assert cli_main(["synth", "--scene-file", str(scene_path), "--out",
                          str(stream)]) == 0
@@ -921,6 +935,15 @@ class TestCli:
     @settings(max_examples=100, deadline=None)
     def test_fuzzed_config_file_exits_with_one_line_at_most(self, config):
         assert_one_line_per_failure(*detect_damaged(small_stream(), config))
+
+    @given(damaged_intrinsics())
+    @example(TINY_FOCAL_INTRINSICS)
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_intrinsics_file_exits_with_one_line_at_most(self,
+                                                               intrinsics):
+        files = dict(small_stream(),
+                     **{"intrinsics.json": json.dumps(intrinsics).encode()})
+        assert_one_line_per_failure(*detect_damaged(files))
 
     @given(damaged_pose_streams())
     @settings(max_examples=100, deadline=None)
@@ -995,6 +1018,8 @@ class TestCli:
         assert "Traceback" not in err
         if damage == "repeated_frame_id":
             assert "repeated frame_id 0" in err
+        if damage.startswith("intrinsics_"):
+            assert err.startswith(f"error: {where}: malformed intrinsics (")
 
     @pytest.mark.parametrize("field,token", [
         pytest.param("x", "NaN", id="nan"),
@@ -1136,7 +1161,7 @@ class TestCli:
         elif case == "negative_seed":
             argv = synth + ["--seed", "-1"]
         elif case.startswith("scene_"):
-            scene = ss.scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"])
+            scene = scene_to_json_obj(ss.canonical_scenes()["FLAT_PAD"])
             if case == "scene_no_primitives":
                 scene["primitives"] = []
             elif case == "scene_nan_noise":

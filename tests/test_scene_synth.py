@@ -11,7 +11,8 @@ from landsite.formats import write_json
 from landsite.geometry import CameraIntrinsics, Pose, backproject, \
     camera_pose, rotation_x, rotation_y, rotation_z
 
-from oracles import edge_mask_from_prim_ids, reference_render_depth
+from oracles import edge_mask_from_prim_ids, reference_render_depth, \
+    scene_to_json_obj
 
 # Matrices a scene file may offer as a box rotation that are not one.
 NON_ROTATIONS = {
@@ -198,7 +199,7 @@ class TestSceneJson:
     def test_round_trip(self, tmp_path):
         scene = ss.canonical_scenes(seed=3)["RUBBLE"]
         path = tmp_path / "scene.json"
-        write_json(path, ss.scene_to_json_obj(scene))
+        write_json(path, scene_to_json_obj(scene))
         loaded = ss.load_scene(path)
         assert len(loaded.primitives) == len(scene.primitives)
         for a, b in zip(loaded.primitives, scene.primitives):

@@ -62,6 +62,12 @@ def test_spans_attach_and_count():
                      "costmaps.energy", "costmaps.fuse", "detection",
                      "detection.lift", "registry.insert",
                      "registry.cluster"}, names
+    # one EDT per frame, timed inside that frame's costmaps span
+    edt = [span for span in tracer.spans if span[0] == "edt"]
+    costmaps = [i for i, span in enumerate(tracer.spans)
+                if span[0] == "costmaps"]
+    assert len(edt) == len(costmaps) == 1, names
+    assert edt[0][2] == costmaps[0]
     counts = {span[0]: span[5] for span in tracer.spans if span[5]}
     assert counts["canny"]["valid_px"] == 24 * 32
     assert counts["costmaps"] == {"valid_px": 24 * 32, "pixels": 24 * 32}
