@@ -50,8 +50,8 @@ SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64) / 8.0
 _TAN_22_5 = math.tan(math.pi / 8.0)
 _TAN_67_5 = math.tan(3.0 * math.pi / 8.0)
 
-# (dy, dx) of the "next" neighbour of direction classes 0-3 (horizontal,
-# 45 deg, vertical, 135 deg); "prev" is the opposite neighbour.
+# (dy, dx) of the "next" neighbour of the direction classes horizontal,
+# 45 deg, vertical and 135 deg; "prev" is the opposite neighbour.
 _NEXT_OFFSETS = ((0, 1), (1, 1), (1, 0), (1, -1))
 
 
@@ -82,20 +82,22 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
     gy = ndimage.correlate(smoothed, SOBEL_Y, mode="nearest")
     mag = np.sqrt(gx * gx + gy * gy)
 
-    # Direction classes, each assignment overriding the ones before it:
-    # horizontal wins over vertical, and both over the diagonals.
+    # Direction classes. The horizontal and vertical tests cannot both
+    # hold (tan 22.5 |gx| <= tan 67.5 |gx|); the diagonals take the rest.
     ax = np.abs(gx)
     ay = np.abs(gy)
-    direction = np.where(gx * gy >= 0, 1, 3)
-    direction[ay > _TAN_67_5 * ax] = 2
-    direction[ay <= _TAN_22_5 * ax] = 0
+    horizontal = ay <= _TAN_22_5 * ax
+    vertical = ay > _TAN_67_5 * ax
+    diagonal = ~(horizontal | vertical)
+    rising = gx * gy >= 0
+    classes = (horizontal, diagonal & rising, vertical, diagonal & ~rising)
 
     padded = np.pad(mag, 1, mode="constant")
     peak = np.zeros((h, w), dtype=bool)
-    for c, (dy, dx) in enumerate(_NEXT_OFFSETS):
+    for in_class, (dy, dx) in zip(classes, _NEXT_OFFSETS):
         nxt = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
         prev = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
-        peak |= (direction == c) & (mag > prev) & (mag >= nxt)
+        peak |= in_class & (mag > prev) & (mag >= nxt)
 
     weak = peak & (mag >= low)
     strong = peak & (mag >= high)

@@ -21,7 +21,8 @@ distance is therefore the correctly rounded square root of the exact
 integer squared distance.
 
 Everything here is a pure, deterministic, single-threaded function of
-its inputs.
+its inputs: the stages compute in place only in buffers they allocate
+themselves, and return no view of an input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy import ndimage
 from . import canny
 from .config import PipelineConfig
 from .errors import ConfigError
-from .geometry import DepthFrame, backproject
+from .geometry import DepthFrame, camera_planes, ray_offsets
 
 NORMALIZE_EPS = 1e-12
 
@@ -125,81 +126,128 @@ def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
         raise ConfigError("smoothing window must be odd and >= 1")
-    points, valid = backproject(frame)
-    p = np.moveaxis(points, -1, 0)  # component-first (3, H, W) planes
-
-    tan_h = np.zeros(p.shape)
-    tan_h[:, :, 1:-1] = p[:, :, 2:] - p[:, :, :-2]
-    tan_h_ok = np.zeros_like(valid)
-    tan_h_ok[:, 1:-1] = valid[:, 2:] & valid[:, :-2]
-
-    tan_v = np.zeros(p.shape)
-    tan_v[:, 1:-1] = p[:, 2:] - p[:, :-2]
-    tan_v_ok = np.zeros_like(valid)
-    tan_v_ok[1:-1] = valid[2:] & valid[:-2]
-
-    (h0, h1, h2), ok_h = _box_average(tan_h, tan_h_ok, smoothing_window)
-    (v0, v1, v2), ok_v = _box_average(tan_v, tan_v_ok, smoothing_window)
-    cross = np.array([h1 * v2 - h2 * v1, h2 * v0 - h0 * v2, h0 * v1 - h1 * v0])
-
+    p = camera_planes(frame)
+    hs, ok_h = _box_tangent(p, frame.valid, _ALONG_X, smoothing_window)
+    vs, ok_v = _box_tangent(p, frame.valid, _ALONG_Y, smoothing_window)
+    cross = np.empty(p.shape)
+    tmp = np.empty(frame.valid.shape)
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(hs[i], vs[j], out=cross[c])
+        np.multiply(hs[j], vs[i], out=tmp)
+        cross[c] -= tmp
+    del hs, vs  # free the means before normalizing
     normals, nonzero = _unit_normals(cross, p)
     ok = ok_h & ok_v & nonzero
     normals *= ok
-    n0, n1, n2 = normals
 
     r = frame.pose_world_from_camera.rotation
-    world = np.empty(p.shape)
+    world = p  # the points are no longer needed
     for i in range(3):
-        world[i] = r[i, 0] * n0 + r[i, 1] * n1 + r[i, 2] * n2
+        np.multiply(r[i, 0], normals[0], out=world[i])
+        world[i] += np.multiply(r[i, 1], normals[1], out=tmp)
+        world[i] += np.multiply(r[i, 2], normals[2], out=tmp)
     return NormalMap(np.moveaxis(world, 0, -1), ok)
 
 
-def _box_average(field: np.ndarray, ok: np.ndarray, window: int):
-    """Mean of each plane over a window x window box; valid where the whole
-    box lies inside the frame and every sample in it is valid."""
+# (upper, lower, centre) slices of a central difference along x and y.
+_ALONG_X = (np.s_[..., 2:], np.s_[..., :-2], np.s_[..., 1:-1])
+_ALONG_Y = (np.s_[..., 2:, :], np.s_[..., :-2, :], np.s_[..., 1:-1, :])
+
+
+def _box_tangent(p: np.ndarray, valid: np.ndarray, along, window: int):
+    """Central difference of each (H, W) plane of ``p`` along one axis,
+    averaged over a window x window box.
+
+    Returns the (3, H, W) mean and its mask: valid where the whole box
+    lies inside the frame and every difference in it joins two valid
+    pixels. The differences on the frame's edge along that axis are 0.
+    """
+    upper, lower, centre = along
+    ok = np.zeros_like(valid)
+    np.logical_and(valid[upper], valid[lower], out=ok[centre])
     if window == 1:
-        return field, ok
+        tangent = np.zeros(p.shape)
+        np.subtract(p[upper], p[lower], out=tangent[centre])
+        return tangent, ok
+    h, w = valid.shape
     # Boxes wider than the frame all reach outside it, so capping the
     # window changes no output; the cap bounds buffers and 1 / window^2.
-    window = min(window, max(ok.shape) + 1)
-    full = ndimage.minimum_filter(ok, size=window, mode="constant")
-    avg = _box_sum(field, window)
-    avg *= 1.0 / float(window * window)
-    avg *= full
-    return avg, full
-
-
-def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
-    """Sum over the centered window x window box of each (H, W) plane of
-    ``a``, via an integral image; zero where the box leaves the frame."""
+    window = min(window, max(h, w) + 1)
     r = window // 2
-    h, w = a.shape[-2:]
     ny, nx = max(h - window + 1, 0), max(w - window + 1, 0)
-    integral = np.zeros((*a.shape[:-2], h + 1, w + 1))
-    np.cumsum(a, axis=-2, out=integral[..., 1:, 1:])
-    np.cumsum(integral[..., 1:, 1:], axis=-1, out=integral[..., 1:, 1:])
-    out = np.zeros(a.shape)
-    out[..., r : r + ny, r : r + nx] = (
-        integral[..., window:, window:] - integral[..., window:, :nx]
-        - integral[..., :ny, window:] + integral[..., :ny, :nx])
-    return out
+
+    # Integral image of the differences: prefix sums down the columns,
+    # then along the rows, behind a zero first row and column.
+    integral = np.zeros((3, h + 1, w + 1))
+    body = integral[:, 1:, 1:]
+    np.subtract(p[upper], p[lower], out=body[centre])
+    np.cumsum(body, axis=-2, out=body)
+    np.cumsum(body, axis=-1, out=body)
+
+    # Combine the corners as ((d - b) - c) + a in a contiguous buffer,
+    # where in-place numpy runs fastest, free the integral image, then
+    # place the means in the frame.
+    full = _box_valid(ok, window)
+    box = np.subtract(integral[:, window:, window:], integral[:, window:, :nx])
+    box -= integral[:, :ny, window:]
+    box += integral[:, :ny, :nx]
+    del integral, body
+    box *= 1.0 / float(window * window)
+    box *= full[r : r + ny, r : r + nx]
+    mean = np.zeros(p.shape)
+    mean[:, r : r + ny, r : r + nx] = box
+    return mean, full
+
+
+def _box_valid(ok: np.ndarray, window: int) -> np.ndarray:
+    """True where the centered window x window box (``window`` odd) lies
+    inside the frame and holds only True pixels of ``ok``."""
+    h, w = ok.shape
+    full = np.zeros_like(ok)
+    ny, nx = h - window + 1, w - window + 1
+    if ny <= 0 or nx <= 0:
+        return full
+    rows = ok[:, :nx].copy()  # rows[y, x]: ok[y, x : x + window] all True
+    for i in range(1, window):
+        rows &= ok[:, i : i + nx]
+    r = window // 2
+    box = full[r : r + ny, r : r + nx]
+    box[...] = rows[:ny]
+    for i in range(1, window):
+        box &= rows[i : i + ny]
+    return full
+
+
+# Indexed by "points away from the camera".
+_FLIP = np.array([1.0, -1.0])
 
 
 def _unit_normals(cross: np.ndarray, points: np.ndarray):
-    """Normalize (3, H, W) cross products and orient them toward the camera.
+    """Normalize (3, H, W) cross products in place and orient them toward
+    the camera.
 
-    Returns (normals, nonzero) where pixels with an exactly zero cross
-    product are flagged degenerate.
+    Returns (normals, nonzero): ``normals`` is ``cross`` itself, and pixels
+    with an exactly zero cross product are flagged degenerate and scaled
+    by zero.
     """
     (c0, c1, c2), (p0, p1, p2) = cross, points
-    norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    norm = np.multiply(c0, c0)
+    tmp = np.multiply(c1, c1)
+    norm += tmp
+    norm += np.multiply(c2, c2, out=tmp)
+    np.sqrt(norm, out=norm)
     nonzero = norm > 0.0
-    toward = c0 * p0 + c1 * p1 + c2 * p2
-    # Flip normals that point away from the camera; scale handles both
-    # the normalization and the orientation in one multiply.
-    scale = np.where(nonzero, 1.0 / np.where(nonzero, norm, 1.0), 0.0)
-    scale = np.where(toward > 0.0, -scale, scale)
-    return cross * scale, nonzero
+    toward = np.multiply(c0, p0)
+    toward += np.multiply(c1, p1, out=tmp)
+    toward += np.multiply(c2, p2, out=tmp)
+    # -1.0 where the normal points away from the camera. Dividing it by
+    # the norm flips and normalizes in one step; a degenerate pixel is
+    # scaled by a zero of that sign.
+    sign = _FLIP.take((toward > 0.0).view(np.uint8))
+    scale = np.multiply(sign, 0.0, out=tmp)
+    np.divide(sign, norm, out=scale, where=nonzero)
+    cross *= scale
+    return cross, nonzero
 
 
 def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:
@@ -228,11 +276,17 @@ def energy_map(frame: DepthFrame) -> Costmap:
     Computed as the camera-frame range, which equals the world-frame
     distance to the camera position exactly (rotations preserve norms).
     """
-    points, valid = backproject(frame)
-    dist = np.sqrt(points[..., 0] * points[..., 0]
-                   + points[..., 1] * points[..., 1]
-                   + points[..., 2] * points[..., 2])
-    return Costmap(dist, valid)
+    # x^2 + y^2 + z^2 of (x, y, z) = depth * (u, v, 1), with no point grid;
+    # the squares are +0.0 at invalid pixels whatever the sign of x or y.
+    u, v = ray_offsets(frame.intrinsics)
+    dist = np.multiply(frame.depth, u[None, :])
+    dist *= dist
+    y2 = np.multiply(frame.depth, v[:, None])
+    y2 *= y2
+    dist += y2
+    dist += np.multiply(frame.depth, frame.depth, out=y2)
+    np.sqrt(dist, out=dist)
+    return Costmap(dist, frame.valid.copy())
 
 
 def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
@@ -243,18 +297,19 @@ def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
     """
     if orientation not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
         raise ConfigError(f"unknown orientation {orientation!r}")
-    ok = costmap.valid
-    out = np.zeros_like(costmap.values)
-    if ok.any():
-        vals = costmap.values[ok]
-        lo = float(vals.min())
-        hi = float(vals.max())
-        if hi - lo < NORMALIZE_EPS:
-            out[ok] = 0.5
-        elif orientation == HIGHER_IS_BETTER:
-            out[ok] = (vals - lo) / (hi - lo)
+    ok, values = costmap.valid, costmap.values
+    out = np.zeros_like(values)
+    # With no valid pixel, hi - lo is -inf and nothing is written.
+    lo = float(values.min(where=ok, initial=np.inf))
+    hi = float(values.max(where=ok, initial=-np.inf))
+    if hi - lo < NORMALIZE_EPS:
+        np.copyto(out, 0.5, where=ok)
+    else:
+        if orientation == HIGHER_IS_BETTER:
+            np.subtract(values, lo, out=out, where=ok)
         else:
-            out[ok] = (hi - vals) / (hi - lo)
+            np.subtract(hi, values, out=out, where=ok)
+        np.divide(out, hi - lo, out=out, where=ok)
     return Costmap(out, ok.copy())
 
 

@@ -230,21 +230,35 @@ class DepthFrame:
         return self.depth.shape
 
 
+def ray_offsets(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v): the camera point at column x, row y and depth d is
+    (d * u[x], d * v[y], d)."""
+    u = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
+    v = (np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy
+    return u, v
+
+
+def camera_planes(frame: DepthFrame) -> np.ndarray:
+    """Camera-frame x, y and z of every pixel as contiguous (3, H, W) planes.
+
+    Invalid pixels hold +0.0 in all three planes.
+    """
+    u, v = ray_offsets(frame.intrinsics)
+    planes = np.empty((3, *frame.depth.shape), dtype=np.float64)
+    np.multiply(frame.depth, u[None, :], out=planes[0])
+    np.multiply(frame.depth, v[:, None], out=planes[1])
+    planes[2] = frame.depth
+    np.copyto(planes, 0.0, where=~frame.valid)
+    return planes
+
+
 def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
     """Lift a depth frame to a camera-frame point grid.
 
     Returns (points, valid) where points has shape (H, W, 3) and invalid
     pixels hold zeros.
     """
-    intr = frame.intrinsics
-    u = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
-    v = (np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy
-    pts = np.empty((*frame.depth.shape, 3), dtype=np.float64)
-    pts[..., 0] = frame.depth * u[None, :]
-    pts[..., 1] = frame.depth * v[:, None]
-    pts[..., 2] = frame.depth
-    pts[~frame.valid] = 0.0
-    return pts, frame.valid.copy()
+    return np.moveaxis(camera_planes(frame), 0, -1), frame.valid.copy()
 
 
 def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -8,7 +8,10 @@ renderer and the scene-file writer only read the package's scene, frame
 and ground-truth types.
 ``edge_mask_from_prim_ids`` derives the edge ground truth from a
 render's primitive ids. The Canny reference follows the documented
-detector conventions tap for tap so the comparison is exact.
+detector conventions tap for tap so the comparison is exact. The
+box-validity, min-max and unit-normal references are whole-array
+formulations (a minimum filter, a gather and scatter, ``np.where``
+masks) that pin the package's in-place versions bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 from landsite.geometry import DepthFrame
 from landsite.registry import LandingSite
@@ -244,6 +248,44 @@ def loop_surface_normals(depth, valid, intrinsics, rotation, window: int):
                              + float(rotation[i, 2]) * n[2] for i in range(3)]
             ok_out[y, x] = ok
     return normals, ok_out
+
+
+def box_validity(ok: np.ndarray, window: int) -> np.ndarray:
+    """True where the centered window x window box lies inside the frame
+    and holds only True pixels of ``ok`` (``window`` odd): a minimum
+    filter whose outside is False."""
+    return ndimage.minimum_filter(np.asarray(ok, bool), size=window,
+                                  mode="constant")
+
+
+def gather_minmax_normalize(values, valid, orientation: str) -> np.ndarray:
+    """Reference min-max rescale of the valid values: gather them, rescale
+    the gathered vector, scatter it back into zeros."""
+    out = np.zeros_like(values)
+    if valid.any():
+        vals = values[valid]
+        lo = float(vals.min())
+        hi = float(vals.max())
+        if hi - lo < 1e-12:
+            out[valid] = 0.5
+        elif orientation == "higher_is_better":
+            out[valid] = (vals - lo) / (hi - lo)
+        else:
+            out[valid] = (hi - vals) / (hi - lo)
+    return out
+
+
+def where_unit_normals(cross: np.ndarray, points: np.ndarray):
+    """Reference unit normals from (3, H, W) cross products, built with
+    ``np.where``: 1 / norm where the norm is nonzero, else 0, negated
+    where the cross product points away from the camera (``points``)."""
+    (c0, c1, c2), (p0, p1, p2) = cross, points
+    norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    nonzero = norm > 0.0
+    toward = c0 * p0 + c1 * p1 + c2 * p2
+    scale = np.where(nonzero, 1.0 / np.where(nonzero, norm, 1.0), 0.0)
+    scale = np.where(toward > 0.0, -scale, scale)
+    return cross * scale, nonzero
 
 
 def json_dumps_candidates_jsonl(frame_results) -> str:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landsite.config import get_profile
@@ -11,6 +11,7 @@ from landsite.costmaps import (
     LOWER_IS_BETTER,
     Costmap,
     NormalMap,
+    _box_valid,
     _unit_normals,
     canny_edges,
     decision_map,
@@ -25,7 +26,8 @@ from landsite.errors import ConfigError
 from landsite.geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose
 from landsite.pipeline import evaluate_costmaps
 
-from oracles import loop_surface_normals
+from oracles import box_validity, gather_minmax_normalize, \
+    loop_surface_normals, where_unit_normals
 
 SIM = get_profile("sim")
 
@@ -151,6 +153,37 @@ class TestSurfaceNormals:
         assert nonzero[0, 0]
         assert not nonzero[0, 1]
         assert not nonzero[1, 1]
+
+    def test_unit_normals_match_where_oracle_bitwise(self):
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, 1e-170, -1e-170, 1e200, -1e200, 1.0,
+                            -2.5, 5e-324])
+        for k in range(40):
+            h, w = (int(n) for n in rng.integers(1, 9, size=2))
+            cross = rng.normal(0, 1, (3, h, w)) * 10.0 ** rng.integers(-200, 200)
+            pick = rng.random((3, h, w)) < 0.5
+            cross[pick] = rng.choice(special, size=int(pick.sum()))
+            cross[:, rng.random((h, w)) < 0.2] = 0.0  # whole vectors zero
+            points = rng.normal(0, 1, (3, h, w)) * 10.0 ** rng.integers(-5, 300)
+            points[rng.random((3, h, w)) < 0.2] = -0.0
+            with np.errstate(all="ignore"):
+                want, want_nonzero = where_unit_normals(cross, points)
+                got, nonzero = _unit_normals(cross.copy(), points)
+            assert got.tobytes() == want.tobytes(), k
+            assert np.array_equal(nonzero, want_nonzero), k
+
+    def test_box_validity_matches_minimum_filter_oracle(self):
+        rng = np.random.default_rng(8)
+        shapes = [(1, 1), (1, 2), (2, 1), (1, 13), (13, 1), (3, 3), (4, 9),
+                  (9, 4)] + [tuple(int(n) for n in rng.integers(1, 16, size=2))
+                             for _ in range(12)]
+        for h, w in shapes:
+            for density in (0.5, 0.9, 1.0):
+                ok = rng.random((h, w)) < density
+                for window in range(1, 2 * max(h, w) + 2, 2):
+                    assert np.array_equal(_box_valid(ok, window),
+                                          box_validity(ok, window)), \
+                        (h, w, density, window)
 
     def test_border_pixels_invalid(self, make_frame):
         nm = surface_normals(make_frame(np.full((48, 64), 2.0)), 3)
@@ -293,6 +326,18 @@ class TestEnergy:
         assert np.all(np.diff(right) > 0)
 
 
+@st.composite
+def _values_and_masks(draw):
+    """Up to 6 x 6 values mixing signed zeros, a few repeated levels (so
+    degenerate ranges) and any float but NaN, with any validity mask."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    number = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -3.5, 7.25]),
+                       st.floats(allow_nan=False))
+    values = draw(st.lists(number, min_size=h * w, max_size=h * w))
+    valid = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(values).reshape(h, w), np.array(valid).reshape(h, w)
+
+
 class TestMinmaxNormalize:
     def _map(self, values):
         v = np.array(values, dtype=float).reshape(1, -1)
@@ -317,6 +362,38 @@ class TestMinmaxNormalize:
         assert out.values[0, 0] == 0.0
         assert out.values[0, 2] == 1.0
         assert not out.valid[0, 1]
+
+    @given(_values_and_masks(),
+           st.sampled_from([HIGHER_IS_BETTER, LOWER_IS_BETTER]))
+    @example((np.array([[-0.0]]), np.array([[True]])), LOWER_IS_BETTER)
+    @example((np.array([[2.0, 9.0]]), np.array([[False, True]])),
+             HIGHER_IS_BETTER)
+    @example((np.array([[2.0, 9.0]]), np.array([[False, False]])),
+             HIGHER_IS_BETTER)
+    @example((np.array([[-0.0, 0.0, 5.0, -0.0]]), np.ones((1, 4), bool)),
+             HIGHER_IS_BETTER)
+    @example((np.array([[np.inf, np.inf, 1.0]]),  # hi - lo is NaN
+              np.array([[True, True, False]])), LOWER_IS_BETTER)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gather_scatter_oracle(self, values_and_mask, orientation):
+        """Bit for bit equal to rescaling the gathered valid values.
+
+        numpy's min and max may return either zero when +0.0 and -0.0 tie
+        for the extreme (the gathered reduction picks one by SIMD lane
+        order), so in that case only the sign of the zeros that the
+        zero-valued pixels map to may differ.
+        """
+        values, valid = values_and_mask
+        with np.errstate(all="ignore"):
+            got = minmax_normalize(Costmap(values, valid), orientation)
+            want = gather_minmax_normalize(values, valid, orientation)
+        assert np.array_equal(got.valid, valid)
+        same = got.values.view(np.uint64) == want.view(np.uint64)
+        vals = values[valid]
+        zeros = np.signbit(vals[vals == 0])
+        if zeros.any() and not zeros.all() and 0 in (vals.min(), vals.max()):
+            same |= (values == 0) & (got.values == want)
+        assert same.all()
 
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ConfigError):
@@ -428,3 +505,46 @@ class TestValidityPropagation:
         jec = minmax_normalize(energy_map(frame), LOWER_IS_BETTER)
         decision = decision_map(jde, jfl, jn, jec, SIM)
         assert not decision.valid[~frame.valid].any()
+
+
+class TestNoAliasing:
+    """The stages compute in place, but only in buffers they allocate."""
+
+    @staticmethod
+    def _check(outputs, inputs):
+        for out in outputs:
+            for arr in inputs:
+                assert not np.shares_memory(out, arr)
+
+    def test_stages_leave_inputs_unchanged_and_share_no_memory(
+            self, intrinsics_small):
+        rng = np.random.default_rng(2)
+        depth = 4.0 + rng.normal(0, 0.05, (48, 64))
+        valid = rng.random((48, 64)) > 0.1
+        frame = DepthFrame(depth, valid, intrinsics_small,
+                           camera_pose((1.0, 2.0, 4.0), 0.1, -0.2, 0.3))
+        depth0, valid0 = frame.depth.copy(), frame.valid.copy()
+        inputs = [frame.depth, frame.valid]
+
+        for window in (1, 3, 5):
+            nm = surface_normals(frame, window)
+            self._check([nm.normals, nm.valid], inputs)
+        energy = energy_map(frame)
+        self._check([energy.values, energy.valid], inputs)
+        assert frame.depth.tobytes() == depth0.tobytes()
+        assert np.array_equal(frame.valid, valid0)
+
+        maps = [depth_confidence_map(frame), energy,
+                steepness_map(surface_normals(frame, 3), math.radians(15)),
+                distance_transform(canny_edges(frame, 0.05, 0.2), frame.valid)]
+        before = [(m.values.tobytes(), m.valid.copy()) for m in maps]
+        arrays = [a for m in maps for a in (m.values, m.valid)]
+        normalized = [minmax_normalize(m, orientation) for m in maps
+                      for orientation in (HIGHER_IS_BETTER, LOWER_IS_BETTER)]
+        for m in normalized:
+            self._check([m.values, m.valid], arrays)
+        fused = decision_map(*maps, SIM)
+        self._check([fused.values, fused.valid], arrays)
+        for m, (values, mask) in zip(maps, before):
+            assert m.values.tobytes() == values
+            assert np.array_equal(m.valid, mask)
