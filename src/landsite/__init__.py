@@ -31,7 +31,6 @@ from .geometry import (
     CameraIntrinsics,
     DepthFrame,
     Pose,
-    backproject,
     camera_pose,
     project_points,
     project_uav_radius,
@@ -72,7 +71,7 @@ __all__ = [
     "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER", "LandingSite", "NormalMap", "PROFILES",
     "PipelineConfig", "PipelineResult", "Pose", "SceneSpec", "SiteRegistry",
-    "Sphere", "StageStat", "TiltedPlane", "TimingReport", "backproject",
+    "Sphere", "StageStat", "TiltedPlane", "TimingReport",
     "bench", "camera_pose", "canny_edges",
     "canonical_camera", "canonical_scenes", "cluster_sites", "decision_map",
     "default_intrinsics", "dense_candidates", "depth_confidence_map",

@@ -6,6 +6,12 @@ and its cost repeat exactly; failed and empty frames are handled as in
 ``stage_ms``; clustering is the pass's one ``cluster_ms`` split evenly
 over its frames. The report gives mean and standard deviation per stage
 over all frames of all passes, in milliseconds.
+
+The Depth Accuracy and Flatness rows run on a worker thread while the
+Steepness and Energy rows run on the caller's (see
+``pipeline.evaluate_costmaps``), so on a multi-core host those rows
+overlap and "Total Time", the sum of the rows, is more than a frame's
+wall time.
 """
 
 from __future__ import annotations

@@ -71,25 +71,30 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
     """
     if not (0 < low <= high):
         raise ConfigError("edge thresholds must satisfy 0 < low <= high")
-    d = np.where(valid, depth, 0.0).astype(np.float64)
+    d = np.where(valid, depth, 0.0).astype(np.float64, copy=False)
     h, w = d.shape
 
     k = gaussian_kernel(GAUSSIAN_SIGMA)
     smoothed = ndimage.correlate(d, k[:, None], mode="nearest")
+    del d
     smoothed = ndimage.correlate(smoothed, k[None, :], mode="nearest")
 
     gx = ndimage.correlate(smoothed, SOBEL_X, mode="nearest")
     gy = ndimage.correlate(smoothed, SOBEL_Y, mode="nearest")
-    mag = np.sqrt(gx * gx + gy * gy)
+    del smoothed
+    mag = gx * gx
+    mag += gy * gy
+    np.sqrt(mag, out=mag)
 
     # Direction classes. The horizontal and vertical tests cannot both
     # hold (tan 22.5 |gx| <= tan 67.5 |gx|); the diagonals take the rest.
-    ax = np.abs(gx)
-    ay = np.abs(gy)
+    rising = gx * gy >= 0
+    ax = np.abs(gx, out=gx)
+    ay = np.abs(gy, out=gy)
     horizontal = ay <= _TAN_22_5 * ax
     vertical = ay > _TAN_67_5 * ax
+    del gx, gy, ax, ay
     diagonal = ~(horizontal | vertical)
-    rising = gx * gy >= 0
     classes = (horizontal, diagonal & rising, vertical, diagonal & ~rising)
 
     padded = np.pad(mag, 1, mode="constant")

@@ -252,19 +252,10 @@ def camera_planes(frame: DepthFrame) -> np.ndarray:
     return planes
 
 
-def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Lift a depth frame to a camera-frame point grid.
-
-    Returns (points, valid) where points has shape (H, W, 3) and invalid
-    pixels hold zeros.
-    """
-    return np.moveaxis(camera_planes(frame), 0, -1), frame.valid.copy()
-
-
 def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Project camera-frame points (..., 3) to pixel coordinates (..., 2).
 
-    This is the inverse of :func:`backproject` on valid pixels. A point
+    This is the inverse of :func:`camera_planes` on valid pixels. A point
     with z <= 0 projects to a mirrored or non-finite pixel, which the
     caller must handle.
     """

@@ -3,7 +3,10 @@
 Per frame: hazard costmaps -> decision map -> dense candidates -> world
 sites -> registry insertion; clustering runs over the registry at the
 end (or on demand). Frames are processed strictly in order because the
-registry's dedup semantics are order sensitive.
+registry's dedup semantics are order sensitive. Within a frame, the two
+costmap branches (flatness, and normals with steepness and energy)
+overlap on two threads; each stage function is still single-threaded
+and pure, so the maps are the same bits as in serial order.
 
 A frame stream on disk is a directory holding intrinsics.json,
 frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
@@ -14,9 +17,11 @@ load.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -83,35 +88,55 @@ class _StageClock:
         self._t0 = t
 
 
-def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
-    """Run the costmap stages for one frame, timing each into ``stage_ms``."""
+def _flatness_branch(config: PipelineConfig, frame: DepthFrame):
+    """Depth confidence, Canny and EDT, timed on their own clock."""
     clock = _StageClock()
-
     depth_conf_raw = cm.depth_confidence_map(frame)
     clock.lap("depth_accuracy")
-
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
     flat_raw = cm.distance_transform(edges, frame.valid)
     clock.lap("flatness")
+    return depth_conf_raw, edges, flat_raw, clock.ms
 
-    normals = cm.surface_normals(frame, config.smoothing_window_px)
-    steep = cm.steepness_map(normals, math.radians(config.slope_tolerance_deg))
-    clock.lap("steepness")
 
-    energy_raw = cm.energy_map(frame)
-    clock.lap("energy")
+def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
+    """Run the costmap stages for one frame, timing each into ``stage_ms``.
 
+    The flatness branch (depth confidence, Canny, EDT) runs on a worker
+    thread while this thread runs normals, steepness and energy; the
+    branches share only the input frame, and numpy and ``scipy.ndimage``
+    release the GIL, so they overlap on a multi-core host. The worker
+    runs in a copy of the caller's context, so an enclosing
+    ``np.errstate`` applies to it too. Both branches finish before this
+    returns or raises, and the worker's error wins, as it would in serial
+    order, where its stages come first.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(contextvars.copy_context().run, _flatness_branch,
+                             config, frame)
+        clock = _StageClock()
+        try:
+            normals = cm.surface_normals(frame, config.smoothing_window_px)
+            steep = cm.steepness_map(normals,
+                                     math.radians(config.slope_tolerance_deg))
+            clock.lap("steepness")
+            energy_raw = cm.energy_map(frame)
+            clock.lap("energy")
+        finally:  # waits for the worker; its error replaces this thread's
+            depth_conf_raw, edges, flat_raw, flat_ms = worker.result()
+
+    final = _StageClock()
     depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
     flat_norm = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
     energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
     decision = cm.decision_map(depth_conf, flat_norm, steep, energy, config)
-    clock.lap("final")
+    final.lap("final")
 
     return FrameMaps(depth_confidence_raw=depth_conf_raw, edges=edges,
                      flatness_raw=flat_raw, normals=normals, steepness=steep,
                      energy_raw=energy_raw, depth_confidence=depth_conf,
                      flatness=flat_norm, energy=energy, decision=decision,
-                     stage_ms=clock.ms)
+                     stage_ms={**flat_ms, **clock.ms, **final.ms})
 
 
 def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
@@ -162,6 +187,7 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
         if dump_dir is not None:
             dump_costmaps(dump_dir, frame.frame_id, maps)
         result.frames.append(detect_frame(config, frame, maps, registry))
+        del maps  # free this frame's maps before the next frame's are built
     t0 = time.perf_counter()
     result.clusters = cluster_sites(registry, config.cluster_dist_m,
                                     config.cluster_z_m, config.cluster_metric)

@@ -156,6 +156,18 @@ def naive_canny(depth: np.ndarray, valid: np.ndarray, low: float,
     return out
 
 
+def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-frame point grid (H, W, 3) of a frame, zeros at invalid
+    pixels, and a copy of its mask: the pinhole model per pixel axis."""
+    intr = frame.intrinsics
+    ys, xs = np.indices(frame.depth.shape, dtype=np.float64)
+    points = np.stack([frame.depth * ((xs - intr.cx) / intr.fx),
+                       frame.depth * ((ys - intr.cy) / intr.fy),
+                       frame.depth], axis=-1)
+    points[~frame.valid] = 0.0
+    return points, frame.valid.copy()
+
+
 def homogeneous_pixel_to_world(pixel, depth, intrinsics, rotation,
                                translation) -> np.ndarray:
     """Reference pixel -> world lift via an explicit 4x4 matrix product."""

@@ -26,7 +26,7 @@ from landsite.errors import ConfigError
 from landsite.geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose
 from landsite.pipeline import evaluate_costmaps
 
-from oracles import box_validity, gather_minmax_normalize, \
+from oracles import backproject, box_validity, gather_minmax_normalize, \
     loop_surface_normals, where_unit_normals
 
 SIM = get_profile("sim")
@@ -297,8 +297,6 @@ class TestEnergy:
         assert energy_map(frame).values[24, 32] == pytest.approx(5.0)
 
     def test_equals_world_distance_to_camera(self, intrinsics_small):
-        from landsite.geometry import Pose, backproject
-
         pose = Pose.from_quaternion(0.8, 0.1, -0.4, 0.2, (2.0, -1.0, 8.0))
         rng = np.random.default_rng(12)
         depth = rng.uniform(1.0, 9.0, (48, 64))

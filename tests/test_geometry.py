@@ -8,7 +8,7 @@ from landsite.geometry import (
     CameraIntrinsics,
     DepthFrame,
     Pose,
-    backproject,
+    camera_planes,
     camera_pose,
     load_intrinsics,
     load_pose_records,
@@ -86,10 +86,14 @@ class TestPose:
         assert np.max(np.abs(back - pts)) < 1e-9
 
 
+def points_grid(frame):
+    return np.moveaxis(camera_planes(frame), 0, -1)
+
+
 class TestBackprojection:
     def test_principal_point_ray(self, make_frame, intrinsics_small):
         frame = make_frame(np.full((48, 64), 2.0))
-        pts, valid = backproject(frame)
+        pts = points_grid(frame)
         cy, cx = 23, 31  # nearest integer pixel is offset from (cx, cy)
         x, y = 40, 30
         intr = intrinsics_small
@@ -102,7 +106,7 @@ class TestBackprojection:
         depth = np.full((48, 64), 2.0)
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
                            Pose(np.eye(3), np.zeros(3)))
-        pts, _ = backproject(frame)
+        pts = points_grid(frame)
         assert np.allclose(pts[24, 32], [0.0, 0.0, 2.0])
 
     def test_45_degree_ray(self):
@@ -110,7 +114,7 @@ class TestBackprojection:
         depth = np.ones((32, 32))
         frame = DepthFrame(depth, np.ones_like(depth, bool), intr,
                            Pose(np.eye(3), np.zeros(3)))
-        pts, _ = backproject(frame)
+        pts = points_grid(frame)
         # pixel at cx + fx with depth 1 backprojects to x = z = 1
         assert np.allclose(pts[8, 18], [1.0, 0.0, 1.0])
 
@@ -118,14 +122,14 @@ class TestBackprojection:
         depth = np.full((48, 64), 3.0)
         depth[10, 10] = np.nan
         frame = make_frame(depth)
-        pts, valid = backproject(frame)
-        assert not valid[10, 10]
+        pts = points_grid(frame)
+        assert not frame.valid[10, 10]
         assert np.all(pts[10, 10] == 0.0)
 
     def test_project_backproject_round_trip(self, make_frame, intrinsics_small):
         rng = np.random.default_rng(5)
         frame = make_frame(rng.uniform(0.5, 9.0, (48, 64)))
-        pts, valid = backproject(frame)
+        pts = points_grid(frame)
         px = project_points(pts, intrinsics_small)
         xs = np.arange(64)[None, :].repeat(48, axis=0)
         ys = np.arange(48)[:, None].repeat(64, axis=1)

@@ -5,9 +5,12 @@ import functools
 import io
 import json
 import logging
+import math
 import re
 import struct
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landsite import costmaps as cm
 from landsite import scene_synth as ss
 from landsite.bench import STAGES, bench
 from landsite.cli import main as cli_main
@@ -428,6 +432,113 @@ class TestBenchRunsPipeline:
         assert all(np.isfinite(s.mean_ms) for s in report.stages.values())
         with pytest.raises(ValueError, match="every frame failed"):
             bench(get_profile("sim"), frames[1:], repetitions=2)
+
+
+def serial_costmaps(config, frame) -> dict:
+    """The costmap stages one after another, in the order of their fields."""
+    depth_conf_raw = cm.depth_confidence_map(frame)
+    edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
+    flat_raw = cm.distance_transform(edges, frame.valid)
+    normals = cm.surface_normals(frame, config.smoothing_window_px)
+    steep = cm.steepness_map(normals, math.radians(config.slope_tolerance_deg))
+    energy_raw = cm.energy_map(frame)
+    depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
+    flat = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
+    energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
+    return dict(depth_confidence_raw=depth_conf_raw, edges=edges,
+                flatness_raw=flat_raw, normals=normals, steepness=steep,
+                energy_raw=energy_raw, depth_confidence=depth_conf,
+                flatness=flat, energy=energy,
+                decision=cm.decision_map(depth_conf, flat, steep, energy,
+                                         config))
+
+
+def assert_maps_bitwise_equal(maps, expected: dict) -> None:
+    assert {f.name for f in dataclasses.fields(maps)} == {*expected, "stage_ms"}
+    for name, want in expected.items():
+        got = getattr(maps, name)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, f.name)
+            assert a.tobytes() == b.tobytes(), (name, f.name)
+
+
+def tiny_frame(depth) -> DepthFrame:
+    h, w = depth.shape
+    intr = CameraIntrinsics(fx=20.0, fy=20.0, cx=w / 2, cy=h / 2,
+                            width=w, height=h)
+    return DepthFrame(depth, depth > 0, intr, camera_pose((0.0, 0.0, 5.0)))
+
+
+class TestConcurrentCostmaps:
+    """``evaluate_costmaps`` runs its two branches on two threads."""
+
+    @pytest.mark.parametrize("name", sorted(ss.canonical_scenes()))
+    def test_canonical_maps_equal_serial_stages(self, name):
+        config = get_profile("sim")
+        frame = render_canonical(name)
+        assert_maps_bitwise_equal(evaluate_costmaps(config, frame),
+                                  serial_costmaps(config, frame))
+
+    def test_random_frames_with_holes_equal_serial_stages(self):
+        config = get_profile("sim")
+        rng = np.random.default_rng(16)
+        for _ in range(25):
+            h, w = rng.integers(1, 30, size=2)
+            depth = rng.uniform(2.0, 6.0, (h, w))
+            depth[rng.random((h, w)) < 0.2] += 1.5  # steps for Canny
+            depth[rng.random((h, w)) < 0.25] = 0.0  # holes
+            frame = tiny_frame(depth)
+            assert_maps_bitwise_equal(evaluate_costmaps(config, frame),
+                                      serial_costmaps(config, frame))
+
+    def test_caller_errstate_reaches_the_worker(self):
+        # -depth^2 overflows in depth_confidence_map, the worker's first
+        # stage; the normals branch overflows too, so the error must be
+        # traced back to the worker's stage.
+        frame = tiny_frame(np.full((6, 8), 1e200))
+        with np.errstate(all="raise"), \
+                pytest.raises(FloatingPointError) as caught:
+            evaluate_costmaps(get_profile("sim"), frame)
+        assert "depth_confidence_map" in {e.name for e in caught.traceback}
+
+    @pytest.mark.parametrize("worker_delay_s", [0.0, 0.05])
+    def test_worker_error_wins(self, monkeypatch, worker_delay_s):
+        def canny_fails(*args):
+            time.sleep(worker_delay_s)
+            raise ValueError("flatness branch")
+
+        def normals_fail(*args):
+            time.sleep(0.05 - worker_delay_s)
+            raise FloatingPointError("normals branch")
+
+        monkeypatch.setattr(cm, "canny_edges", canny_fails)
+        monkeypatch.setattr(cm, "surface_normals", normals_fail)
+        with pytest.raises(ValueError, match="flatness branch"):
+            evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        config = get_profile("sim")
+        frame = render_canonical("FLAT_PAD")
+        before = threading.active_count()
+        evaluate_costmaps(config, frame)
+        assert threading.active_count() == before
+        finished = []
+
+        def slow_canny(*args):
+            time.sleep(0.05)
+            finished.append(True)
+            return cm.BinaryMap(np.zeros(frame.shape, np.uint8))
+
+        def normals_fail(*args):
+            raise FloatingPointError("normals branch")
+
+        monkeypatch.setattr(cm, "canny_edges", slow_canny)
+        monkeypatch.setattr(cm, "surface_normals", normals_fail)
+        with pytest.raises(FloatingPointError, match="normals branch"):
+            evaluate_costmaps(config, frame)
+        assert finished == [True]
+        assert threading.active_count() == before
 
 
 def test_outside_timing_harness_calls():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from landsite import scene_synth as ss
 from landsite.formats import write_json
-from landsite.geometry import CameraIntrinsics, Pose, backproject, \
-    camera_pose, rotation_x, rotation_y, rotation_z
+from landsite.geometry import CameraIntrinsics, Pose, camera_pose, \
+    rotation_x, rotation_y, rotation_z
 
-from oracles import edge_mask_from_prim_ids, reference_render_depth, \
-    scene_to_json_obj
+from oracles import backproject, edge_mask_from_prim_ids, \
+    reference_render_depth, scene_to_json_obj
 
 # Matrices a scene file may offer as a box rotation that are not one.
 NON_ROTATIONS = {
