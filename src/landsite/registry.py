@@ -2,7 +2,9 @@
 
 The registry is columnar: one (N, 3) float64 position array, float64 score
 and timestamp columns and a list of int frame ids (a JSON frame id may
-exceed int64), all growing together by capacity doubling. Records
+exceed int64). Each array holds exactly one row per site and is
+read-only; a batch replaces all three with one concatenation each, so a
+column a caller holds never changes. Records
 (``LandingSite``) are built only on request, by ``sites`` and
 ``nearest()``. Sites enter only through ``insert_positions``,
 one frame's batch at a time, which refuses a site strictly within
@@ -61,12 +63,6 @@ class LandingSite:
         p = np.array(self.position, dtype=np.float64).reshape(3)
         p.flags.writeable = False
         object.__setattr__(self, "position", p)
-
-    def to_json_obj(self) -> dict:
-        return {"x": float(self.position[0]), "y": float(self.position[1]),
-                "z": float(self.position[2]), "score": float(self.score),
-                "frame_id": int(self.frame_id),
-                "timestamp": float(self.timestamp)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +126,18 @@ class SiteRegistry:
         if not dedup_radius > 0:
             raise ValueError("dedup radius must be positive")
         self.dedup_radius = float(dedup_radius)
-        # Rows [0, len(self)) of each array hold the sites; capacity doubles
-        # on demand, for all three at once.
-        self._pos = np.empty((16, 3))
-        self._score = np.empty(16)
-        self._timestamp = np.empty(16)
+        # One row per site in each, read-only; only _append replaces them.
+        self._pos = _read_only(np.empty((0, 3)))
+        self._score = _read_only(np.empty(0))
+        self._timestamp = _read_only(np.empty(0))
         self._frame_id: list[int] = []
 
     def __len__(self) -> int:
         return len(self._frame_id)
 
     def positions(self) -> np.ndarray:
-        """Read-only (N, 3) view of the stored positions, in insertion order."""
-        view = self._pos[: len(self)]
-        view.flags.writeable = False
-        return view
+        """The read-only (N, 3) stored positions, in insertion order."""
+        return self._pos
 
     @property
     def sites(self) -> list[LandingSite]:
@@ -213,21 +206,21 @@ class SiteRegistry:
             if lo < hi:
                 kill(q, lo, hi)
 
-        flags = [False] * n
+        accepted = np.zeros(n, dtype=bool)
         i = 0
         while True:
             i += int(alive[i:].argmax())  # first live row at or after i
             if not alive[i]:
                 break
             alive[i] = False
-            flags[i] = True
+            accepted[i] = True
             q = pos[i]
             kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
                  int(xs.searchsorted(q[0] + reach, side="right")))
-        accepted = np.flatnonzero(flags)
-        self._append(pos[accepted], scores[accepted],
-                     [int(frame_id)] * len(accepted), timestamp)
-        return flags
+        rows = pos[accepted]
+        self._append(rows, scores[accepted], [int(frame_id)] * len(rows),
+                     timestamp)
+        return accepted.tolist()
 
     def _accept(self, site: LandingSite) -> None:
         """Store one record as it is (no dedup)."""
@@ -235,18 +228,14 @@ class SiteRegistry:
                      site.timestamp)
 
     def _append(self, pos, score, frame_id: list[int], timestamp) -> None:
-        """Store rows as they are (no dedup): every column grows together."""
-        n, k = len(self), len(frame_id)
-        if n + k > len(self._pos):
-            cap = max(2 * len(self._pos), n + k)
-            for name in ("_pos", "_score", "_timestamp"):
-                old = getattr(self, name)
-                new = np.empty((cap, *old.shape[1:]))
-                new[:n] = old[:n]
-                setattr(self, name, new)
-        self._pos[n:n + k] = pos
-        self._score[n:n + k] = score
-        self._timestamp[n:n + k] = timestamp
+        """Store rows as they are (no dedup): each column is replaced by a
+        new read-only one holding its old rows and then the new ones."""
+        timestamps = np.full(len(frame_id), timestamp, dtype=np.float64)
+        for name, rows in (("_pos", pos), ("_score", score),
+                           ("_timestamp", timestamps)):
+            column = np.concatenate((getattr(self, name), rows),
+                                    dtype=np.float64)
+            setattr(self, name, _read_only(column))
         self._frame_id.extend(frame_id)
 
     def nearest(self, query) -> tuple[LandingSite, float] | None:
@@ -266,10 +255,9 @@ class SiteRegistry:
 
     def _columns(self) -> dict:
         """Snapshot record fields, one column each, in record key order."""
-        n = len(self)
-        x, y, z = self._pos[:n].T
-        return {"x": x, "y": y, "z": z, "score": self._score[:n],
-                "frame_id": self._frame_id, "timestamp": self._timestamp[:n]}
+        x, y, z = self._pos.T
+        return {"x": x, "y": y, "z": z, "score": self._score,
+                "frame_id": self._frame_id, "timestamp": self._timestamp}
 
     def to_json_obj(self) -> dict:
         columns = {k: v if isinstance(v, list) else v.tolist()
@@ -315,6 +303,12 @@ class SiteRegistry:
         return read_json(path, cls.from_json_obj, "registry snapshot")
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A view of ``column`` that no caller can make writeable again."""
+    column.flags.writeable = False
+    return column.view()
+
+
 def _d2(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from each row of (N, 3) ``points`` to ``q``.
 
@@ -346,7 +340,7 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
         raise ValueError(f"unknown cluster metric {metric!r}")
     n = len(registry)
     pos = registry.positions()
-    scores = registry._score[:n]
+    scores = registry._score
 
     # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
     # tree only prefilters (radius widened past rounding, and floored where

@@ -35,8 +35,9 @@ import numpy as np
 
 from .formats import integer, number, numbers, read_json
 from .geometry import CameraIntrinsics, DepthFrame, Pose, camera_pose, \
-    project_points, rotation_matrix, rotation_x, rotation_z
+    project_points, ray_offsets, rotation_matrix, rotation_x, rotation_z
 
+# The depth range (m) inside which render_depth marks a hit valid.
 D_MIN_DEFAULT = 0.05
 D_MAX_DEFAULT = 20.0
 
@@ -161,8 +162,7 @@ def _intersect_plane(point, normal, origin, dirs):
     offset = float(normal @ (point - origin))
     t = offset / denom
     t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
-    n = np.broadcast_to(normal, dirs.shape)
-    return t, n
+    return t, normal
 
 
 def _intersect_sphere(center, radius, origin, dirs):
@@ -274,23 +274,22 @@ def _camera_inside(prim: Primitive, origin) -> bool:
 # reads as a miss and a screen window as the whole frame: no warning is due.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
-                 d_min: float = D_MIN_DEFAULT, d_max: float = D_MAX_DEFAULT,
                  frame_id: int = 0, timestamp: float = 0.0,
                  ) -> tuple[DepthFrame, GroundTruth]:
     """Ray-cast a scene into a depth frame plus its ground truth.
 
     The ray parameter equals z-depth by construction, and depths outside
-    [d_min, d_max] (after optional noise) are marked invalid. Planes meet
-    every pixel; a box or sphere meets only its screen window (see the
-    module docstring). Raises if the camera sits inside a solid.
+    [``D_MIN_DEFAULT``, ``D_MAX_DEFAULT``] (after optional noise) are
+    marked invalid. Planes meet every pixel; a box or sphere meets only
+    its screen window (see the module docstring). Raises if the camera
+    sits inside a solid.
     """
     origin = pose.translation
     for prim in scene.primitives:
         if _camera_inside(prim, origin):
             raise ValueError("camera must be outside all solids")
 
-    u = (np.arange(intrinsics.width, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
-    v = (np.arange(intrinsics.height, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
+    u, v = ray_offsets(intrinsics)
     dirs_cam = np.empty((intrinsics.height, intrinsics.width, 3))
     dirs_cam[..., 0] = u[None, :]
     dirs_cam[..., 1] = v[:, None]
@@ -332,7 +331,8 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     if scene.noise_sigma > 0:
         rng = np.random.default_rng(scene.seed)
         depth = depth + rng.normal(0.0, scene.noise_sigma, depth.shape)
-    valid = np.isfinite(best_t) & (depth >= d_min) & (depth <= d_max)
+    valid = np.isfinite(best_t) & (depth >= D_MIN_DEFAULT) \
+        & (depth <= D_MAX_DEFAULT)
     depth = np.where(valid, depth, 0.0)
 
     # Orient truth normals toward the camera, matching the estimator. The

@@ -5,7 +5,8 @@ loops, linear scans, O(N^2) pair checks, every primitive against every
 pixel) and shares no code with the package under test; the snapshot
 reader only fills its plain ``LandingSite`` records, and the reference
 renderer and the scene-file writer only read the package's scene, frame
-and ground-truth types.
+and ground-truth types, and the full-frame candidate selector only fills
+a ``Candidates``.
 ``edge_mask_from_prim_ids`` derives the edge ground truth from a
 render's primitive ids. The Canny reference follows the documented
 detector conventions tap for tap so the comparison is exact. The
@@ -23,6 +24,7 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 
+from landsite.detection import Candidates
 from landsite.geometry import DepthFrame
 from landsite.registry import LandingSite
 from landsite.scene_synth import D_MAX_DEFAULT, D_MIN_DEFAULT, Box, \
@@ -312,6 +314,24 @@ def json_dumps_candidates_jsonl(frame_results) -> str:
                    "flat_radius_px": float(c.flat_radius_px[i])}
             lines.append(json.dumps(obj) + "\n")
     return "".join(lines)
+
+
+def full_frame_dense_candidates(decision, flat_raw, frame, config):
+    """Reference ``dense_candidates``: the footprint requirement is built
+    at every valid pixel of the frame, then one full-frame mask holds both
+    tests. The requirement is ``safety_factor * (fx * uav_radius / depth)``,
+    the pinhole projection of the UAV radius; one that overflows is inf."""
+    ok = decision.valid & flat_raw.valid & frame.valid
+    required = np.zeros_like(frame.depth)
+    with np.errstate(over="ignore"):
+        required[ok] = config.safety_factor * (
+            frame.intrinsics.fx * config.uav_radius_m / frame.depth[ok])
+    passing = (ok & (decision.values >= config.decision_threshold)
+               & (flat_raw.values >= required))
+    ys, xs = np.nonzero(passing)
+    return Candidates(xs=xs, ys=ys, depth=frame.depth[ys, xs],
+                      score=decision.values[ys, xs],
+                      flat_radius_px=flat_raw.values[ys, xs])
 
 
 def edge_mask_from_prim_ids(truth) -> np.ndarray:

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from landsite.costmaps import Costmap
 from landsite.detection import Candidates, dense_candidates, world_positions
@@ -17,7 +20,8 @@ from landsite.pipeline import detect_frame, evaluate_costmaps
 from landsite.registry import SiteRegistry
 from landsite.config import get_profile
 
-from oracles import brute_force_squared_edt, edge_mask_from_prim_ids
+from oracles import brute_force_squared_edt, edge_mask_from_prim_ids, \
+    full_frame_dense_candidates
 
 SIM = get_profile("sim")
 
@@ -72,6 +76,95 @@ class TestFootprintFilter:
         _, flat = _maps(frame, 0.9, 10.0)
         with pytest.raises(ValueError):
             dense_candidates(bad, flat, frame, SIM)
+
+
+def assert_same_rows(got, want):
+    """Every column equal bit for bit, with the same dtype and shape."""
+    for name in ("xs", "ys", "depth", "score", "flat_radius_px"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+
+
+def assert_matches_full_frame(decision, flat, frame, config):
+    with np.errstate(all="raise"):
+        got = dense_candidates(decision, flat, frame, config)
+    assert_same_rows(got, full_frame_dense_candidates(decision, flat, frame,
+                                                      config))
+    return got
+
+
+@st.composite
+def selector_inputs(draw):
+    """A small frame with holes, maps with their own holes, and a config
+    whose threshold may equal a decision value exactly."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    fx = draw(st.sampled_from([1.0, 80.0, 525.0]))
+    intr = CameraIntrinsics(fx=fx, fy=fx, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                            width=w, height=h)
+    depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.just(0.0), st.floats(5e-324, 1e300), st.floats(0.5, 20.0))))
+    frame = DepthFrame(depth, depth > 0, intr, Pose(np.eye(3), np.zeros(3)))
+    masks = hnp.arrays(bool, (h, w))
+    values = draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0, 1)))
+    threshold = draw(st.one_of(st.floats(0.0, 1.0),
+                               st.sampled_from(values.ravel().tolist())))
+    config = dataclasses.replace(
+        SIM, decision_threshold=threshold,
+        safety_factor=draw(st.one_of(st.sampled_from([0.5, 1.0, 1e308]),
+                                     st.floats(1e-3, 1e308))),
+        uav_radius_m=draw(st.floats(1e-3, 10.0)))
+    flat = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(0.0, 50.0), st.sampled_from([np.inf, 1e308]))))
+    # some flat radii exactly at the footprint, or one ulp below it
+    with np.errstate(over="ignore", divide="ignore"):
+        footprint = config.safety_factor * (fx * config.uav_radius_m / depth)
+    at, below = draw(masks) & (depth > 0), draw(masks) & (depth > 0)
+    flat[at] = footprint[at]
+    flat[below] = np.nextafter(footprint[below], 0.0)
+    return Costmap(values, draw(masks)), Costmap(flat, draw(masks)), frame, \
+        config
+
+
+class TestMatchesFullFrameSelector:
+    """Gating only the score-passing rows gives the full-frame selector's
+    rows, bit for bit, in the same order and dtypes."""
+
+    @given(selector_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_frames(self, inputs):
+        assert_matches_full_frame(*inputs)
+
+    def test_overflowing_footprint(self, make_frame):
+        # 1e308 times a 5.2 px footprint is inf: only an inf flat radius
+        # reaches it, and no overflow warning escapes
+        frame = make_frame(np.full((48, 64), 2.0))
+        decision, flat = _maps(frame, 0.9, 1e6)
+        flat.values[3, 4:9] = np.inf
+        config = dataclasses.replace(SIM, safety_factor=1e308)
+        got = assert_matches_full_frame(decision, flat, frame, config)
+        assert got.xs.tolist() == [4, 5, 6, 7, 8] and set(got.ys) == {3}
+
+    def test_no_valid_pixel(self, make_frame):
+        frame = make_frame(np.full((48, 64), np.nan))
+        everywhere = np.ones(frame.shape, bool)
+        got = assert_matches_full_frame(
+            Costmap(np.full(frame.shape, 0.9), everywhere),
+            Costmap(np.full(frame.shape, 1000.0), everywhere), frame, SIM)
+        assert len(got) == 0 and got.xs.dtype == np.intp
+
+    def test_every_row_fails_footprint(self, make_frame):
+        frame = make_frame(np.full((48, 64), 2.0))
+        decision, flat = _maps(frame, 0.9, 1.0)
+        assert len(assert_matches_full_frame(decision, flat, frame, SIM)) == 0
+
+    def test_score_exactly_at_threshold(self, make_frame):
+        frame = make_frame(np.full((48, 64), 2.0))
+        decision, flat = _maps(frame, 0.72, 1000.0)
+        decision.values[::2] = np.nextafter(0.72, 0.0)
+        got = assert_matches_full_frame(decision, flat, frame, SIM)
+        assert len(got) == 24 * 64 and np.all(got.ys % 2 == 1)
+        assert np.all(got.score == SIM.decision_threshold)
 
 
 class TestPadSceneFootprint:

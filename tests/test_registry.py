@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from landsite.formats import PARSE_FAILURES, write_json
 from landsite.pipeline import write_clusters_json
-from landsite.registry import Clusters, SiteRegistry, cluster_sites
+from landsite.registry import Clusters, LandingSite, SiteRegistry, \
+    cluster_sites
 
 from oracles import (
     brute_force_partition,
@@ -131,9 +132,10 @@ class TestInsertBatch:
         reg = SiteRegistry(0.5)
         flags = insert_all(reg, pos, scores, frame_id=3, timestamp=0.5)
         assert flags == sequential_dedup(pos, 0.5)
-        assert [s.to_json_obj() for s in reg.sites] == [
-            {"x": float(p[0]), "y": float(p[1]), "z": float(p[2]),
-             "score": float(sc), "frame_id": 3, "timestamp": 0.5}
+        assert [dict(dataclasses.asdict(s), position=s.position.tolist())
+                for s in reg.sites] == [
+            {"position": p.tolist(), "score": float(sc), "frame_id": 3,
+             "timestamp": 0.5}
             for p, sc, ok in zip(pos, scores, flags) if ok]
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -163,6 +165,60 @@ class TestInsertBatch:
                                  np.array(scores), 1, timestamp)
         assert reg.to_json_obj() == before
         assert len(reg) == 2 and len(reg.positions()) == 2
+
+
+class TestColumns:
+    """The stored columns hold one row per site and are never written."""
+
+    def test_earlier_positions_unchanged_after_insert(self):
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+        before = reg.positions()
+        kept = before.copy()
+        insert_all(reg, [(2.0, 0.0, 0.0), (3.0, 0.0, 0.0)])
+        assert np.array_equal(before, kept) and before.shape == (2, 3)
+        assert not before.flags.writeable
+        with pytest.raises(ValueError):
+            before[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            before.flags.writeable = True
+        assert reg.positions().shape == (4, 3)
+        assert np.array_equal(reg.positions()[:2], kept)
+
+    def test_columns_are_read_only_and_exact_size(self):
+        reg = SiteRegistry(0.5)
+        for column in (reg._pos, reg._score, reg._timestamp):
+            assert len(column) == 0 and not column.flags.writeable
+        insert_all(reg, [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)], timestamp=2.5)
+        assert reg.positions().shape == (2, 3)
+        assert reg._timestamp.tolist() == [2.5, 2.5]
+        for column in (reg._pos, reg._score, reg._timestamp):
+            assert len(column) == 2 and column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+    def test_flags_are_a_list_of_python_bools(self):
+        reg = SiteRegistry(0.5)
+        flags = insert_all(reg, [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0),
+                                 (5.0, 0.0, 0.0)])
+        assert type(flags) is list
+        assert [type(f) for f in flags] == [bool] * 3
+        assert flags == [True, False, True]
+        assert insert_all(reg, np.empty((0, 3))) == []
+
+    def test_accept_appends_one_record(self):
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0)], frame_id=1, timestamp=0.5)
+        # stored as it is: a site inside the radius is not refused
+        reg._accept(LandingSite((0.1, 0.0, 0.0), 0.25, 2**70, 1.5))
+        assert len(reg) == 2 and reg.positions().shape == (2, 3)
+        site = reg.sites[1]
+        assert site.position.tolist() == [0.1, 0.0, 0.0]
+        assert (site.score, site.frame_id, site.timestamp) == \
+            (0.25, 2**70, 1.5)
+        assert reg.sites[0].frame_id == 1
 
 
 def assert_dedup_matches_sequential(points, r):

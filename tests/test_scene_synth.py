@@ -48,7 +48,7 @@ class TestRenderBasics:
     def test_out_of_range_hit_is_invalid(self, intr_centered):
         scene = ss.SceneSpec(primitives=(ss.GroundPlane(z=0.0),))
         frame, truth = ss.render_depth(scene, intr_centered,
-                                       camera_pose((0, 0, 25.0)), d_max=20.0)
+                                       camera_pose((0, 0, 25.0)))
         assert not frame.valid[24, 32]
         assert frame.depth[24, 32] == 0.0
         assert truth.prim_id[24, 32] == -1
