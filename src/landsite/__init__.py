@@ -8,7 +8,7 @@ ranked list. A synthetic scene renderer provides exact ground truth for
 testing, and a benchmark harness times every stage.
 """
 
-from .bench import StageStat, TimingReport, bench
+from .bench import bench, timing_table
 from .config import PROFILES, PipelineConfig, get_profile
 from .costmaps import (
     HIGHER_IS_BETTER,
@@ -71,12 +71,11 @@ __all__ = [
     "GroundPlane", "GroundTruth", "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER", "LandingSite", "NormalMap", "PROFILES",
     "PipelineConfig", "PipelineResult", "Pose", "SceneSpec", "SiteRegistry",
-    "Sphere", "StageStat", "TiltedPlane", "TimingReport",
-    "bench", "camera_pose", "canny_edges",
+    "Sphere", "TiltedPlane", "bench", "camera_pose", "canny_edges",
     "canonical_camera", "canonical_scenes", "cluster_sites", "decision_map",
     "default_intrinsics", "dense_candidates", "depth_confidence_map",
     "distance_transform", "energy_map", "evaluate_costmaps",
     "get_profile", "minmax_normalize", "project_points",
     "project_uav_radius", "read_frame_stream", "render_depth", "run_pipeline",
-    "steepness_map", "surface_normals", "write_frame_stream",
+    "steepness_map", "surface_normals", "timing_table", "write_frame_stream",
 ]

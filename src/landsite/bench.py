@@ -17,86 +17,27 @@ wall time.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .formats import write_json
 from .pipeline import run_pipeline
 
+# The first five are the costmap stages, listed under "Costmap Evaluation".
 STAGES = ("depth_accuracy", "flatness", "steepness", "energy", "final",
           "dense_detection", "clustering")
 
-STAGE_LABELS = {
-    "depth_accuracy": "Depth Accuracy",
-    "flatness": "Flatness",
-    "steepness": "Steepness",
-    "energy": "Energy",
-    "final": "Final",
-    "dense_detection": "Dense Detection",
-    "clustering": "Clustering",
-}
 
-_COSTMAP_STAGES = ("depth_accuracy", "flatness", "steepness", "energy", "final")
-
-
-@dataclass(frozen=True)
-class StageStat:
-    mean_ms: float
-    std_ms: float
-
-
-@dataclass(eq=False)
-class TimingReport:
-    stages: dict[str, StageStat]
-    total: StageStat
-    n_frames: int
-    repetitions: int
-
-    def __post_init__(self):
-        if any(s.mean_ms < 0 or s.std_ms < 0 for s in self.stages.values()):
-            raise ValueError("stage statistics must be non-negative")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "repetitions": self.repetitions,
-            "stages": {name: {"mean_ms": s.mean_ms, "std_ms": s.std_ms}
-                       for name, s in self.stages.items()},
-            "total": {"mean_ms": self.total.mean_ms, "std_ms": self.total.std_ms},
-        }
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_obj())
-
-    def to_table(self) -> str:
-        """Aligned text table, one row per stage plus the total."""
-        rows = [("Algorithm", "Time (mean ± std) ms")]
-        rows.append(("Costmap Evaluation", ""))
-        for name in _COSTMAP_STAGES:
-            s = self.stages[name]
-            rows.append((f"  {STAGE_LABELS[name]}", _fmt(s)))
-        for name in ("dense_detection", "clustering"):
-            s = self.stages[name]
-            rows.append((STAGE_LABELS[name], _fmt(s)))
-        rows.append(("Total Time", _fmt(self.total)))
-        width = max(len(r[0]) for r in rows) + 2
-        lines = [rows[0][0].ljust(width) + rows[0][1],
-                 "-" * (width + len(rows[0][1]))]
-        lines += [name.ljust(width) + val for name, val in rows[1:]]
-        return "\n".join(lines)
-
-
-def _fmt(s: StageStat) -> str:
-    return f"{s.mean_ms:8.1f} ± {s.std_ms:5.1f}"
-
-
-def _mean_std(samples: list[float]) -> StageStat:
+def _mean_std(samples: list[float]) -> dict:
     std = statistics.stdev(samples) if len(samples) > 1 else 0.0
-    return StageStat(mean_ms=statistics.fmean(samples), std_ms=std)
+    return {"mean_ms": statistics.fmean(samples), "std_ms": std}
 
 
-def bench(config: PipelineConfig, frames, repetitions: int = 1) -> TimingReport:
-    """Time every stage across ``repetitions`` passes over the frames."""
+def bench(config: PipelineConfig, frames, repetitions: int = 1) -> dict:
+    """Time every stage across ``repetitions`` passes over the frames.
+
+    Returns the ``timing.json`` document: ``n_frames``, ``repetitions``,
+    ``stages`` (``{name: {"mean_ms", "std_ms"}}`` in ``STAGES`` order)
+    and ``total``, the same statistics of each frame's summed stages.
+    """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     frames = list(frames)
@@ -112,9 +53,25 @@ def bench(config: PipelineConfig, frames, repetitions: int = 1) -> TimingReport:
     if not per_stage["clustering"]:
         raise ValueError("every frame failed; nothing to time")
     totals = [sum(row) for row in zip(*per_stage.values())]
-    return TimingReport(
-        stages={name: _mean_std(per_stage[name]) for name in STAGES},
-        total=_mean_std(totals),
-        n_frames=len(frames),
-        repetitions=repetitions,
-    )
+    return {
+        "n_frames": len(frames),
+        "repetitions": repetitions,
+        "stages": {name: _mean_std(per_stage[name]) for name in STAGES},
+        "total": _mean_std(totals),
+    }
+
+
+def timing_table(report: dict) -> str:
+    """Aligned text table of a ``bench`` report, one row per stage plus
+    the total; each label is the stage name title-cased."""
+    cells = [(("  " if i < 5 else "") + name.replace("_", " ").title(),
+              report["stages"][name]) for i, name in enumerate(STAGES)]
+    cells.append(("Total Time", report["total"]))
+    rows = [("Algorithm", "Time (mean ± std) ms"), ("Costmap Evaluation", "")]
+    rows += [(label, f"{s['mean_ms']:8.1f} ± {s['std_ms']:5.1f}")
+             for label, s in cells]
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [rows[0][0].ljust(width) + rows[0][1],
+             "-" * (width + len(rows[0][1]))]
+    lines += [label.ljust(width) + value for label, value in rows[1:]]
+    return "\n".join(lines)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, scene_synth
-from .bench import bench
+from .bench import bench, timing_table
 from .config import PipelineConfig, get_profile
 from .errors import ConfigError
 from .geometry import camera_pose
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
                      description="Landing-site detection from depth frames")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", parents=[], help="run the full pipeline")
+    p = sub.add_parser("detect", help="run the full pipeline")
     _add_config_args(p)
     p.add_argument("--in", dest="stream", type=Path, required=True,
                    help="frame stream directory")
@@ -80,8 +80,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="render synthetic scenes to a frame stream")
     p.add_argument("--scene",
-                   choices=("flat_pad", "steep_wall", "tree", "roof_edge",
-                            "rubble"),
+                   choices=[n.lower() for n in scene_synth.CANONICAL_HEIGHTS],
                    default=None, help="canonical scene name")
     p.add_argument("--scene-file", type=Path, default=None,
                    help="custom scene JSON instead of a canonical scene")
@@ -211,11 +210,11 @@ def _cmd_bench(args) -> int:
     if not frames:
         raise OSError(f"no readable frames in {args.stream}")
     report = bench(config, frames, repetitions=args.reps)
-    print(report.to_table())
+    print(timing_table(report))
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report.save(out / "timing.json")
+        formats.write_json(out / "timing.json", report)
     return 0
 
 

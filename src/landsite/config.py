@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .formats import read_json, write_json
+from .formats import read_json
 
 
 # Accepted Python types per field annotation; bool is rejected everywhere.
@@ -99,9 +99,6 @@ class PipelineConfig:
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return cls(**obj)
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_obj())
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,14 +50,7 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
     def to_json_obj(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CameraIntrinsics":

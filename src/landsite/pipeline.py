@@ -256,13 +256,15 @@ def write_outputs(out_dir, result: PipelineResult) -> None:
 
 def write_frame_stream(stream_dir, frames) -> None:
     """Write frames as intrinsics.json + frames.jsonl + NNNNNN.pfm files."""
-    out = Path(stream_dir)
-    out.mkdir(parents=True, exist_ok=True)
     frames = list(frames)
     if not frames:
         raise ValueError("cannot write an empty frame stream")
     if any(f.intrinsics != frames[0].intrinsics for f in frames):
         raise ValueError("all frames in a stream must share intrinsics")
+    if len({f.frame_id for f in frames}) != len(frames):
+        raise ValueError("frame ids in a stream must be unique")
+    out = Path(stream_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_intrinsics(out / "intrinsics.json", frames[0].intrinsics)
     records = []
     for frame in frames:
@@ -283,23 +285,19 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
         raise OSError(f"{root}: not a directory")
     intrinsics = load_intrinsics(root / "intrinsics.json")
     poses = load_pose_records(root / "frames.jsonl")
+    shape = (intrinsics.height, intrinsics.width)
     for frame_id in sorted(poses):
         t_sec, pose = poses[frame_id]
         pfm_path = root / f"{frame_id:06d}.pfm"
         try:
-            depth = read_pfm_depth(pfm_path, intrinsics.height, intrinsics.width)
+            depth = formats.read_pfm(pfm_path).astype(np.float64)
+            if depth.shape != shape:
+                raise OSError(f"{pfm_path}: depth shape {depth.shape} does "
+                              f"not match intrinsics {shape}")
         except OSError as exc:
             log.warning("skipping frame %d: %s", frame_id, exc)
             continue
         valid = np.isfinite(depth) & (depth >= d_min) & (depth <= d_max)
-        yield DepthFrame(depth=np.where(valid, depth, 0.0), valid=valid,
-                         intrinsics=intrinsics, pose_world_from_camera=pose,
-                         frame_id=frame_id, timestamp=t_sec)
-
-
-def read_pfm_depth(path, height: int, width: int) -> np.ndarray:
-    depth = formats.read_pfm(path).astype(np.float64)
-    if depth.shape != (height, width):
-        raise OSError(f"{path}: depth shape {depth.shape} does not match "
-                      f"intrinsics ({height}, {width})")
-    return depth
+        yield DepthFrame(depth=depth, valid=valid, intrinsics=intrinsics,
+                         pose_world_from_camera=pose, frame_id=frame_id,
+                         timestamp=t_sec)

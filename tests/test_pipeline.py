@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from landsite import costmaps as cm
 from landsite import scene_synth as ss
-from landsite.bench import STAGES, bench
+from landsite.bench import STAGES, bench, timing_table
 from landsite.cli import main as cli_main
 from landsite.config import PROFILES, PipelineConfig, get_profile
 from landsite.detection import Candidates
@@ -80,7 +80,7 @@ class TestConfig:
     def test_profiles_round_trip_unchanged(self, tmp_path):
         for name, cfg in PROFILES.items():
             path = tmp_path / f"{name}.json"
-            cfg.save(path)
+            write_json(path, cfg.to_json_obj())
             assert PipelineConfig.load(path) == cfg
             assert PipelineConfig.from_json_obj(cfg.to_json_obj()) == cfg
 
@@ -162,7 +162,8 @@ class TestFrameStream:
                         b"Pf\nabc def\n-1.0\n",
                         b"Pf\n-2 -3\n-1.0\n" + b"\x00" * 24,
                         b"Pf\n1048576 262144\n-1.0\n",
-                        b"Pf\n2 2\nabc\n" + b"\x00" * 16):
+                        b"Pf\n2 2\nabc\n" + b"\x00" * 16,
+                        b"Pf\n2 2\n-1.0\n" + b"\x00" * 16):
             (stream / "000001.pfm").write_bytes(damaged)
             loaded = list(read_frame_stream(stream, 0.05, 20.0))
             assert [f.frame_id for f in loaded] == [0, 2], damaged
@@ -192,6 +193,14 @@ class TestFrameStream:
                        Pose(np.eye(3), np.zeros(3)), frame_id=1)
         with pytest.raises(ValueError):
             write_frame_stream(tmp_path / "s", [a, b])
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_frame_id_rejected_before_writing(self, tmp_path):
+        frames = [render_canonical("FLAT_PAD", frame_id=3, camera_xy=(0.3 * i, 0))
+                  for i in range(2)]
+        with pytest.raises(ValueError, match="frame ids in a stream must be unique"):
+            write_frame_stream(tmp_path / "s", frames)
+        assert not (tmp_path / "s").exists()
 
 
 class TestRunPipeline:
@@ -368,28 +377,61 @@ def report():
     return bench(get_profile("sim"), frames, repetitions=2)
 
 
+def assert_timing_document(obj, n_frames, repetitions):
+    """The ``timing.json`` keys, their order and nesting."""
+    assert list(obj) == ["n_frames", "repetitions", "stages", "total"]
+    assert (obj["n_frames"], obj["repetitions"]) == (n_frames, repetitions)
+    assert list(obj["stages"]) == list(STAGES)
+    for stat in (*obj["stages"].values(), obj["total"]):
+        assert list(stat) == ["mean_ms", "std_ms"]
+        assert all(isinstance(v, float) and v >= 0 for v in stat.values())
+
+
 class TestBench:
 
     def test_all_stage_rows_present(self, report):
-        assert set(report.stages) == set(STAGES)
+        assert list(report["stages"]) == list(STAGES)
 
     def test_total_bounds(self, report):
-        means = [s.mean_ms for s in report.stages.values()]
-        assert report.total.mean_ms >= max(means)
-        assert report.total.mean_ms == pytest.approx(sum(means), rel=1e-9)
+        means = [s["mean_ms"] for s in report["stages"].values()]
+        assert report["total"]["mean_ms"] >= max(means)
+        assert report["total"]["mean_ms"] == pytest.approx(sum(means), rel=1e-9)
 
     def test_table_mirrors_stage_rows(self, report):
-        table = report.to_table()
+        table = timing_table(report)
         for label in ("Depth Accuracy", "Flatness", "Steepness", "Energy",
                       "Final", "Dense Detection", "Clustering", "Total Time"):
             assert label in table
 
     def test_json_shape(self, report, tmp_path):
-        report.save(tmp_path / "timing.json")
+        write_json(tmp_path / "timing.json", report)
         obj = json.loads((tmp_path / "timing.json").read_text())
-        assert obj["n_frames"] == 2 and obj["repetitions"] == 2
-        assert set(obj["stages"]) == set(STAGES)
+        assert obj == report
+        assert_timing_document(obj, n_frames=2, repetitions=2)
         assert obj["total"]["mean_ms"] > 0
+
+    def test_table_text_is_pinned(self):
+        # Hand-built numbers: rounding at .x5, a four- and five-digit mean,
+        # and a std that fills its field. The expected text is what the
+        # former ``TimingReport.to_table()`` printed for them.
+        stats = [(12.345, 0.5), (63.25, 4.75), (40.0, 1.05), (3.375, 0.125),
+                 (9.95, 0.0), (1234.56, 12.345), (0.04, 0.001)]
+        report = {"n_frames": 5, "repetitions": 3,
+                  "stages": {name: {"mean_ms": m, "std_ms": s}
+                             for name, (m, s) in zip(STAGES, stats)},
+                  "total": {"mean_ms": 12345.678, "std_ms": 123.45}}
+        assert timing_table(report) == "\n".join((
+            "Algorithm           Time (mean ± std) ms",
+            "----------------------------------------",
+            "Costmap Evaluation  ",
+            "  Depth Accuracy        12.3 ±   0.5",
+            "  Flatness              63.2 ±   4.8",
+            "  Steepness             40.0 ±   1.1",
+            "  Energy                 3.4 ±   0.1",
+            "  Final                  9.9 ±   0.0",
+            "Dense Detection       1234.6 ±  12.3",
+            "Clustering               0.0 ±   0.0",
+            "Total Time           12345.7 ± 123.5"))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -411,9 +453,9 @@ class TestBenchRunsPipeline:
             report = bench(get_profile("sim"), [frame, empty])
         assert ("frame 1 has no pixel valid in every costmap "
                 "(0 valid depth pixels)") in caplog.text
-        assert report.n_frames == 2
-        means = [s.mean_ms for s in report.stages.values()]
-        assert report.total.mean_ms == pytest.approx(sum(means), rel=1e-9)
+        assert report["n_frames"] == 2
+        means = [s["mean_ms"] for s in report["stages"].values()]
+        assert report["total"]["mean_ms"] == pytest.approx(sum(means), rel=1e-9)
 
     def test_failed_frames_skipped_and_all_failed_rejected(self, monkeypatch,
                                                             caplog):
@@ -429,7 +471,7 @@ class TestBenchRunsPipeline:
         with caplog.at_level("WARNING", logger="landsite.pipeline"):
             report = bench(get_profile("sim"), frames, repetitions=2)
         assert "frame 1 failed: injected" in caplog.text
-        assert all(np.isfinite(s.mean_ms) for s in report.stages.values())
+        assert all(np.isfinite(s["mean_ms"]) for s in report["stages"].values())
         with pytest.raises(ValueError, match="every frame failed"):
             bench(get_profile("sim"), frames[1:], repetitions=2)
 
@@ -951,7 +993,8 @@ class TestCli:
         write_frame_stream(tmp_path / "s", [DepthFrame(
             depth, np.ones_like(depth, bool), intr, camera_pose((0, 0, 4.0)))])
         config = tmp_path / "w5.json"
-        dataclasses.replace(get_profile("sim"), smoothing_window_px=5).save(config)
+        write_json(config, dataclasses.replace(
+            get_profile("sim"), smoothing_window_px=5).to_json_obj())
         out = tmp_path / "maps"
         assert cli_main(["costmap", "--in", str(tmp_path / "s"), "--config",
                          str(config), "--out", str(out)]) == 0
@@ -1066,12 +1109,15 @@ class TestCli:
     def test_fuzzed_pfm_file_exits_with_one_line_at_most(self, files):
         assert_one_line_per_failure(*detect_damaged(files))
 
-    def test_bench_command(self, tmp_path):
+    def test_bench_command(self, tmp_path, capsys):
         stream = self._synth(tmp_path)
+        capsys.readouterr()
         out = tmp_path / "bench"
         assert cli_main(["bench", "--in", str(stream), "--reps", "1",
                          "--out", str(out)]) == 0
-        assert (out / "timing.json").exists()
+        obj = json.loads((out / "timing.json").read_text())
+        assert_timing_document(obj, n_frames=1, repetitions=1)
+        assert capsys.readouterr().out == timing_table(obj) + "\n"
 
     def test_config_error_exits_1(self, tmp_path):
         assert cli_main(["detect", "--in", str(tmp_path), "--out",
