@@ -12,7 +12,9 @@ one frame's batch at a time, which refuses a site strictly within
 batch), so the stored set is always sparse and a batch gives the same
 result as inserting its rows one by one. Each refusal test scans only the
 slab of the batch, sorted once by x, whose x lies within the radius (a
-hair wider) of the refusing site. A snapshot (``sites.json``) is read one
+hair wider) of the refusing site. The order of rows tied in x does not
+matter: a slab's bounds depend only on the sorted x values, and a refusal
+marks a set of original rows. A snapshot (``sites.json``) is read one
 field at a time over all its records and written column by column.
 Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
@@ -167,13 +169,17 @@ class SiteRegistry:
         superset of the rows the canonical test kills: ``_d2 < r*r`` needs
         ``|dx| < r``, and rounding is monotone, so ``x ± reach`` rounded
         still brackets every such row. The canonical ``_d2`` then decides
-        every kill.
+        every kill. Rows tied in x may sort in any order: the binary search
+        reads only the sorted values, which ties leave the same, and a kill
+        clears a set of original row indices, so no flag depends on it.
 
-        Positions, scores and the timestamp must be finite and there must be
-        one score per position; otherwise ValueError, before anything is
-        stored. The accepted rows are appended to the columns in one call.
+        Positions must be (N, 3); they, the N scores and the timestamp must
+        be finite. Otherwise ValueError, before anything is stored. The
+        accepted rows are appended to the columns in one call.
         """
-        pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        pos = np.asarray(positions, dtype=np.float64)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(f"positions must be (N, 3), not {pos.shape}")
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(pos),):
             raise ValueError(f"need one score per position: {scores.shape} "
@@ -188,7 +194,7 @@ class SiteRegistry:
         r = self.dedup_radius
         r2 = r * r
         reach = r * (1 + 1e-9)
-        order = np.argsort(pos[:, 0], kind="stable")
+        order = np.argsort(pos[:, 0])  # any order of ties (see above)
         by_x = pos[order]
         xs = pos[order, 0]  # contiguous, so searchsorted does not copy it
         alive = np.ones(n, dtype=bool)
@@ -196,9 +202,13 @@ class SiteRegistry:
         def kill(q, lo, hi):  # re-killing a dead row changes nothing
             alive[order[lo:hi][_d2(by_x[lo:hi], q) < r2]] = False
 
+        # The batch's bounding box widened by r, one column at a time (a
+        # 1-D reduction is far cheaper than an axis-0 one over (n, 3)).
         existing = self.positions()
-        in_box = np.all((existing >= pos.min(axis=0) - r)
-                        & (existing <= pos.max(axis=0) + r), axis=1)
+        in_box = np.ones(len(existing), dtype=bool)
+        for k in range(3):
+            column, near = pos[:, k], existing[:, k]
+            in_box &= (near >= column.min() - r) & (near <= column.max() + r)
         stored = existing[in_box]
         los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
         his = np.searchsorted(xs, stored[:, 0] + reach, side="right")

@@ -47,6 +47,9 @@ _EPS = 1e-12
 # they cover rounding in the projection and in the per-pixel rays.
 _CULL_MARGIN_PX = 2
 
+# Indexed by "the normal points away from the camera".
+_FLIP = np.array([1.0, -1.0])
+
 # The corners of the cube [-1, 1]^3.
 _CORNER_SIGNS = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
                           for z in (-1.0, 1.0)])
@@ -337,10 +340,12 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
 
     # Orient truth normals toward the camera, matching the estimator. The
     # dot product adds its terms in np.sum's order: the same value up to
-    # the sign of a zero, which the comparison does not read.
+    # the sign of a zero, which the comparison does not read. Multiplying
+    # by -1.0 negates exactly as np.negative does, signed zeros included.
     toward = (best_n[..., 0] * dirs[..., 0] + best_n[..., 1] * dirs[..., 1]) \
         + best_n[..., 2] * dirs[..., 2]
-    normals = np.negative(best_n, out=best_n, where=(toward > 0.0)[..., None])
+    normals = best_n
+    normals *= _FLIP.take((toward > 0.0).view(np.uint8))[..., None]
     np.copyto(normals, 0.0, where=~valid[..., None])
     prim_id = np.where(valid, prim_id, np.int32(-1))
     safe_ids = np.array([i for i, p in enumerate(scene.primitives) if p.safe],

@@ -153,6 +153,15 @@ class TestInsertBatch:
             assert insert_all(stored, [cand]) == [ok]
             assert insert_all(SiteRegistry(0.5), [base, cand]) == [True, ok]
 
+    def test_positions_must_be_n_by_3(self):
+        # (3, 2) positions once reshaped into the sites (0, 0, 5), (5, 9, 9)
+        reg = SiteRegistry(0.5)
+        for bad in ([(0.0, 0.0), (5.0, 5.0), (9.0, 9.0)], np.zeros(6),
+                    np.zeros((2, 3, 1)), np.zeros((2, 4)), np.zeros(0)):
+            with pytest.raises(ValueError, match=r"\(N, 3\)"):
+                reg.insert_positions(np.array(bad), np.full(2, 0.8), 0, 0.0)
+        assert len(reg) == 0 and reg.positions().shape == (0, 3)
+
     @pytest.mark.parametrize("scores,timestamp", [
         ([0.8], 0.0), ([0.8, 0.8, 0.8], 0.0), ([0.8, np.nan], 0.0),
         ([-np.inf, 0.8], 0.0), ([0.8, 0.8], np.nan), ([0.8, 0.8], np.inf)])
@@ -230,7 +239,8 @@ def assert_dedup_matches_sequential(points, r):
         reg = SiteRegistry(r)
         got = insert_all(reg, points[:split]) + insert_all(reg, points[split:])
         assert got == expect, (split, points.tolist())
-        assert np.array_equal(reg.positions(), points[np.array(expect)])
+        assert reg.positions().tobytes() == \
+            points[np.array(expect, dtype=bool)].tobytes()
 
 
 class TestDedupExactness:
@@ -287,6 +297,80 @@ class TestDedupExactness:
                         np.nextafter(edge, np.inf))] + [1.5]
         batch = [(x, 0.0, 0.0) for x in xs]
         assert_dedup_matches_sequential(stored + batch, r)
+
+
+# Coordinates that make rows tie in x, sit exactly r apart on a lattice,
+# differ only in the sign of a zero, or repeat.
+TIE_R = 0.5
+TIE_COORD = (st.sampled_from([0.0, -0.0, np.nextafter(TIE_R, 0.0),
+                              np.nextafter(-TIE_R, 0.0)])
+             | st.integers(-4, 4).map(lambda i: i * TIE_R)
+             | st.floats(-2, 2))
+TIE_ROWS = st.lists(st.tuples(TIE_COORD, TIE_COORD, TIE_COORD), max_size=40)
+
+
+class TestTieOrder:
+    """The batch is sorted by x, and the order of rows tied in x must not
+    matter: flags and stored bits equal the insertion-order oracle's."""
+
+    @given(TIE_ROWS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_match_sequential(self, rows, one_x):
+        points = np.array(rows, dtype=float).reshape(-1, 3)
+        if one_x:
+            points[:, 0] = -0.0
+            points[::2, 0] = 0.0
+        # with repeats of earlier rows
+        assert_dedup_matches_sequential(
+            np.concatenate((points, points[::3])), TIE_R)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 3.25])
+    def test_every_row_shares_one_x(self, x):
+        rng = np.random.default_rng(25)
+        lattice = np.array([(x, j * TIE_R, k * TIE_R)
+                            for j in range(-3, 4) for k in range(-2, 3)])
+        points = np.concatenate((lattice, lattice[::4], lattice + 0.2))
+        points[:, 0] = x
+        assert_dedup_matches_sequential(points[rng.permutation(len(points))],
+                                        TIE_R)
+
+    @pytest.mark.parametrize("r", [0.5, 0.3])
+    def test_lattice_columns_exactly_r_apart(self, r):
+        rng = np.random.default_rng(26)
+        i, j, k = np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij")
+        lattice = np.column_stack([i.ravel(), j.ravel(), k.ravel()]) * r
+        points = np.concatenate((lattice, lattice[::3], lattice + r / 2))
+        points = points[rng.permutation(len(points))][:40]
+        assert_dedup_matches_sequential(points, r)
+
+    def test_signed_zero_x_and_duplicates(self):
+        points = [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (-0.0, 0.5, -0.0),
+                  (0.0, 0.5, 0.0), (-0.0, 0.25, 0.0), (-0.0, 1.0, 0.0),
+                  (0.0, 1.0, -0.0), (-0.0, -0.5, 0.0)]
+        assert_dedup_matches_sequential(points, 0.5)
+        assert_dedup_matches_sequential(points[::-1], 0.5)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["min", "max"])
+    def test_stored_site_exactly_r_outside_the_box(self, axis, side):
+        # The batch's extreme row in one axis has a stored site exactly r
+        # beyond it, which keeps it, or one ulp nearer, just inside the
+        # widened box, which refuses it. The other coordinates are equal.
+        r = 0.5
+        batch = np.array([(1.0, 2.0, 3.0), (1.5, 2.75, 3.5), (2.0, 3.5, 4.0)])
+        edge = 0 if side == "min" else -1
+        for base in (np.zeros(3), np.array([1e8, -7.0, 0.0])):
+            rows = batch + base
+            at = rows[edge].copy()
+            at[axis] += -r if side == "min" else r
+            near = at.copy()
+            near[axis] = np.nextafter(at[axis], rows[edge, axis])
+            for stored, ok in ((at, True), (near, False)):
+                expect = [True] * len(rows)
+                expect[edge] = ok
+                points = np.vstack([stored, rows])
+                assert sequential_dedup(points, r) == [True] + expect
+                assert_dedup_matches_sequential(points, r)
 
 
 class TestNearest:
