@@ -7,11 +7,13 @@ and its cost repeat exactly; failed and empty frames are handled as in
 over its frames. The report gives mean and standard deviation per stage
 over all frames of all passes, in milliseconds.
 
-The Depth Accuracy and Flatness rows run on a worker thread while the
-Steepness and Energy rows run on the caller's (see
-``pipeline.evaluate_costmaps``), so on a multi-core host those rows
-overlap and "Total Time", the sum of the rows, is more than a frame's
-wall time.
+The Depth Accuracy, Flatness and Energy rows, each including its map's
+normalisation, run on a worker thread while the Steepness row (normals
+and steepness) runs on the caller's (see ``pipeline.evaluate_costmaps``),
+so on a multi-core host those rows overlap and "Total Time", the sum of
+the rows, is more than a frame's wall time. "Final" is the fusion
+(``decision_map``) alone, the only costmap stage after the two branches
+join.
 """
 
 from __future__ import annotations

@@ -47,19 +47,21 @@ def dense_candidates(decision: Costmap, flat_raw: Costmap, frame: DepthFrame,
     """
     if decision.shape != frame.shape or flat_raw.shape != frame.shape:
         raise ValueError("costmaps are not aligned with the frame")
-    ys, xs = np.nonzero(decision.valid & flat_raw.valid & frame.valid
-                        & (decision.values >= config.decision_threshold))
-    depth = frame.depth[ys, xs]
-    flat = flat_raw.values[ys, xs]
+    idx = np.flatnonzero(decision.valid & flat_raw.valid & frame.valid
+                         & (decision.values >= config.decision_threshold))
+    depth = frame.depth.ravel()[idx]
+    flat = flat_raw.values.ravel()[idx]
     # The footprint test runs on the score-passing rows only; it is
     # elementwise, so they keep their raster order. An overflowing
     # footprint is inf, which no flat radius reaches.
     with np.errstate(over="ignore"):
         fits = flat >= config.safety_factor * project_uav_radius(
             config.uav_radius_m, depth, frame.intrinsics)
-    ys, xs = ys[fits], xs[fits]
+    idx = idx[fits]
+    ys, xs = np.divmod(idx, frame.shape[1])
     return Candidates(xs=xs, ys=ys, depth=depth[fits],
-                      score=decision.values[ys, xs], flat_radius_px=flat[fits])
+                      score=decision.values.ravel()[idx],
+                      flat_radius_px=flat[fits])
 
 
 def world_positions(cands: Candidates, frame: DepthFrame) -> np.ndarray:

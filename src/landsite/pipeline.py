@@ -4,9 +4,11 @@ Per frame: hazard costmaps -> decision map -> dense candidates -> world
 sites -> registry insertion; clustering runs over the registry at the
 end (or on demand). Frames are processed strictly in order because the
 registry's dedup semantics are order sensitive. Within a frame, the two
-costmap branches (flatness, and normals with steepness and energy)
-overlap on two threads; each stage function is still single-threaded
-and pure, so the maps are the same bits as in serial order.
+costmap branches overlap on two threads: every map that needs only the
+depth (depth confidence, flatness and energy, each normalised) on one,
+normals and steepness on the other; only the fusion runs after they
+join. Each stage function is still single-threaded and pure, so the
+maps are the same bits as in serial order.
 
 A frame stream on disk is a directory holding intrinsics.json,
 frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
@@ -88,31 +90,43 @@ class _StageClock:
         self._t0 = t
 
 
-def _flatness_branch(config: PipelineConfig, frame: DepthFrame):
-    """Depth confidence, Canny and EDT, timed on their own clock."""
+def _depth_branch(config: PipelineConfig, frame: DepthFrame) -> dict:
+    """Every map that needs only the depth, each with its normalisation,
+    timed on its own clock; the ``FrameMaps`` fields plus ``stage_ms``."""
     clock = _StageClock()
     depth_conf_raw = cm.depth_confidence_map(frame)
+    depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
     clock.lap("depth_accuracy")
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
     flat_raw = cm.distance_transform(edges, frame.valid)
+    flat = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
     clock.lap("flatness")
-    return depth_conf_raw, edges, flat_raw, clock.ms
+    energy_raw = cm.energy_map(frame)
+    energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
+    clock.lap("energy")
+    return dict(depth_confidence_raw=depth_conf_raw, edges=edges,
+                flatness_raw=flat_raw, energy_raw=energy_raw,
+                depth_confidence=depth_conf, flatness=flat, energy=energy,
+                stage_ms=clock.ms)
 
 
 def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     """Run the costmap stages for one frame, timing each into ``stage_ms``.
 
-    The flatness branch (depth confidence, Canny, EDT) runs on a worker
-    thread while this thread runs normals, steepness and energy; the
-    branches share only the input frame, and numpy and ``scipy.ndimage``
-    release the GIL, so they overlap on a multi-core host. The worker
-    runs in a copy of the caller's context, so an enclosing
-    ``np.errstate`` applies to it too. Both branches finish before this
-    returns or raises, and the worker's error wins, as it would in serial
-    order, where its stages come first.
+    A worker thread builds and normalises every map that needs only the
+    depth (depth confidence; Canny, the EDT and flatness; energy) while
+    this thread runs normals and steepness; the branches share only the
+    input frame, and numpy and ``scipy.ndimage`` release the GIL, so they
+    overlap on a multi-core host. Only ``decision_map`` runs after they
+    join, and the "final" lap times it alone. The worker runs in a copy
+    of the caller's context, so an enclosing ``np.errstate`` applies to it
+    too. Both branches finish before this returns or raises, and the
+    worker's error wins, as it would in the serial order this mirrors:
+    depth confidence, flatness and energy (each normalised), then normals
+    and steepness.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(contextvars.copy_context().run, _flatness_branch,
+        worker = pool.submit(contextvars.copy_context().run, _depth_branch,
                              config, frame)
         clock = _StageClock()
         try:
@@ -120,23 +134,17 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
             steep = cm.steepness_map(normals,
                                      math.radians(config.slope_tolerance_deg))
             clock.lap("steepness")
-            energy_raw = cm.energy_map(frame)
-            clock.lap("energy")
         finally:  # waits for the worker; its error replaces this thread's
-            depth_conf_raw, edges, flat_raw, flat_ms = worker.result()
+            depth_maps = worker.result()
 
     final = _StageClock()
-    depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
-    flat_norm = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
-    energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
-    decision = cm.decision_map(depth_conf, flat_norm, steep, energy, config)
+    decision = cm.decision_map(depth_maps["depth_confidence"],
+                               depth_maps["flatness"], steep,
+                               depth_maps["energy"], config)
     final.lap("final")
-
-    return FrameMaps(depth_confidence_raw=depth_conf_raw, edges=edges,
-                     flatness_raw=flat_raw, normals=normals, steepness=steep,
-                     energy_raw=energy_raw, depth_confidence=depth_conf,
-                     flatness=flat_norm, energy=energy, decision=decision,
-                     stage_ms={**flat_ms, **clock.ms, **final.ms})
+    stage_ms = {**depth_maps.pop("stage_ms"), **clock.ms, **final.ms}
+    return FrameMaps(**depth_maps, normals=normals, steepness=steep,
+                     decision=decision, stage_ms=stage_ms)
 
 
 def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,

@@ -195,12 +195,15 @@ class SiteRegistry:
         r2 = r * r
         reach = r * (1 + 1e-9)
         order = np.argsort(pos[:, 0])  # any order of ties (see above)
-        by_x = pos[order]
-        xs = pos[order, 0]  # contiguous, so searchsorted does not copy it
+        # Contiguous columns sorted by x; searchsorted reads xs uncopied.
+        xs, ys, zs = (pos[order, k] for k in range(3))
         alive = np.ones(n, dtype=bool)
+        d2, tmp = np.empty(n), np.empty(n)  # scratch, reused by every kill
 
         def kill(q, lo, hi):  # re-killing a dead row changes nothing
-            alive[order[lo:hi][_d2(by_x[lo:hi], q) < r2]] = False
+            slab = _d2(xs[lo:hi], ys[lo:hi], zs[lo:hi], q,
+                       d2[: hi - lo], tmp[: hi - lo])
+            alive[order[lo:hi][slab < r2]] = False
 
         # The batch's bounding box widened by r, one column at a time (a
         # 1-D reduction is far cheaper than an axis-0 one over (n, 3)).
@@ -257,7 +260,7 @@ class SiteRegistry:
         pos = self.positions()
         if len(pos) == 0:
             return None
-        d2 = _d2(pos, np.asarray(query, dtype=np.float64).reshape(3))
+        d2 = _d2(*pos.T, np.asarray(query, dtype=np.float64).reshape(3))
         idx = int(np.argmin(d2))
         if not d2[idx] < np.inf:
             return None
@@ -319,15 +322,24 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column.view()
 
 
-def _d2(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from each row of (N, 3) ``points`` to ``q``.
+def _d2(x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray,
+        out: np.ndarray | None = None,
+        tmp: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from each point of the x, y, z columns to ``q``.
 
-    Accumulated as ``dx*dx + dy*dy + dz*dz``, the canonical dedup form.
+    Accumulated as ``(dx*dx + dy*dy) + dz*dz``, the canonical dedup form,
+    into ``out`` with ``tmp`` as scratch when given (both of the columns'
+    length), else into new arrays.
     """
-    dx = points[:, 0] - q[0]
-    dy = points[:, 1] - q[1]
-    dz = points[:, 2] - q[2]
-    return dx * dx + dy * dy + dz * dz
+    out = np.subtract(x, q[0], out=out)
+    out *= out
+    tmp = np.subtract(y, q[1], out=tmp)
+    tmp *= tmp
+    out += tmp
+    np.subtract(z, q[2], out=tmp)
+    tmp *= tmp
+    out += tmp
+    return out
 
 
 def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,

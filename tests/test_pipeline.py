@@ -512,8 +512,44 @@ def tiny_frame(depth) -> DepthFrame:
     return DepthFrame(depth, depth > 0, intr, camera_pose((0.0, 0.0, 5.0)))
 
 
+# The stage functions evaluate_costmaps calls, by the thread that runs them.
+WORKER_STAGES = ("depth_confidence_map", "canny_edges", "distance_transform",
+                 "energy_map", "minmax_normalize")
+CALLER_STAGES = ("surface_normals", "steepness_map", "decision_map")
+
+
 class TestConcurrentCostmaps:
     """``evaluate_costmaps`` runs its two branches on two threads."""
+
+    def test_only_the_fusion_runs_after_the_join(self, monkeypatch):
+        calls = []  # (stage, thread id, start, end), in order of return
+
+        def recorded(name, stage):
+            def run(*args):
+                start = time.perf_counter()
+                out = stage(*args)
+                calls.append((name, threading.get_ident(), start,
+                              time.perf_counter()))
+                return out
+            return run
+
+        for name in WORKER_STAGES + CALLER_STAGES:
+            monkeypatch.setattr(cm, name, recorded(name, getattr(cm, name)))
+        evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
+
+        caller = threading.get_ident()
+        worker = next(tid for name, tid, *_ in calls if name == "energy_map")
+        assert worker != caller
+        threads = {}
+        for name, tid, *_ in calls:
+            threads.setdefault(name, []).append(tid)
+        assert threads == {**{name: [worker] for name in WORKER_STAGES},
+                           "minmax_normalize": [worker] * 3,
+                           **{name: [caller] for name in CALLER_STAGES}}
+        # decision_map starts only after every stage of both branches ended
+        *branches, fusion = sorted(calls, key=lambda call: call[2])
+        assert fusion[0] == "decision_map"
+        assert fusion[2] >= max(end for *_, end in branches)
 
     @pytest.mark.parametrize("name", sorted(ss.canonical_scenes()))
     def test_canonical_maps_equal_serial_stages(self, name):
@@ -546,18 +582,24 @@ class TestConcurrentCostmaps:
 
     @pytest.mark.parametrize("worker_delay_s", [0.0, 0.05])
     def test_worker_error_wins(self, monkeypatch, worker_delay_s):
-        def canny_fails(*args):
-            time.sleep(worker_delay_s)
-            raise ValueError("flatness branch")
-
+        # Canny is the worker's second stage and energy its last; either
+        # fails before the normals in the serial order the worker mirrors.
         def normals_fail(*args):
             time.sleep(0.05 - worker_delay_s)
             raise FloatingPointError("normals branch")
 
-        monkeypatch.setattr(cm, "canny_edges", canny_fails)
-        monkeypatch.setattr(cm, "surface_normals", normals_fail)
-        with pytest.raises(ValueError, match="flatness branch"):
-            evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
+        for worker_stage in ("canny_edges", "energy_map"):
+            def worker_fails(*args, stage=worker_stage):
+                time.sleep(worker_delay_s)
+                raise ValueError(f"{stage} in the depth branch")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, worker_stage, worker_fails)
+                patch.setattr(cm, "surface_normals", normals_fail)
+                with pytest.raises(ValueError,
+                                   match=f"{worker_stage} in the depth"):
+                    evaluate_costmaps(get_profile("sim"),
+                                      render_canonical("FLAT_PAD"))
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
         config = get_profile("sim")

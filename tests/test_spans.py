@@ -74,19 +74,33 @@ def test_spans_attach_and_count():
                 if span[0] == "costmaps"]
     assert len(costmaps) == 1, names
     frame_span = tracer.spans[costmaps[0]]
-    # Canny and the EDT run on a worker thread while the normals run on
-    # the caller's, and the tracer keeps one span stack for all threads,
-    # so their direct parent may be a span of the other branch; each
-    # still lies inside the frame's costmaps span, under it.
+    # The depth-only maps (Canny, the EDT and the three normalisations
+    # among them) run on a worker thread while the normals run on the
+    # caller's, and the tracer keeps one span stack for all threads, so
+    # their direct parent may be a span of the other branch; each still
+    # lies inside the frame's costmaps span, under it.
+    def inside_frame(span):
+        assert costmaps[0] in _ancestors(tracer.spans, span), span
+        assert frame_span[3] <= span[3] <= span[4] <= frame_span[4], span
+
     for name in ("canny", "edt"):
         found = [span for span in tracer.spans if span[0] == name]
         assert len(found) == 1, (name, names)
-        assert costmaps[0] in _ancestors(tracer.spans, found[0]), name
-        assert frame_span[3] <= found[0][3] <= found[0][4] <= frame_span[4]
-    # costmaps.fuse_ms sums the fuse spans per parent: all four run after
-    # the branches join, directly under the frame's costmaps span.
-    fuse = [span for span in tracer.spans if span[0] == "costmaps.fuse"]
-    assert [span[2] for span in fuse] == costmaps * 4
+        inside_frame(found[0])
+    # Four fuse spans: three normalisations in the worker's branch, then
+    # decision_map, the only stage after the join, directly under the
+    # frame's costmaps span once every other stage has ended.
+    fuse = sorted((span for span in tracer.spans
+                   if span[0] == "costmaps.fuse"), key=lambda span: span[3])
+    assert len(fuse) == 4, names
+    for span in fuse:
+        inside_frame(span)
+    decision = fuse[-1]
+    assert decision[2] == costmaps[0]
+    stages = [span for span in tracer.spans
+              if costmaps[0] in _ancestors(tracer.spans, span)]
+    assert decision[3] >= max(span[4] for span in stages
+                              if span is not decision)
     counts = {span[0]: span[5] for span in tracer.spans if span[5]}
     assert counts["canny"]["valid_px"] == 24 * 32
     assert counts["costmaps"] == {"valid_px": 24 * 32, "pixels": 24 * 32}
