@@ -113,20 +113,5 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
 
     invalid = ~np.asarray(valid, dtype=bool)
     if invalid.any():
-        edges |= _dilate8(invalid)
+        edges = edges | ndimage.binary_dilation(invalid, np.ones((3, 3), bool))
     return edges.astype(np.uint8)
-
-
-def _dilate8(mask: np.ndarray) -> np.ndarray:
-    """``mask`` (2-D bool) dilated by the 3x3 square: True at every pixel
-    that is True or 8-adjacent to a True one; outside the frame is False.
-
-    Separable sliced ORs, down the columns and then along the rows.
-    """
-    cols = mask.copy()
-    cols[1:] |= mask[:-1]
-    cols[:-1] |= mask[1:]
-    out = cols.copy()
-    out[:, 1:] |= cols[:, :-1]
-    out[:, :-1] |= cols[:, 1:]
-    return out

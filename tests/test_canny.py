@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis.extra import numpy as hnp
-from hypothesis import strategies as st
-from scipy import ndimage
 
-from landsite.canny import _dilate8, detect_edges
+from landsite.canny import detect_edges
 from landsite.costmaps import canny_edges
 from landsite.errors import ConfigError
 
@@ -52,26 +48,6 @@ def test_invalid_pixels_and_neighbors_forced(make_frame):
     bits = canny_edges(frame, 0.05, 0.2).bits
     assert np.all(bits[19:22, 29:32] == 1)
     assert bits[17, 30] == 0  # two pixels away is untouched
-
-
-MASK_SHAPES = st.one_of(
-    st.tuples(st.just(1), st.integers(1, 9)),   # 1x1 and 1xN
-    st.tuples(st.integers(1, 9), st.just(1)),   # Nx1
-    st.tuples(st.integers(1, 24), st.integers(1, 24)))
-
-
-@given(hnp.arrays(bool, MASK_SHAPES))
-@example(np.ones((1, 1), bool))
-@example(np.eye(1, 7, 6, dtype=bool))       # last pixel of a 1x7 row
-@example(np.eye(7, 1, -6, dtype=bool))      # last pixel of a 7x1 column
-@example(np.pad(np.zeros((3, 4), bool), 1, constant_values=True))  # border
-def test_dilate8_matches_binary_dilation(mask):
-    """Every pixel True or 8-adjacent to a True one, outside the frame
-    False: scipy's 3x3 binary dilation with its default border."""
-    want = ndimage.binary_dilation(mask, np.ones((3, 3), bool))
-    got = _dilate8(mask)
-    assert got.dtype == bool and got.shape == mask.shape
-    assert np.array_equal(got, want)
 
 
 def _random_scene(rng, h, w, holes=None, integer_steps=False):
