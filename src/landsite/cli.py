@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -162,9 +163,12 @@ def _cmd_synth(args) -> int:
         height = args.height_m if args.height_m is not None \
             else scene_synth.CANONICAL_HEIGHTS[name]
     if args.noise_sigma_m is not None:
-        scene = scene_synth.SceneSpec(primitives=scene.primitives,
-                                      noise_sigma=args.noise_sigma_m,
-                                      seed=args.seed)
+        scene = dataclasses.replace(scene, noise_sigma=args.noise_sigma_m,
+                                    seed=args.seed)
+    if args.ground_truth and len(scene.primitives) > 255:
+        raise ConfigError(f"--ground-truth writes primitive ids as 8-bit "
+                          f"PGM values: at most 255 primitives, not "
+                          f"{len(scene.primitives)}")
 
     intrinsics = scene_synth.default_intrinsics()
     rate_hz = 20.0
@@ -173,9 +177,7 @@ def _cmd_synth(args) -> int:
     for i in range(args.frames):
         pose = camera_pose((i * args.spacing_m, 0.0, height))
         # Distinct noise per frame, still fully seed-determined.
-        per_frame = scene_synth.SceneSpec(primitives=scene.primitives,
-                                          noise_sigma=scene.noise_sigma,
-                                          seed=scene.seed + i)
+        per_frame = dataclasses.replace(scene, seed=scene.seed + i)
         try:
             frame, truth = scene_synth.render_depth(per_frame, intrinsics, pose,
                                                     frame_id=i,
@@ -193,7 +195,7 @@ def _cmd_synth(args) -> int:
             formats.write_binary_pgm(gt_dir / f"{prefix}_safe_mask.pgm",
                                      truth.safe_mask.astype(np.uint8))
             formats.write_pgm(gt_dir / f"{prefix}_prim_id.pgm",
-                              (truth.prim_id + 1).clip(0, 255).astype(np.uint8))
+                              (truth.prim_id + 1).astype(np.uint8))
             for i, axis in enumerate("xyz"):
                 formats.write_values_pfm(
                     gt_dir / f"{prefix}_normal_{axis}.pfm",

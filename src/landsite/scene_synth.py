@@ -1,11 +1,12 @@
 """Analytic scene rendering with exact ground truth.
 
-Scenes are built from four primitive kinds (ground plane, tilted plane,
-box, sphere) and rendered by per-pixel ray casting, which yields depth
-frames plus analytic surface normals, a per-pixel primitive id and a
-safe-landing mask for oracle-style testing. Boxes default to axis
-aligned but accept an optional rotation (a proper rotation matrix) so
-cluttered scenes can contain tilted slabs.
+Scenes are built from three surface shapes (plane, box, sphere) and
+rendered by per-pixel ray casting, which yields depth frames plus
+analytic surface normals, a per-pixel primitive id and a safe-landing
+mask for oracle-style testing. A ground plane is the tilted plane
+through (0, 0, z) facing +z. A box takes an optional rotation (a proper
+rotation matrix) so cluttered scenes can contain tilted slabs; without
+one it stores the identity. Each shape has one cast path.
 
 Rendering is deterministic: with the noise knob off, the same scene,
 intrinsics and pose produce bit-identical frames on every run.
@@ -55,16 +56,6 @@ _CORNER_SIGNS = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
                           for z in (-1.0, 1.0)])
 
 
-@dataclass(frozen=True)
-class GroundPlane:
-    z: float
-    safe: bool = False
-
-    def __post_init__(self):
-        if not math.isfinite(self.z):
-            raise ValueError("ground plane height must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class TiltedPlane:
     point: np.ndarray
@@ -88,6 +79,17 @@ class TiltedPlane:
         object.__setattr__(self, "normal", n)
 
 
+class GroundPlane(TiltedPlane):
+    """The horizontal plane at height ``z``, facing +z."""
+
+    def __init__(self, z: float, safe: bool = False):
+        super().__init__(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0), safe=safe)
+
+    @property
+    def z(self) -> float:
+        return float(self.point[2])
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     center: np.ndarray
@@ -104,8 +106,8 @@ class Box:
             raise ValueError("box half extents must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_extents", h)
-        if self.rotation is not None:
-            object.__setattr__(self, "rotation", rotation_matrix(self.rotation))
+        object.__setattr__(self, "rotation", rotation_matrix(
+            np.eye(3) if self.rotation is None else self.rotation))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +125,7 @@ class Sphere:
         object.__setattr__(self, "center", c)
 
 
-Primitive = GroundPlane | TiltedPlane | Box | Sphere
+Primitive = TiltedPlane | Box | Sphere
 
 
 @dataclass
@@ -188,13 +190,12 @@ def _intersect_sphere(center, radius, origin, dirs):
 
 def _box_frame_origin(box: Box, origin) -> np.ndarray:
     """``origin`` in the box's own frame, relative to its center."""
-    o = origin - box.center
-    return o if box.rotation is None else box.rotation.T @ o
+    return box.rotation.T @ (origin - box.center)
 
 
 def _intersect_box(box: Box, origin, dirs):
     o = _box_frame_origin(box, origin)
-    d = dirs if box.rotation is None else dirs @ box.rotation
+    d = dirs @ box.rotation
     h = box.half_extents
     # Slab entry and exit one axis at a time (numpy is slow on a length-3
     # last axis).
@@ -222,8 +223,7 @@ def _intersect_box(box: Box, origin, dirs):
     n_local = np.zeros(d.shape)
     for k, on_axis in enumerate((first, second, ~(first | second))):
         n_local[..., k] = np.where(on_axis, -np.sign(d[..., k]), 0.0)
-    n = n_local if box.rotation is None else n_local @ box.rotation.T
-    return t, n
+    return t, n_local @ box.rotation.T
 
 
 def _box_corners(box: Box, origin) -> np.ndarray:
@@ -236,7 +236,7 @@ def _box_corners(box: Box, origin) -> np.ndarray:
     o = _box_frame_origin(box, origin)
     h = box.half_extents
     local = np.where(_CORNER_SIGNS > 0, h - o, -h - o)
-    return local if box.rotation is None else local @ box.rotation.T
+    return local @ box.rotation.T
 
 
 def _screen_window(corners, intrinsics: CameraIntrinsics, rotation):
@@ -302,14 +302,9 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     best_t = np.full(dirs.shape[:2], np.inf)
     best_n = np.zeros(dirs.shape)
     prim_id = np.full(dirs.shape[:2], -1, dtype=np.int32)
-    whole = (slice(None), slice(None))
     for idx, prim in enumerate(scene.primitives):
-        if isinstance(prim, GroundPlane):
-            win = whole
-            t, n = _intersect_plane(np.array([0.0, 0.0, prim.z]),
-                                    np.array([0.0, 0.0, 1.0]), origin, dirs)
-        elif isinstance(prim, TiltedPlane):
-            win = whole
+        if isinstance(prim, TiltedPlane):
+            win = (slice(None), slice(None))
             t, n = _intersect_plane(prim.point, prim.normal, origin, dirs)
         elif isinstance(prim, Sphere):
             # The corners of the sphere's bounding cube, as the quadratic
@@ -330,13 +325,12 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
         np.copyto(best_n[win], n, where=closer[..., None])
         np.copyto(prim_id[win], np.int32(idx), where=closer)
 
-    depth = np.where(np.isfinite(best_t), best_t, 0.0)
+    # A miss stays at inf, past D_MAX_DEFAULT; DepthFrame zeroes invalid depth.
+    depth = best_t
     if scene.noise_sigma > 0:
         rng = np.random.default_rng(scene.seed)
         depth = depth + rng.normal(0.0, scene.noise_sigma, depth.shape)
-    valid = np.isfinite(best_t) & (depth >= D_MIN_DEFAULT) \
-        & (depth <= D_MAX_DEFAULT)
-    depth = np.where(valid, depth, 0.0)
+    valid = (depth >= D_MIN_DEFAULT) & (depth <= D_MAX_DEFAULT)
 
     # Orient truth normals toward the camera, matching the estimator. The
     # dot product adds its terms in np.sum's order: the same value up to
@@ -350,7 +344,7 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     prim_id = np.where(valid, prim_id, np.int32(-1))
     safe_ids = np.array([i for i, p in enumerate(scene.primitives) if p.safe],
                         dtype=np.int32)
-    safe_mask = valid & np.isin(prim_id, safe_ids)
+    safe_mask = np.isin(prim_id, safe_ids)
 
     frame = DepthFrame(depth=depth, valid=valid, intrinsics=intrinsics,
                        pose_world_from_camera=pose, frame_id=frame_id,

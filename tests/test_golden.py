@@ -1,14 +1,20 @@
-"""Golden-output digests: the canonical scenes end to end, byte for byte.
+"""Golden-output digests: the sample scenes end to end, byte for byte.
 
-Each canonical scene is synthesised once (3 frames, 3 mm seeded depth
-noise), then run through ``detect`` under both profiles and through
-``costmap`` for frame 0, all in-process through ``cli.main``. Every file
-written, the stream included, must match the sha256 recorded in
-``golden.json``. So must the float64 ``surface_normals`` arrays of each
-stream's frame 0, which no written file holds at full precision. On a
-mismatch the message names the first differing file and, for a JSON or
-JSONL file, its first differing line (or the smallest run of lines the
-record can tell apart).
+Each canonical scene, and the hole scene of ``hole_scene.json``, is
+synthesised once (3 frames, 3 mm seeded depth noise), then run through
+``detect`` under both profiles and through ``costmap`` for frame 0, all
+in-process through ``cli.main``. Every file written, the stream
+included, must match the sha256 recorded in ``golden.json``. So must the
+float64 ``surface_normals`` arrays of each stream's frame 0, which no
+written file holds at full precision. On a mismatch the message names
+the first differing file and, for a JSON or JSONL file, its first
+differing line (or the smallest run of lines the record can tell apart).
+
+The hole scene has no ground plane: its slab, carrying a safe pad, a
+rotated block and a sphere, fills about half of each frame seen from
+5.5 m. The rays that miss it give invalid depth, so it pins the
+invalid-pixel paths (Canny's forcing, the masked EDT, min-max and
+validity gate) that no canonical frame reaches.
 
 The digests pin numpy and scipy arithmetic, so the test skips when the
 installed versions differ from the recorded ones. A change that alters a
@@ -40,7 +46,9 @@ from landsite.costmaps import surface_normals
 from landsite.pipeline import read_frame_stream
 
 GOLDEN = Path(__file__).with_name("golden.json")
-SCENES = ("flat_pad", "steep_wall", "tree", "roof_edge", "rubble")
+HOLES = "holes"
+SCENES = ("flat_pad", "steep_wall", "tree", "roof_edge", "rubble", HOLES)
+HOLE_SCENE = Path(__file__).with_name("hole_scene.json")
 PROFILES = ("sim", "real")
 # A JSON or JSONL file's lines are digested in at most this many runs, so
 # a file of up to BLOCKS lines is located to the line.
@@ -68,7 +76,9 @@ def run_scene(scene: str, root: Path) -> list[Path]:
 
 
 def synth_argv(scene: str, stream: Path, frames: int) -> list[str]:
-    return ["synth", "--scene", scene, "--out", str(stream),
+    source = ["--scene-file", str(HOLE_SCENE), "--height-m", "5.5"] \
+        if scene == HOLES else ["--scene", scene]
+    return ["synth", *source, "--out", str(stream),
             "--frames", str(frames), "--noise-sigma-m", "0.003"]
 
 

@@ -43,6 +43,7 @@ from landsite.pipeline import (
 )
 
 from oracles import json_dumps_candidates_jsonl, scene_to_json_obj
+from test_formats import read_pgm
 
 
 @pytest.fixture(scope="module")
@@ -813,6 +814,14 @@ FLOAT_LIMIT_BOX_SCENE = with_box(center_m=[1.7e308, 1.7e308, 0.5],
                                  half_extents_m=[1.7e308, 1.7e308, 0.5])
 
 
+def box_grid_scene(n: int) -> dict:
+    """``n`` boxes in rows of 17, 0.25 m apart, all in view from 5 m."""
+    return {"primitives": [
+        {"type": "box", "center_m": [0.25 * (k % 17 - 8),
+                                     0.25 * (k // 17 - 7), 0],
+         "half_extents_m": [0.1, 0.1, 0.05]} for k in range(n)]}
+
+
 def with_raw_value(obj: dict, field: str, text: str) -> str:
     """JSON text of ``obj`` with ``field``'s value spelled as ``text``."""
     return json.dumps(dict(obj, **{field: "@"})).replace('"@"', text)
@@ -1058,6 +1067,26 @@ class TestCli:
         assert len(frames) == 2
         # per-frame noise differs but stays seed-determined
         assert not np.array_equal(frames[0].depth, frames[1].depth)
+
+    def test_synth_ground_truth_keeps_255_prim_ids_apart(self, tmp_path):
+        path = tmp_path / "scene.json"
+        write_json(path, box_grid_scene(255))
+        stream = tmp_path / "s"
+        assert cli_main(["synth", "--scene-file", str(path), "--out",
+                         str(stream), "--ground-truth"]) == 0
+        ids = read_pgm(stream / "ground_truth" / "000000_prim_id.pgm")
+        # 0 where no box was hit, then one value per primitive
+        assert np.unique(ids).tolist() == list(range(256))
+
+    def test_synth_ground_truth_refuses_256_primitives(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        write_json(path, box_grid_scene(256))
+        stream = tmp_path / "s"
+        assert cli_main(["synth", "--scene-file", str(path), "--out",
+                         str(stream), "--ground-truth"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at most 255 primitives" in err
+        assert not stream.exists()
 
     def test_synth_scene_file(self, tmp_path):
         scene_path = tmp_path / "scene.json"

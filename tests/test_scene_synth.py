@@ -208,10 +208,7 @@ class TestSceneJson:
             if isinstance(a, ss.Box):
                 assert np.allclose(a.center, b.center)
                 assert np.allclose(a.half_extents, b.half_extents)
-                if b.rotation is None:
-                    assert a.rotation is None
-                else:
-                    assert np.allclose(a.rotation, b.rotation)
+                assert np.allclose(a.rotation, b.rotation)
         # rendering the reloaded scene reproduces the frame
         intr = ss.default_intrinsics()
         pose = ss.canonical_camera("RUBBLE")
@@ -240,6 +237,15 @@ class TestSpecValidation:
             ss.Box(center=(0, 0, 0), half_extents=(1, 0, 1))
         with pytest.raises(ValueError):
             ss.TiltedPlane(point=(0, 0, 0), normal=(0, 0, 0))
+
+    def test_ground_plane_and_unrotated_box_are_general_shapes(self):
+        plane = ss.GroundPlane(z=1.5, safe=True)
+        assert isinstance(plane, ss.TiltedPlane) and plane.safe
+        assert plane.z == 1.5
+        assert plane.point.tolist() == [0.0, 0.0, 1.5]
+        assert plane.normal.tolist() == [0.0, 0.0, 1.0]
+        box = ss.Box(center=(0, 0, 0), half_extents=(1, 1, 1))
+        assert box.rotation.tolist() == np.eye(3).tolist()
 
     def test_plane_normal_too_long_to_square(self):
         with warnings.catch_warnings():
