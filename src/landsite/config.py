@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -81,6 +82,7 @@ class PipelineConfig:
                      "d_min_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        _check_slope_tolerance(math.radians(self.slope_tolerance_deg))
         if not self.d_min_m < self.d_max_m:
             raise ConfigError("need d_min_m < d_max_m")
         if self.cluster_metric not in ("xy", "xyz"):
@@ -103,6 +105,15 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         return read_json(path, cls.from_json_obj, "config", error=ConfigError)
+
+
+def _check_slope_tolerance(tol: float) -> None:
+    """ConfigError unless 2 tol^2 (tol in radians) reaches DBL_MIN, the bound
+    ``steepness_map`` needs: theta^2 / (2 tol^2) <= (pi/2)^2 / DBL_MIN stays
+    finite, while below it theta = 0 gives 0 / 0."""
+    if not (tol > 0 and 2.0 * tol * tol >= sys.float_info.min):
+        raise ConfigError("slope tolerance must be positive and large enough "
+                          "that 2 tol^2 does not underflow")
 
 
 _COMMON = dict(

@@ -27,14 +27,13 @@ themselves, and return no view of an input.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from . import canny
-from .config import PipelineConfig
+from .config import PipelineConfig, _check_slope_tolerance
 from .errors import ConfigError
 from .geometry import DepthFrame, camera_planes, ray_offsets
 
@@ -258,12 +257,7 @@ def steepness_map(normals: NormalMap, slope_tolerance: float) -> Costmap:
     product makes the score independent of normal orientation; values live
     in (0, 1].
     """
-    # From this bound on, theta^2 / (2 tol^2) <= (pi/2)^2 / DBL_MIN stays
-    # finite; below it 2 tol^2 underflows and theta = 0 gives 0 / 0.
-    if not (slope_tolerance > 0
-            and 2.0 * slope_tolerance * slope_tolerance >= sys.float_info.min):
-        raise ConfigError("slope tolerance must be positive and large enough "
-                          "that 2 tol^2 does not underflow")
+    _check_slope_tolerance(slope_tolerance)
     cos_theta = np.clip(np.abs(normals.normals[..., 2]), 0.0, 1.0)
     theta = np.arccos(cos_theta)
     values = np.exp(-(theta * theta) / (2.0 * slope_tolerance * slope_tolerance))

@@ -32,7 +32,6 @@ import numpy as np
 from . import costmaps as cm
 from . import formats
 from .config import PipelineConfig
-from .errors import ConfigError
 from .detection import Candidates, dense_candidates, world_positions
 from .geometry import DepthFrame, load_intrinsics, load_pose_records, \
     save_intrinsics, save_pose_records
@@ -181,8 +180,6 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
     for frame in frames:
         try:
             maps = evaluate_costmaps(config, frame)
-        except ConfigError:
-            raise  # a bad config fails the run, not the frame
         except (ValueError, FloatingPointError) as exc:
             log.warning("frame %s failed: %s", getattr(frame, "frame_id", "?"), exc)
             result.frames_failed += 1

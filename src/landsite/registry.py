@@ -174,8 +174,8 @@ class SiteRegistry:
         clears a set of original row indices, so no flag depends on it.
 
         Positions must be (N, 3); they, the N scores and the timestamp must
-        be finite. Otherwise ValueError, before anything is stored. The
-        accepted rows are appended to the columns in one call.
+        be finite, else ValueError before anything is stored. A bound or
+        distance that overflows is inf, quietly, and kills nothing.
         """
         pos = np.asarray(positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -205,31 +205,31 @@ class SiteRegistry:
                        d2[: hi - lo], tmp[: hi - lo])
             alive[order[lo:hi][slab < r2]] = False
 
-        # The batch's bounding box widened by r, one column at a time (a
-        # 1-D reduction is far cheaper than an axis-0 one over (n, 3)).
-        existing = self.positions()
-        in_box = np.ones(len(existing), dtype=bool)
-        for k in range(3):
-            column, near = pos[:, k], existing[:, k]
-            in_box &= (near >= column.min() - r) & (near <= column.max() + r)
-        stored = existing[in_box]
-        los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
-        his = np.searchsorted(xs, stored[:, 0] + reach, side="right")
-        for q, lo, hi in zip(stored, los.tolist(), his.tolist()):
-            if lo < hi:
-                kill(q, lo, hi)
+        with np.errstate(over="ignore"):
+            # The batch's bounding box widened by r, one column at a time (a
+            # 1-D reduction is far cheaper than an axis-0 one over (n, 3)).
+            existing = self.positions()
+            in_box = np.ones(len(existing), dtype=bool)
+            for c, near in zip(pos.T, existing.T):
+                in_box &= (near >= c.min() - r) & (near <= c.max() + r)
+            stored = existing[in_box]
+            los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
+            his = np.searchsorted(xs, stored[:, 0] + reach, side="right")
+            for q, lo, hi in zip(stored, los.tolist(), his.tolist()):
+                if lo < hi:
+                    kill(q, lo, hi)
 
-        accepted = np.zeros(n, dtype=bool)
-        i = 0
-        while True:
-            i += int(alive[i:].argmax())  # first live row at or after i
-            if not alive[i]:
-                break
-            alive[i] = False
-            accepted[i] = True
-            q = pos[i]
-            kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
-                 int(xs.searchsorted(q[0] + reach, side="right")))
+            accepted = np.zeros(n, dtype=bool)
+            i = 0
+            while True:
+                i += int(alive[i:].argmax())  # first live row at or after i
+                if not alive[i]:
+                    break
+                alive[i] = False
+                accepted[i] = True
+                q = pos[i]
+                kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
+                     int(xs.searchsorted(q[0] + reach, side="right")))
         rows = pos[accepted]
         self._append(rows, scores[accepted], [int(frame_id)] * len(rows),
                      timestamp)
@@ -254,13 +254,14 @@ class SiteRegistry:
     def nearest(self, query) -> tuple[LandingSite, float] | None:
         """Closest stored site and its Euclidean distance, or None if empty.
 
-        Exact; ties resolve to the earliest-inserted site. A non-finite
-        query also gives None.
+        Exact; ties resolve to the earliest-inserted site. A query that is
+        non-finite or whose every squared distance overflows gives None.
         """
         pos = self.positions()
         if len(pos) == 0:
             return None
-        d2 = _d2(*pos.T, np.asarray(query, dtype=np.float64).reshape(3))
+        with np.errstate(over="ignore"):
+            d2 = _d2(*pos.T, np.asarray(query, dtype=np.float64).reshape(3))
         idx = int(np.argmin(d2))
         if not d2[idx] < np.inf:
             return None
@@ -287,11 +288,9 @@ class SiteRegistry:
         records whose x, y, z, score and timestamp are finite numbers and
         whose frame_id is an integer (bools are neither). Each field is read
         in one pass over the records, and a failure names the first bad
-        record (``sites[3].x must be a number, not 'a'``). Each coordinate
-        and score column must be small enough for clustering to average
-        (``math.fsum`` of its magnitudes raises OverflowError, where numpy's
-        mean would only warn). Anything else raises one of
-        ``formats.PARSE_FAILURES``.
+        record (``sites[3].x must be a number, not 'a'``); anything else
+        raises one of ``formats.PARSE_FAILURES``. So every snapshot ``save``
+        writes loads back as it was stored.
         """
         reg = cls(number(obj, "dedup_radius_m"))
         records = obj["sites"]
@@ -300,8 +299,6 @@ class SiteRegistry:
         score = number_column(records, "sites", "score")
         frame_id = integer_column(records, "sites", "frame_id")
         timestamp = number_column(records, "sites", "timestamp")
-        for column in (*pos.T, score):
-            math.fsum(np.abs(column).tolist())
         reg._append(pos, score, frame_id, timestamp)
         return reg
 

@@ -498,9 +498,7 @@ def record_snapshot_loader(obj: dict) -> tuple[float, list[LandingSite]]:
     """Reference snapshot reader, one record at a time: (radius, sites).
 
     The radius must be a finite positive number and ``sites`` a list of
-    records valid for ``landing_site_from_json_obj``. Each coordinate and
-    score column's magnitudes must ``math.fsum`` without overflow, so that
-    clustering can average them.
+    records valid for ``landing_site_from_json_obj``.
     """
     radius = _snapshot_number(obj, "dedup_radius_m")
     if not radius > 0:
@@ -508,11 +506,7 @@ def record_snapshot_loader(obj: dict) -> tuple[float, list[LandingSite]]:
     records = obj["sites"]
     if not isinstance(records, list):
         raise TypeError(f"sites must be a list, not {type(records).__name__}")
-    sites = [landing_site_from_json_obj(rec) for rec in records]
-    for k in range(3):
-        math.fsum(abs(float(s.position[k])) for s in sites)
-    math.fsum(abs(s.score) for s in sites)
-    return radius, sites
+    return radius, [landing_site_from_json_obj(rec) for rec in records]
 
 
 def scene_to_json_obj(scene: SceneSpec) -> dict:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landsite.formats import PARSE_FAILURES, write_json
@@ -37,6 +38,15 @@ def insert_batches(reg, points, n_batches):
     """Insert ``points`` as ``n_batches`` consecutive batches; all flags."""
     return [f for chunk in np.array_split(np.asarray(points, float), n_batches)
             for f in insert_all(reg, chunk)]
+
+
+@contextlib.contextmanager
+def strict_floats(mode):
+    """Warnings as errors, and numpy's float errors set to ``mode`` ("warn"
+    or "raise"): what a quiet overflow must pass under."""
+    with warnings.catch_warnings(), np.errstate(all=mode):
+        warnings.simplefilter("error")
+        yield
 
 
 def registry_with(positions, scores=None, dedup_radius=1e-9):
@@ -174,6 +184,34 @@ class TestInsertBatch:
                                  np.array(scores), 1, timestamp)
         assert reg.to_json_obj() == before
         assert len(reg) == 2 and len(reg.positions()) == 2
+
+
+class TestQuietOverflow:
+    """A squared distance or slab bound past float range is inf, without a
+    warning or a float error: it kills nothing and is never nearest."""
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_overflowing_distances_kill_nothing(self, mode):
+        with strict_floats(mode):
+            # two rows of one x slab, in the batch and then stored
+            rows = [(0.0, 1.7e308, 0.0), (0.0, -1.7e308, 0.0)]
+            assert insert_all(SiteRegistry(0.5), rows) == [True, True]
+            reg = registry_with(rows[:1], dedup_radius=0.5)
+            assert insert_all(reg, [rows[1], (0.0, 1.7e308, 1.0)]) == \
+                [True, True]
+            # x - r and x + r themselves overflow
+            reg = registry_with([(1.7e308, 0.0, 0.0)], dedup_radius=1e308)
+            assert insert_all(reg, [(-1.7e308, 0.0, 0.0)]) == [True]
+        assert len(reg) == 2
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_nearest_when_distances_overflow(self, mode):
+        reg = registry_with([(1.7e308, 0.0, 0.0), (0.0, 1.7e308, 0.0)])
+        with strict_floats(mode):
+            assert reg.nearest((-1.7e308, -1.7e308, 0.0)) is None
+            found, dist = reg.nearest((1.7e308, -1.0, 0.0))
+        assert found.position.tolist() == [1.7e308, 0.0, 0.0]
+        assert dist == 1.0
 
 
 class TestColumns:
@@ -717,6 +755,18 @@ class TestClustersJson:
             assert columns.read_bytes() == records.read_bytes()
 
 
+# Snapshot field values: finite floats of every magnitude (signed zeros,
+# subnormals, near the float limit) and ints past int64.
+SNAPSHOT_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 0.1,
+                                       1.7e308, -1.7e308])
+                    | st.integers(-2**70, 2**70))
+SNAPSHOT_RECORD = st.fixed_dictionaries({
+    "x": SNAPSHOT_NUMBERS, "y": SNAPSHOT_NUMBERS, "z": SNAPSHOT_NUMBERS,
+    "score": SNAPSHOT_NUMBERS, "frame_id": st.integers(-2**70, 2**70),
+    "timestamp": SNAPSHOT_NUMBERS})
+
+
 class TestSnapshot:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -735,6 +785,28 @@ class TestSnapshot:
         assert np.array_equal(loaded.nearest(q)[0].position,
                               reg.nearest(q)[0].position)
 
+    @given(st.lists(st.tuples(
+        st.lists(st.tuples(*[SNAPSHOT_NUMBERS] * 4), max_size=6),
+        st.integers(-2**70, 2**70), SNAPSHOT_NUMBERS), max_size=3))
+    @example([([(0.0, 1.7e308, 0.0, 0.5), (0.0, -1.7e308, 0.0, 0.5)], 0,
+               0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_every_stored_registry_round_trips(self, batches):
+        """save -> load -> save is byte-identical, and load gives back the
+        stored columns bit for bit."""
+        reg = SiteRegistry(0.5)
+        for rows, frame_id, timestamp in batches:
+            rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+            reg.insert_positions(rows[:, :3], rows[:, 3], frame_id, timestamp)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            reg.save(first)
+            loaded = SiteRegistry.load(first)
+            loaded.save(second)
+            assert second.read_bytes() == first.read_bytes()
+        assert site_columns(loaded.dedup_radius, loaded.sites) == \
+            site_columns(reg.dedup_radius, reg.sites)
+
     @pytest.mark.parametrize("x", [float("nan"), float("-inf"), "a", None])
     def test_rejects_nonfinite_or_nonnumeric_position(self, x):
         obj = {"dedup_radius_m": 0.5, "sites": [
@@ -746,16 +818,6 @@ class TestSnapshot:
             SiteRegistry.from_json_obj(obj)
 
 
-# Snapshot field values: finite floats of every magnitude (signed zeros,
-# subnormals, near the float limit) and ints past int64.
-SNAPSHOT_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
-                    | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 0.1,
-                                       1.7e308, -1.7e308])
-                    | st.integers(-2**70, 2**70))
-SNAPSHOT_RECORD = st.fixed_dictionaries({
-    "x": SNAPSHOT_NUMBERS, "y": SNAPSHOT_NUMBERS, "z": SNAPSHOT_NUMBERS,
-    "score": SNAPSHOT_NUMBERS, "frame_id": st.integers(-2**70, 2**70),
-    "timestamp": SNAPSHOT_NUMBERS})
 # One damaged value: (kind, replacement)
 BAD_VALUES = {"string": "a", "bool": True, "nan": float("nan"),
               "1e400": float("1e400"), "int_1e400": 10**400, "null": None}
