@@ -116,8 +116,6 @@ def _cmd_detect(args) -> int:
     config = _resolve_config(args)
     frames = read_frame_stream(args.stream, config.d_min_m, config.d_max_m)
     result = run_pipeline(config, frames, dump_dir=args.dump_costmaps)
-    if len(result.frames) + result.frames_failed == 0:
-        raise OSError(f"no readable frames in {args.stream}")
     write_outputs(args.out, result)
     n_candidates = sum(len(f.candidates) for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "
@@ -134,8 +132,7 @@ def _cmd_costmap(args) -> int:
             dump_costmaps(args.out, frame.frame_id, maps)
             print(f"dumped stage maps for frame {frame.frame_id} to {args.out}")
             return 0
-    what = "readable frames" if args.frame_id is None else f"frame {args.frame_id}"
-    raise OSError(f"no {what} in {args.stream}")
+    raise OSError(f"no frame {args.frame_id} in {args.stream}")
 
 
 def _cmd_synth(args) -> int:
@@ -209,8 +206,6 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1")
     frames = list(read_frame_stream(args.stream, config.d_min_m, config.d_max_m))
-    if not frames:
-        raise OSError(f"no readable frames in {args.stream}")
     report = bench(config, frames, repetitions=args.reps)
     print(timing_table(report))
     if args.out is not None:

@@ -21,6 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .formats import integer, malformed, number, read_json, write_json
 
@@ -121,32 +122,7 @@ class Pose:
 
     def to_quaternion(self) -> tuple[float, float, float, float]:
         """Rotation as a (w, x, y, z) unit quaternion with w >= 0."""
-        r = self.rotation
-        tr = r[0, 0] + r[1, 1] + r[2, 2]
-        if tr > 0:
-            s = math.sqrt(tr + 1.0) * 2
-            w = 0.25 * s
-            x = (r[2, 1] - r[1, 2]) / s
-            y = (r[0, 2] - r[2, 0]) / s
-            z = (r[1, 0] - r[0, 1]) / s
-        elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-            s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2
-            w = (r[2, 1] - r[1, 2]) / s
-            x = 0.25 * s
-            y = (r[0, 1] + r[1, 0]) / s
-            z = (r[0, 2] + r[2, 0]) / s
-        elif r[1, 1] >= r[2, 2]:
-            s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2
-            w = (r[0, 2] - r[2, 0]) / s
-            x = (r[0, 1] + r[1, 0]) / s
-            y = 0.25 * s
-            z = (r[1, 2] + r[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2
-            w = (r[1, 0] - r[0, 1]) / s
-            x = (r[0, 2] + r[2, 0]) / s
-            y = (r[1, 2] + r[2, 1]) / s
-            z = 0.25 * s
+        x, y, z, w = Rotation.from_matrix(self.rotation).as_quat().tolist()
         if w < 0:
             w, x, y, z = -w, -x, -y, -z
         return w, x, y, z

@@ -283,7 +283,8 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
     """Yield DepthFrames from a stream directory, in frame-id order.
 
     Frames whose depth file is missing or unreadable are skipped with a
-    warning; completely unreadable streams raise OSError.
+    warning; a pass that yields no frame raises
+    ``OSError("no readable frames in <stream>")``.
     """
     root = Path(stream_dir)
     if not root.is_dir():
@@ -291,6 +292,7 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
     intrinsics = load_intrinsics(root / "intrinsics.json")
     poses = load_pose_records(root / "frames.jsonl")
     shape = (intrinsics.height, intrinsics.width)
+    readable = False
     for frame_id in sorted(poses):
         t_sec, pose = poses[frame_id]
         pfm_path = root / f"{frame_id:06d}.pfm"
@@ -303,6 +305,9 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
             log.warning("skipping frame %d: %s", frame_id, exc)
             continue
         valid = np.isfinite(depth) & (depth >= d_min) & (depth <= d_max)
+        readable = True
         yield DepthFrame(depth=depth, valid=valid, intrinsics=intrinsics,
                          pose_world_from_camera=pose, frame_id=frame_id,
                          timestamp=t_sec)
+    if not readable:
+        raise OSError(f"no readable frames in {root}")

@@ -339,6 +339,7 @@ def _d2(x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore")
 def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
                   metric: str = "xy") -> Clusters:
     """Single-linkage clusters of the registry under the dual threshold.
@@ -370,15 +371,14 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     pairs = cKDTree(np.clip(pos, -1e153, 1e153)).query_pairs(
         reach, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    with np.errstate(over="ignore"):
-        dx = pos[i, 0] - pos[j, 0]
-        dy = pos[i, 1] - pos[j, 1]
-        dz = pos[i, 2] - pos[j, 2]
-        xy2 = dx * dx + dy * dy
-        if metric == "xy":
-            link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
-        else:
-            link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+    dx = pos[i, 0] - pos[j, 0]
+    dy = pos[i, 1] - pos[j, 1]
+    dz = pos[i, 2] - pos[j, 2]
+    xy2 = dx * dx + dy * dy
+    if metric == "xy":
+        link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
+    else:
+        link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
     graph = coo_matrix((np.ones(int(link.sum()), dtype=bool),
                         (i[link], j[link])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
@@ -395,9 +395,8 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     for size in np.unique(counts).tolist():
         groups = np.flatnonzero(counts == size)
         members = order[starts[groups][:, None] + np.arange(size)]
-        with np.errstate(over="ignore"):
-            centroids[groups] = pos[members].mean(axis=1)
-            mean_scores[groups] = scores[members].mean(axis=1)
+        centroids[groups] = pos[members].mean(axis=1)
+        mean_scores[groups] = scores[members].mean(axis=1)
     # lexsort is stable: clusters that tie on every key keep label order.
     rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
                        -counts, -mean_scores))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,17 @@ class TestIntrinsics:
         assert load_intrinsics(path) == intrinsics_small
 
 
+def assert_quaternion_contract(pose):
+    """``to_quaternion`` gives a unit quaternion with w >= 0 that
+    ``from_quaternion`` reads back as the same rotation."""
+    q = pose.to_quaternion()
+    assert q[0] >= 0
+    assert abs(math.sqrt(sum(c * c for c in q)) - 1.0) <= 1e-15
+    again = Pose.from_quaternion(*q, pose.translation)
+    np.testing.assert_allclose(again.rotation, pose.rotation, rtol=0,
+                               atol=4e-15)
+
+
 class TestPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
@@ -73,6 +86,28 @@ class TestPose:
         qw, qx, qy, qz = pose.to_quaternion()
         again = Pose.from_quaternion(qw, qx, qy, qz, pose.translation)
         assert np.allclose(again.rotation, pose.rotation, atol=1e-9)
+
+    @pytest.mark.parametrize("position", [(0.0, 0.0, 5.0), (3.5, -2.0, 10.5),
+                                          (-1e5, 1e5, 0.1), (0.0, 0.0, 2e3)])
+    def test_nadir_camera_writes_canonical_quaternion(self, position):
+        # the pose every synth and benchmark stream writes: a half turn
+        # about world x, stored with positive zeros
+        q = camera_pose(position).to_quaternion()
+        assert q == (0.0, 1.0, 0.0, 0.0)
+        assert [math.copysign(1.0, c) for c in q] == [1.0] * 4
+
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                      (0.6, -0.8, 0.0)])
+    def test_half_turn_quaternion(self, axis):
+        # w = 0: either sign of (x, y, z) is the same rotation
+        u = np.array(axis, dtype=float)
+        assert_quaternion_contract(Pose(2 * np.outer(u, u) - np.eye(3),
+                                        np.zeros(3)))
+
+    @given(unit_quaternions())
+    @settings(max_examples=200, deadline=None)
+    def test_quaternion_contract(self, q):
+        assert_quaternion_contract(Pose.from_quaternion(*q, (0.0, 0.0, 0.0)))
 
     @given(unit_quaternions(),
            st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)))

@@ -189,6 +189,19 @@ class TestFrameStream:
             loaded = list(read_frame_stream(stream, 0.05, 20.0))
             assert [f.frame_id for f in loaded] == [0, 2], damaged
 
+    def test_no_readable_frame_raises(self, tmp_path):
+        frames = [render_canonical("FLAT_PAD", frame_id=i) for i in range(2)]
+        stream = tmp_path / "stream"
+        write_frame_stream(stream, frames)
+        (stream / "000000.pfm").write_bytes(b"Pf\nabc def\n-1.0\n")
+        (stream / "000001.pfm").unlink()
+        message = re.escape(f"no readable frames in {stream}") + "$"
+        with pytest.raises(OSError, match=message):
+            list(read_frame_stream(stream, 0.05, 20.0))
+        with pytest.raises(OSError, match=message):
+            run_pipeline(get_profile("sim"),
+                         read_frame_stream(stream, 0.05, 20.0))
+
     def test_out_of_range_depth_invalid_on_read(self, tmp_path, make_frame):
         depth = np.full((48, 64), 5.0)
         depth[0, 0] = 25.0
@@ -1100,6 +1113,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: no readable frames in {stream}\n"
         assert captured.out == "" and not (tmp_path / "o").exists()
+        assert cli_main(["bench", "--in", str(stream), "--reps", "1",
+                         "--out", str(tmp_path / "b")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no readable frames in {stream}\n"
+        assert captured.out == "" and not (tmp_path / "b").exists()
 
     def test_costmap_window_wider_than_frame(self, tmp_path, capsys):
         intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=1.0, cy=1.0,

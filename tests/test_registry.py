@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landsite.config import get_profile
 from landsite.formats import PARSE_FAILURES, write_json
 from landsite.pipeline import write_clusters_json
 from landsite.registry import Clusters, LandingSite, SiteRegistry, \
@@ -646,6 +647,68 @@ class TestClustering:
         assert len(clusters) == 0 and list(clusters) == []
         assert clusters.centroids.shape == (0, 3)
         assert clusters.mean_score.shape == clusters.members.shape == (0,)
+
+
+def linked_xy2(positions, dist_th, z_th, metric):
+    """Horizontal squared separation of each pair of ``positions`` that the
+    canonical link test accepts."""
+    i, j = np.triu_indices(len(positions), 1)
+    dx, dy, dz = (positions[i] - positions[j]).T
+    xy2 = dx * dx + dy * dy
+    near = xy2 + dz * dz if metric == "xyz" else xy2
+    return xy2[(near <= dist_th * dist_th) & (np.abs(dz) <= z_th)]
+
+
+class TestClusterLinkBand:
+    """The shipped profiles dedup and link with one radius r. Dedup leaves
+    every stored pair with d2 >= r*r and a link needs abs(dz) <= z_th, so a
+    linked pair has dx*dx + dy*dy >= r*r - z_th*z_th: 0.4999-0.5 m apart
+    horizontally under sim, 0.4975-0.5 m under real. Only lattice-aligned
+    sites reach that band, which is why stored sites rarely merge."""
+
+    @staticmethod
+    def assert_linked_in_band(reg, config):
+        """Every linked pair lies in the band; returns how many linked."""
+        r, z_th = config.dedup_radius_m, config.cluster_z_m
+        assert config.cluster_dist_m == r
+        xy2 = linked_xy2(reg.positions(), r, z_th, config.cluster_metric)
+        # a few ulps of slack for the rounding of d2 and xy2
+        assert np.all(xy2 >= r * r - z_th * z_th - 4 * np.spacing(r * r))
+        return len(xy2)
+
+    @pytest.mark.parametrize("profile", ["sim", "real"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_linked_pairs_lie_in_band(self, profile, data):
+        config = get_profile(profile)
+        r, z_th = config.dedup_radius_m, config.cluster_z_m
+        # lattice rows r apart, each coordinate shifted by up to
+        # z_th*z_th / r so that pairs reach into the band and past it;
+        # and free rows
+        shift = st.just(0.0) | st.floats(-z_th * z_th / r, z_th * z_th / r)
+        coord = st.builds(lambda k, e: k * r + e, st.integers(-1, 2), shift)
+        height = st.sampled_from([0.0, -0.0, z_th, -z_th]) \
+            | st.floats(-z_th, z_th)
+        free = st.floats(-1.5, 1.5)
+        rows = data.draw(st.lists(st.tuples(coord, coord, height)
+                                  | st.tuples(free, free, free),
+                                  min_size=10, max_size=60))
+        reg = SiteRegistry(r)
+        insert_batches(reg, rows, data.draw(st.integers(1, 3)))
+        self.assert_linked_in_band(reg, config)
+
+    @pytest.mark.parametrize("profile", ["sim", "real"])
+    def test_lattice_spaced_r_apart_links(self, profile):
+        # a 5 x 4 lattice with heights alternating 0 and z_th: every site
+        # is stored and each of the 31 neighbour pairs links at exactly r
+        config = get_profile(profile)
+        r, z_th = config.dedup_radius_m, config.cluster_z_m
+        i, j = np.meshgrid(np.arange(5), np.arange(4), indexing="ij")
+        z = np.where((i + j) % 2 == 1, z_th, 0.0)
+        reg = registry_with(np.column_stack([i.ravel() * r, j.ravel() * r,
+                                             z.ravel()]), dedup_radius=r)
+        assert self.assert_linked_in_band(reg, config) == 31
+        assert len(cluster_sites(reg, r, z_th, config.cluster_metric)) == 1
 
 
 def chained_groups(sizes, signed_zero_groups, seed):
