@@ -297,7 +297,9 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
         t_sec, pose = poses[frame_id]
         pfm_path = root / f"{frame_id:06d}.pfm"
         try:
-            depth = formats.read_pfm(pfm_path).astype(np.float64)
+            # a signalling NaN widens to a quiet one, invalid like any NaN
+            with np.errstate(invalid="ignore"):
+                depth = formats.read_pfm(pfm_path).astype(np.float64)
             if depth.shape != shape:
                 raise OSError(f"{pfm_path}: depth shape {depth.shape} does "
                               f"not match intrinsics {shape}")

@@ -20,12 +20,21 @@ Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
 within the z threshold (a config switch makes the distance criterion
-fully 3-D instead). Clusters of equal size are summarised together, one
-array reduction per size, and ranked by one ``lexsort``. The result is a
-``Clusters``, read-only columns in rank order (centroids, mean scores,
-member counts) from which ``clusters.json`` is written directly;
-``ClusterSite`` records are built only on request, by iterating it, and
-``cluster_fields`` names the record fields for both.
+fully 3-D instead). A cluster's label is its smallest member's index.
+The registry keeps the clusters of its last ``cluster_sites`` call with
+their thresholds, and stored rows never change, so the next call with the
+same thresholds links only the rows stored since (against the stored rows
+inside their bounding box), re-summarises only the clusters they changed
+and merges those into the kept rank order by binary search. A new site may
+join old clusters into one, which takes the smallest of their labels. A
+call with other thresholds, or the first on a registry (a loaded one too),
+clusters every row. Clusters of equal size are summarised together, one
+array reduction per size, and ranked by a stable sort on mean score, or a
+``lexsort`` when two tie. The result is a ``Clusters``, read-only columns
+in rank order (centroids, mean scores, member counts) from which
+``clusters.json`` is written directly; ``ClusterSite`` records are built
+only on request, by iterating it, and ``cluster_fields`` names the record
+fields for both.
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
@@ -36,11 +45,15 @@ reproduces the flags and partitions bit-for-bit.
 
 One pipeline thread owns the registry for writes; reads may interleave
 between insertions and the object can be handed across threads freely.
+``cluster_sites`` also writes the kept clusters, under the registry's lock,
+so threads that cluster one registry take turns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +138,18 @@ class SiteRegistry:
     """Deduplicated global list of landing sites."""
 
     def __init__(self, dedup_radius: float):
-        if not dedup_radius > 0:
-            raise ValueError("dedup radius must be positive")
+        if not (dedup_radius > 0 and math.isfinite(dedup_radius)):
+            raise ValueError(f"dedup radius must be finite and positive, "
+                             f"not {dedup_radius!r}")
         self.dedup_radius = float(dedup_radius)
         # One row per site in each, read-only; only _append replaces them.
         self._pos = _read_only(np.empty((0, 3)))
         self._score = _read_only(np.empty(0))
         self._timestamp = _read_only(np.empty(0))
         self._frame_id: list[int] = []
+        # cluster_sites' last result, advanced under the lock
+        self._cluster_lock = threading.Lock()
+        self._cluster_state = None
 
     def __len__(self) -> int:
         return len(self._frame_id)
@@ -174,8 +191,9 @@ class SiteRegistry:
         clears a set of original row indices, so no flag depends on it.
 
         Positions must be (N, 3); they, the N scores and the timestamp must
-        be finite, else ValueError before anything is stored. A bound or
-        distance that overflows is inf, quietly, and kills nothing.
+        be finite and the frame id an integer (not a bool), else ValueError
+        before anything is stored. A bound or distance that overflows is
+        inf, quietly, and kills nothing.
         """
         pos = np.asarray(positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -188,6 +206,7 @@ class SiteRegistry:
             raise ValueError("site positions and scores must be finite")
         if not math.isfinite(timestamp):
             raise ValueError(f"timestamp must be finite, not {timestamp!r}")
+        frame_id = _frame_id(frame_id)
         n = len(pos)
         if n == 0:
             return []
@@ -231,14 +250,14 @@ class SiteRegistry:
                 kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
                      int(xs.searchsorted(q[0] + reach, side="right")))
         rows = pos[accepted]
-        self._append(rows, scores[accepted], [int(frame_id)] * len(rows),
+        self._append(rows, scores[accepted], [frame_id] * len(rows),
                      timestamp)
         return accepted.tolist()
 
     def _accept(self, site: LandingSite) -> None:
         """Store one record as it is (no dedup)."""
-        self._append(site.position[None], [site.score], [int(site.frame_id)],
-                     site.timestamp)
+        self._append(site.position[None], [site.score],
+                     [_frame_id(site.frame_id)], site.timestamp)
 
     def _append(self, pos, score, frame_id: list[int], timestamp) -> None:
         """Store rows as they are (no dedup): each column is replaced by a
@@ -313,6 +332,17 @@ class SiteRegistry:
         return read_json(path, cls.from_json_obj, "registry snapshot")
 
 
+def _frame_id(value) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer (any
+    size, numpy's too) other than a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"frame id must be an integer, not {value!r}")
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     """A view of ``column`` that no caller can make writeable again."""
     column.flags.writeable = False
@@ -339,7 +369,24 @@ def _d2(x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray,
     return out
 
 
-@np.errstate(over="ignore")
+@dataclass(frozen=True, eq=False)
+class _ClusterState:
+    """The clusters of a registry's first ``seen`` rows under ``key``, the
+    ``(dist_th, z_th, metric)`` they were linked with. A cluster's label is
+    its smallest member's row index: ``labels`` holds each row's, ``ranked``
+    the labels in the rank order of ``clusters``."""
+
+    key: tuple
+    seen: int
+    labels: np.ndarray
+    ranked: np.ndarray
+    clusters: Clusters
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_CLUSTERS = Clusters(np.empty((0, 3)), np.empty(0), _NO_ROWS)
+
+
 def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
                   metric: str = "xy") -> Clusters:
     """Single-linkage clusters of the registry under the dual threshold.
@@ -347,7 +394,14 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     Clusters are the connected components of the linkability graph, so the
     partition is independent of site ordering. Rows are ranked by mean
     score descending, ties by member count descending, then centroid
-    lexicographic; an empty registry gives an empty ``Clusters``.
+    lexicographic, then by smallest member index; an empty registry gives
+    an empty ``Clusters``.
+
+    The registry keeps the clusters of the last call. Stored rows never
+    change, so a call with the same thresholds and metric links, summarises
+    and ranks only the rows stored since then; any other call starts from
+    no rows. Either way the result is the one clustering every row from
+    scratch gives, bit for bit. Calls from several threads take turns.
 
     Linking and averaging run on the stored positions, where a difference
     or a sum may overflow to inf, without a warning: an inf difference
@@ -358,19 +412,121 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
         raise ValueError("clustering thresholds must be positive")
     if metric not in ("xy", "xyz"):
         raise ValueError(f"unknown cluster metric {metric!r}")
-    n = len(registry)
-    pos = registry.positions()
-    scores = registry._score
+    key = (dist_th, z_th, metric)
+    with registry._cluster_lock:
+        state = registry._cluster_state
+        if state is None or state.key != key:
+            state = _ClusterState(key, 0, _NO_ROWS, _NO_ROWS, _NO_CLUSTERS)
+        n = len(registry)  # the frame ids grow last, so n rows are whole
+        if state.seen < n:
+            state = _advance(state, registry.positions()[:n],
+                             registry._score[:n])
+        registry._cluster_state = state
+        return state.clusters
 
+
+@np.errstate(over="ignore")
+def _advance(state: _ClusterState, pos: np.ndarray,
+             scores: np.ndarray) -> _ClusterState:
+    """``state`` carried over every row of ``pos``: link the new rows,
+    re-summarise the clusters they changed and merge those into the rank
+    order of the others. With no rows seen this is the whole clustering."""
+    seen, n = state.seen, len(pos)
+    i, j = _links(pos, seen, *state.key)
+    if seen == 0:
+        graph = coo_matrix((np.ones(len(i), dtype=bool), (i, j)),
+                           shape=(n, n))
+        _, group = connected_components(graph, directed=False)
+        rows = None  # every row
+    else:
+        labels = np.concatenate((state.labels, np.arange(seen, n)))
+        dropped = _NO_ROWS
+        if len(i):
+            # Merge the clusters the new links join. Each joined cluster
+            # takes its smallest label, so a new row may bridge old ones.
+            nodes, ends = np.unique(np.concatenate((labels[i], labels[j])),
+                                    return_inverse=True)
+            graph = coo_matrix((np.ones(len(i), dtype=bool),
+                                (ends[:len(i)], ends[len(i):])),
+                               shape=(len(nodes), len(nodes)))
+            _, component = connected_components(graph, directed=False)
+            # nodes ascend, so a component's first node is its smallest
+            _, first = np.unique(component, return_index=True)
+            remap = np.arange(n)
+            remap[nodes] = nodes[first][component]
+            labels = remap[labels]
+            dropped = nodes[nodes < seen]
+        # Every changed cluster holds a new row: the new rows and the
+        # members of the old clusters they joined, in ascending order.
+        rows = np.arange(seen, n)
+        if len(dropped):
+            rows = np.concatenate(
+                (np.flatnonzero(np.isin(state.labels, dropped)), rows))
+        group = np.unique(labels[rows], return_inverse=True)[1]
+
+    # A stable sort keeps each group's members in ascending index order,
+    # which fixes the summation order of centroids and mean scores. Groups
+    # of one size are summarised together from their (groups, size) member
+    # matrix; each row reduces exactly as a lone group's members would.
+    counts = np.bincount(group)
+    order = np.argsort(group, kind="stable")
+    if rows is not None:
+        order = rows[order]
+    starts = np.cumsum(counts) - counts
+    roots = order[starts]  # each group's smallest member: its label
+    if seen == 0:
+        labels = roots[group]
+    centroids = np.empty((len(counts), 3))
+    mean_scores = np.empty(len(counts))
+    for size in np.flatnonzero(np.bincount(counts)).tolist():
+        groups = np.flatnonzero(counts == size)
+        members = order[starts[groups][:, None] + np.arange(size)]
+        centroids[groups] = pos[members].mean(axis=1)
+        mean_scores[groups] = scores[members].mean(axis=1)
+    # A stable sort on the first key is the whole ranking when no two
+    # clusters tie on it; else lexsort, also stable: clusters that tie on
+    # every key keep label order.
+    rank = np.argsort(-mean_scores, kind="stable")
+    first = -mean_scores[rank]
+    if not np.all(first[1:] > first[:-1]):  # a tie, or a NaN mean
+        rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
+                           -counts, -mean_scores))
+    ranked, centroids = roots[rank], centroids[rank]
+    mean_scores, counts = mean_scores[rank], counts[rank]
+    if seen:
+        ranked, centroids, mean_scores, counts = _merge_ranked(
+            state, dropped, ranked, centroids, mean_scores, counts)
+    return _ClusterState(state.key, n, labels, ranked,
+                         Clusters(centroids, mean_scores, counts))
+
+
+def _links(pos: np.ndarray, seen: int, dist_th: float, z_th: float,
+           metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs ``i < j`` that link, ``j`` stored after the first ``seen``
+    rows (any pair when none were seen)."""
     # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
     # tree only prefilters (radius widened past rounding, and floored where
     # a square would lose its relative precision), the canonical arithmetic
     # below decides. It sees the positions clipped to +-1e153: clipping
-    # moves no two sites apart, and no squared span can overflow.
+    # moves no two sites apart, and no squared span can overflow. Only
+    # rows inside the new rows' bounding box, widened by that radius, can
+    # reach a new row.
     reach = max(math.hypot(dist_th, z_th), 1e-150) * (1 + 1e-9)
-    pairs = cKDTree(np.clip(pos, -1e153, 1e153)).query_pairs(
-        reach, output_type="ndarray")
+    near = slice(None)
+    if seen:
+        in_box = np.ones(len(pos), dtype=bool)
+        for c, column in zip(pos[seen:].T, pos.T):
+            in_box &= (column >= c.min() - reach) & (column <= c.max() + reach)
+        near = np.flatnonzero(in_box)
+    # An unbalanced, uncompacted tree finds the same pairs and builds faster.
+    tree = cKDTree(np.clip(pos[near], -1e153, 1e153), balanced_tree=False,
+                   compact_nodes=False)
+    pairs = tree.query_pairs(reach, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
+    if seen:
+        i, j = near[i], near[j]  # near ascends, so i < j still
+        new = j >= seen
+        i, j = i[new], j[new]
     dx = pos[i, 0] - pos[j, 0]
     dy = pos[i, 1] - pos[j, 1]
     dz = pos[i, 2] - pos[j, 2]
@@ -379,25 +535,40 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
         link = (xy2 <= dist_th * dist_th) & (np.abs(dz) <= z_th)
     else:
         link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
-    graph = coo_matrix((np.ones(int(link.sum()), dtype=bool),
-                        (i[link], j[link])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    return i[link], j[link]
 
-    # A stable sort keeps each group's members in ascending index order,
-    # which fixes the summation order of centroids and mean scores. Groups
-    # of one size are summarised together from their (groups, size) member
-    # matrix; each row reduces exactly as a lone group's members would.
-    counts = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(counts) - counts
-    centroids = np.empty((len(counts), 3))
-    mean_scores = np.empty(len(counts))
-    for size in np.unique(counts).tolist():
-        groups = np.flatnonzero(counts == size)
-        members = order[starts[groups][:, None] + np.arange(size)]
-        centroids[groups] = pos[members].mean(axis=1)
-        mean_scores[groups] = scores[members].mean(axis=1)
-    # lexsort is stable: clusters that tie on every key keep label order.
-    rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
-                       -counts, -mean_scores))
-    return Clusters(centroids[rank], mean_scores[rank], counts[rank])
+
+def _merge_ranked(state: _ClusterState, dropped: np.ndarray,
+                  ranked: np.ndarray, centroids: np.ndarray,
+                  mean_scores: np.ndarray, counts: np.ndarray) -> tuple:
+    """The ranked clusters of ``state`` less the ``dropped`` labels, with
+    the given ranked clusters merged in where ``lexsort`` would put them."""
+    old = state.clusters
+    kept = (state.ranked, old.centroids, old.mean_score, old.members)
+    if len(dropped):
+        keep = ~np.isin(state.ranked, dropped)
+        kept = tuple(column[keep] for column in kept)
+    k_ranked, k_centroids, k_mean, k_counts = kept
+    # Binary search on the first key; a tie on it is decided by sorting the
+    # tied kept rows with the new one on the other keys and the label.
+    neg = -k_mean
+    at = np.searchsorted(neg, -mean_scores, side="left")
+    tie_end = np.searchsorted(neg, -mean_scores, side="right")
+    for t in np.flatnonzero(tie_end > at).tolist():
+        tied = slice(at[t], tie_end[t])
+        keys = [np.append(column[tied], new[t]) for column, new in (
+            (k_ranked, ranked), (k_centroids[:, 2], centroids[:, 2]),
+            (k_centroids[:, 1], centroids[:, 1]),
+            (k_centroids[:, 0], centroids[:, 0]), (-k_counts, -counts))]
+        at[t] += int(np.flatnonzero(np.lexsort(keys) == len(keys[0]) - 1)[0])
+    # The new rows are in rank order, so ``at`` never decreases.
+    slots = at + np.arange(len(at))
+    is_old = np.ones(len(k_ranked) + len(at), dtype=bool)
+    is_old[slots] = False
+    merged = []
+    for column, new in zip(kept, (ranked, centroids, mean_scores, counts)):
+        out = np.empty((len(is_old),) + column.shape[1:], dtype=column.dtype)
+        out[is_old] = column
+        out[slots] = new
+        merged.append(out)
+    return tuple(merged)

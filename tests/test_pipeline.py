@@ -1264,6 +1264,17 @@ class TestCli:
     def test_fuzzed_pfm_file_exits_with_one_line_at_most(self, files):
         assert_one_line_per_failure(*detect_damaged(files))
 
+    def test_signalling_nan_pixel_is_invalid_without_a_warning(self):
+        # a float32 signalling NaN once warned "invalid value encountered
+        # in cast" when the depth was widened to float64
+        files = small_stream()
+        magic, dims, scale, payload = files["000000.pfm"].split(b"\n", 3)
+        files["000000.pfm"] = b"\n".join(
+            [magic, dims, scale, struct.pack("<I", 0x7F810000) + payload[4:]])
+        code, err, caught = detect_damaged(files)
+        assert code == 0
+        assert_one_line_per_failure(code, err, caught)
+
     def test_bench_command(self, tmp_path, capsys):
         stream = self._synth(tmp_path)
         capsys.readouterr()

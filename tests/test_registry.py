@@ -2,8 +2,11 @@ import contextlib
 import dataclasses
 import json
 import re
+import sys
 import tempfile
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,36 @@ class TestInsertBatch:
                                  np.array(scores), 1, timestamp)
         assert reg.to_json_obj() == before
         assert len(reg) == 2 and len(reg.positions()) == 2
+
+    @pytest.mark.parametrize("frame_id", [2.7, 2.0, True, np.True_, "3",
+                                          None, np.float64(1.0)])
+    def test_non_integer_frame_id_stores_nothing(self, frame_id):
+        # int() once stored 2.7 as 2, True as 1 and "3" as 3, which the
+        # snapshot reader then refused
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0)])
+        before = reg.to_json_obj()
+        with pytest.raises(ValueError, match="frame id"):
+            reg.insert_positions(np.array([(10.0, 0, 0)]), np.array([0.8]),
+                                 frame_id, 0.0)
+        assert reg.to_json_obj() == before
+
+    @pytest.mark.parametrize("frame_id", [np.int32(-4), np.uint64(2**63),
+                                          2**70, -2**70])
+    def test_any_integer_frame_id_round_trips(self, frame_id):
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0)], frame_id=frame_id)
+        stored = reg.sites[0].frame_id
+        assert type(stored) is int and stored == int(frame_id)
+        assert SiteRegistry.from_json_obj(reg.to_json_obj()).sites[0] \
+            .frame_id == stored
+
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan"), 0.0,
+                                        -0.5])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        # an infinite radius once stored rows that save could not write
+        with pytest.raises(ValueError, match="dedup radius"):
+            SiteRegistry(radius)
 
 
 class TestQuietOverflow:
@@ -816,6 +849,144 @@ class TestClustersJson:
             write_json(records, {"clusters": [c.to_json_obj()
                                               for c in clusters]})
             assert columns.read_bytes() == records.read_bytes()
+
+
+def assert_same_clusters(got, expect):
+    assert got.members.tolist() == expect.members.tolist()
+    assert np.array_equal(int_bits(got.centroids), int_bits(expect.centroids))
+    assert np.array_equal(int_bits(got.mean_score),
+                          int_bits(expect.mean_score))
+
+
+def assert_matches_from_scratch(reg, dist_th, z_th, metric="xy"):
+    """``cluster_sites(reg, ...)`` bit for bit as on a copy of ``reg`` that
+    has clustered nothing, with the same kept state: each row's cluster
+    label and the labels in rank order. Returns the clusters."""
+    got = cluster_sites(reg, dist_th, z_th, metric)
+    fresh = SiteRegistry.from_json_obj(reg.to_json_obj())
+    assert_same_clusters(got, cluster_sites(fresh, dist_th, z_th, metric))
+    state, oracle = reg._cluster_state, fresh._cluster_state
+    assert state.labels.tolist() == oracle.labels.tolist()
+    assert state.ranked.tolist() == oracle.ranked.tolist()
+    return got
+
+
+# Lattice steps of 0.25 link under 0.3 m, so a site stored later can join
+# sites stored apart or bridge two clusters; huge coordinates overflow
+# differences and centroid sums, and a few scores give ties.
+HUGE = st.sampled_from([1.7e308, 1.6e308, -1.7e308])
+STEP_SITE = st.tuples(LATTICE | st.floats(-2, 2) | HUGE,
+                      LATTICE | st.floats(-2, 2) | HUGE,
+                      st.sampled_from([0.0, -0.0, 0.25]) | st.floats(-0.5, 0.5)
+                      | HUGE,
+                      st.sampled_from([0.0, -0.0, 0.5, 0.9])
+                      | st.floats(-1e3, 1e3))
+THRESHOLDS = st.sampled_from([(0.3, 0.2, "xy"), (0.3, 0.3, "xyz"),
+                              (0.5, 0.01, "xy"), (0.26, 0.3, "xy")])
+STEP = (st.tuples(st.just("insert"), st.lists(STEP_SITE, max_size=8))
+        | st.tuples(st.just("accept"), STEP_SITE)
+        | st.tuples(st.just("copy"), st.integers(0, 100))
+        | st.tuples(st.just("cluster"), THRESHOLDS)
+        | st.tuples(st.just("load"), st.none()))
+
+
+class TestIncrementalClustering:
+    """Each call clusters only the rows stored since the last one; every
+    result must equal clustering all rows from scratch, bit for bit. The
+    shipped profiles never merge stored sites (see TestClusterLinkBand), so
+    these are the tests that merge clusters across calls."""
+
+    @given(st.lists(STEP, max_size=14), THRESHOLDS,
+           st.sampled_from([1e-9, 0.2]))
+    @example([("insert", [(0.0, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5)]),
+              ("cluster", (0.3, 0.2, "xy")),
+              ("insert", [(0.25, 0.0, 0.0, 0.9)])], (0.3, 0.2, "xy"), 1e-9)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_from_scratch(self, steps, last, radius):
+        reg = SiteRegistry(radius)
+        for kind, arg in steps + [("cluster", last)]:
+            if kind == "insert":
+                rows = np.array(arg, dtype=np.float64).reshape(-1, 4)
+                reg.insert_positions(rows[:, :3], rows[:, 3], 0, 0.0)
+            elif kind == "accept":
+                reg._accept(LandingSite(arg[:3], arg[3], 0, 0.0))
+            elif kind == "copy" and len(reg):  # a duplicate, through no dedup
+                reg._accept(reg.sites[arg % len(reg)])
+            elif kind == "load":
+                with tempfile.TemporaryDirectory() as tmp:
+                    reg.save(Path(tmp) / "sites.json")
+                    reg = SiteRegistry.load(Path(tmp) / "sites.json")
+            elif kind == "cluster":
+                assert_matches_from_scratch(reg, *arg)
+
+    def test_bridge_merges_old_clusters_into_the_smallest_label(self):
+        # chains (0, 0.25) and (1.0, 1.25) stored apart; 0.75 and then 0.5,
+        # each in a later call, bridge them: six sites under the first label
+        reg = SiteRegistry(1e-9)
+        xs = [[0.0, 0.25], [1.0, 1.25], [3.0], [0.75], [0.5]]
+        for k, batch in enumerate(xs):
+            insert_all(reg, [(x, 0.0, 0.0) for x in batch],
+                       scores=np.full(len(batch), 0.5 + 0.1 * k))
+            clusters = assert_matches_from_scratch(reg, 0.3, 0.2)
+        assert clusters.members.tolist() == [1, 6]
+        assert reg._cluster_state.ranked.tolist() == [4, 0]
+
+    def test_ties_on_every_key_rank_by_smallest_member(self):
+        # two pairs of duplicates whose centroid sums overflow to the same
+        # (inf, inf, 0): equal score, size and centroid. The pair changed
+        # last holds the smaller label, so it ranks first.
+        reg = SiteRegistry(1e-9)
+        insert_all(reg, [(1.6e308, 1.6e308, 0.0), (1.7e308, 1.7e308, 0.0),
+                         (-1.0, 0.0, 0.0)], scores=[0.5, 0.5, 0.5])
+        for x in (None, 1.7e308, 1.6e308):
+            if x is not None:
+                reg._accept(LandingSite((x, x, 0.0), 0.5, 0, 0.0))
+            clusters = assert_matches_from_scratch(reg, 0.3, 0.2)
+        assert clusters.centroids[:2].tolist() == [[np.inf, np.inf, 0.0]] * 2
+        assert reg._cluster_state.ranked.tolist() == [0, 1, 2]
+
+    def test_state_follows_thresholds_and_new_rows_only(self):
+        reg = registry_with([(0.0, 0.0, 0.0), (0.25, 0.0, 0.0)])
+        first = cluster_sites(reg, 0.3, 0.2)
+        assert cluster_sites(reg, 0.3, 0.2) is first  # nothing new
+        assert len(cluster_sites(reg, 0.2, 0.2)) == 2
+        assert cluster_sites(reg, 0.3, 0.2) is not first
+        insert_all(reg, [])
+        state = reg._cluster_state
+        cluster_sites(reg, 0.3, 0.2)
+        assert reg._cluster_state is state  # an empty batch adds no rows
+        reg._accept(LandingSite((0.5, 0.0, 0.0), 0.5, 0, 0.0))
+        assert cluster_sites(reg, 0.3, 0.2).members.tolist() == [3]
+        assert reg._cluster_state.seen == 3
+
+    def test_threads_clustering_one_registry_take_turns(self):
+        # More threads than cores and a short switch interval. Between two
+        # inserts the first caller advances the kept clusters and the others
+        # find them current, so all get the same object; two advancing at
+        # once would each build their own.
+        rng = np.random.default_rng(24)
+        reg = SiteRegistry(1e-9)
+        thresholds = [(0.3, 0.2, "xy"), (0.3, 0.3, "xyz")]
+        barrier = threading.Barrier(4, timeout=10)
+
+        def cluster(th):
+            barrier.wait()
+            return cluster_sites(reg, *th)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for k in range(40):
+                    insert_all(reg, 0.25 * rng.integers(-8, 9, (30, 3)))
+                    th = thresholds[k % 3 // 2]  # the other key every third
+                    got = [f.result(timeout=10) for f in
+                           [pool.submit(cluster, th) for _ in range(4)]]
+                    assert all(clusters is got[0] for clusters in got)
+                    assert_same_clusters(got[0],
+                                         assert_matches_from_scratch(reg, *th))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # Snapshot field values: finite floats of every magnitude (signed zeros,
