@@ -21,20 +21,19 @@ pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
 within the z threshold (a config switch makes the distance criterion
 fully 3-D instead). A cluster's label is its smallest member's index.
-The registry keeps the clusters of its last ``cluster_sites`` call with
-their thresholds, and stored rows never change, so the next call with the
-same thresholds links only the rows stored since (against the stored rows
-inside their bounding box), re-summarises only the clusters they changed
-and merges those into the kept rank order by binary search. A new site may
-join old clusters into one, which takes the smallest of their labels. A
-call with other thresholds, or the first on a registry (a loaded one too),
-clusters every row. Clusters of equal size are summarised together, one
-array reduction per size, and ranked by a stable sort on mean score, or a
-``lexsort`` when two tie. The result is a ``Clusters``, read-only columns
-in rank order (centroids, mean scores, member counts) from which
-``clusters.json`` is written directly; ``ClusterSite`` records are built
-only on request, by iterating it, and ``cluster_fields`` names the record
-fields for both.
+The registry keeps the clusters of its last ``cluster_sites`` call, their
+thresholds and the rows they cover. Stored rows never change, so every
+call links only the rows stored since (against the stored rows inside
+their bounding box), re-summarises the clusters they changed and ranks
+those with the kept ones. A new site may join old clusters into one,
+which takes the smallest of their labels. A first call (after ``load``
+too), or one with other thresholds, starts from zero rows seen. Clusters
+of equal size are summarised together, one array reduction per size, and
+ranked by a stable sort on mean score, or a ``lexsort`` when two tie. The
+result is a ``Clusters``, read-only columns in rank order (centroids,
+mean scores, member counts) from which ``clusters.json`` is written
+directly; ``ClusterSite`` records are built only on request, by iterating
+it, and ``cluster_fields`` names the record fields for both.
 
 The canonical linkability arithmetic is
 ``dx*dx + dy*dy <= dist_th*dist_th and abs(dz) <= z_th``
@@ -225,13 +224,8 @@ class SiteRegistry:
             alive[order[lo:hi][slab < r2]] = False
 
         with np.errstate(over="ignore"):
-            # The batch's bounding box widened by r, one column at a time (a
-            # 1-D reduction is far cheaper than an axis-0 one over (n, 3)).
             existing = self.positions()
-            in_box = np.ones(len(existing), dtype=bool)
-            for c, near in zip(pos.T, existing.T):
-                in_box &= (near >= c.min() - r) & (near <= c.max() + r)
-            stored = existing[in_box]
+            stored = existing[_in_box(existing, pos, r)]
             los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
             his = np.searchsorted(xs, stored[:, 0] + reach, side="right")
             for q, lo, hi in zip(stored, los.tolist(), his.tolist()):
@@ -349,6 +343,17 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column.view()
 
 
+def _in_box(points: np.ndarray, box: np.ndarray, pad: float) -> np.ndarray:
+    """Which ``points`` lie in the bounding box of the ``box`` rows widened
+    by ``pad``, tested one column at a time (a 1-D reduction is far cheaper
+    than an axis-0 one over (n, 3)). Callers ignore overflow, so a bound
+    past float range is inf."""
+    inside = np.ones(len(points), dtype=bool)
+    for c, column in zip(box.T, points.T):
+        inside &= (column >= c.min() - pad) & (column <= c.max() + pad)
+    return inside
+
+
 def _d2(x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray,
         out: np.ndarray | None = None,
         tmp: np.ndarray | None = None) -> np.ndarray:
@@ -398,15 +403,16 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     an empty ``Clusters``.
 
     The registry keeps the clusters of the last call. Stored rows never
-    change, so a call with the same thresholds and metric links, summarises
-    and ranks only the rows stored since then; any other call starts from
-    no rows. Either way the result is the one clustering every row from
-    scratch gives, bit for bit. Calls from several threads take turns.
+    change, so a call links and summarises only the rows stored since then
+    and ranks the clusters they changed with the kept ones; a call with
+    other thresholds or metric, or the first, starts from zero rows seen.
+    The result depends only on the stored rows, bit for bit, not on which
+    calls came before. Calls from several threads take turns.
 
-    Linking and averaging run on the stored positions, where a difference
-    or a sum may overflow to inf, without a warning: an inf difference
-    fails its threshold, so such sites do not link, and an inf summary is
-    refused by the JSON writers.
+    Linking and averaging run on the stored positions and scores, where a
+    difference or a sum may overflow to inf, or a sum of both signs be NaN,
+    without a warning: an inf difference fails its threshold, so such sites
+    do not link, and the JSON writers refuse a non-finite summary.
     """
     if not (dist_th > 0 and z_th > 0):
         raise ValueError("clustering thresholds must be positive")
@@ -425,57 +431,44 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
         return state.clusters
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(state: _ClusterState, pos: np.ndarray,
              scores: np.ndarray) -> _ClusterState:
     """``state`` carried over every row of ``pos``: link the new rows,
-    re-summarise the clusters they changed and merge those into the rank
-    order of the others. With no rows seen this is the whole clustering."""
+    re-summarise the clusters they changed and rank those with the others.
+    A state with no rows seen holds no clusters, so every row is new."""
     seen, n = state.seen, len(pos)
     i, j = _links(pos, seen, *state.key)
-    if seen == 0:
-        graph = coo_matrix((np.ones(len(i), dtype=bool), (i, j)),
-                           shape=(n, n))
-        _, group = connected_components(graph, directed=False)
-        rows = None  # every row
-    else:
-        labels = np.concatenate((state.labels, np.arange(seen, n)))
-        dropped = _NO_ROWS
-        if len(i):
-            # Merge the clusters the new links join. Each joined cluster
-            # takes its smallest label, so a new row may bridge old ones.
-            nodes, ends = np.unique(np.concatenate((labels[i], labels[j])),
-                                    return_inverse=True)
-            graph = coo_matrix((np.ones(len(i), dtype=bool),
-                                (ends[:len(i)], ends[len(i):])),
-                               shape=(len(nodes), len(nodes)))
-            _, component = connected_components(graph, directed=False)
-            # nodes ascend, so a component's first node is its smallest
-            _, first = np.unique(component, return_index=True)
-            remap = np.arange(n)
-            remap[nodes] = nodes[first][component]
-            labels = remap[labels]
-            dropped = nodes[nodes < seen]
-        # Every changed cluster holds a new row: the new rows and the
-        # members of the old clusters they joined, in ascending order.
-        rows = np.arange(seen, n)
-        if len(dropped):
-            rows = np.concatenate(
-                (np.flatnonzero(np.isin(state.labels, dropped)), rows))
-        group = np.unique(labels[rows], return_inverse=True)[1]
+    labels = np.concatenate((state.labels, np.arange(seen, n)))
+    joined = _NO_ROWS  # the labels the new links join
+    if len(i):  # connected_components costs even on an empty graph
+        # Merge the clusters the new links join. Each joined cluster takes
+        # its smallest label, so a new row may bridge old ones.
+        joined, ends = np.unique(np.concatenate((labels[i], labels[j])),
+                                 return_inverse=True)
+        graph = coo_matrix((np.ones(len(i), dtype=bool),
+                            (ends[:len(i)], ends[len(i):])),
+                           shape=(len(joined), len(joined)))
+        _, component = connected_components(graph, directed=False)
+        # joined ascends, so a component's first node is its smallest
+        _, first = np.unique(component, return_index=True)
+        remap = np.arange(n)
+        remap[joined] = joined[first][component]
+        labels = remap[labels]
+    # Every changed cluster holds a new row: the new rows and the members
+    # of the old clusters they joined, in ascending order. (``joined`` may
+    # hold new rows' labels too, but no old row or kept cluster has one.)
+    rows = np.concatenate((np.flatnonzero(np.isin(state.labels, joined)),
+                           np.arange(seen, n)))
+    roots, group = np.unique(labels[rows], return_inverse=True)
 
     # A stable sort keeps each group's members in ascending index order,
     # which fixes the summation order of centroids and mean scores. Groups
     # of one size are summarised together from their (groups, size) member
     # matrix; each row reduces exactly as a lone group's members would.
     counts = np.bincount(group)
-    order = np.argsort(group, kind="stable")
-    if rows is not None:
-        order = rows[order]
+    order = rows[np.argsort(group, kind="stable")]
     starts = np.cumsum(counts) - counts
-    roots = order[starts]  # each group's smallest member: its label
-    if seen == 0:
-        labels = roots[group]
     centroids = np.empty((len(counts), 3))
     mean_scores = np.empty(len(counts))
     for size in np.flatnonzero(np.bincount(counts)).tolist():
@@ -483,27 +476,35 @@ def _advance(state: _ClusterState, pos: np.ndarray,
         members = order[starts[groups][:, None] + np.arange(size)]
         centroids[groups] = pos[members].mean(axis=1)
         mean_scores[groups] = scores[members].mean(axis=1)
-    # A stable sort on the first key is the whole ranking when no two
-    # clusters tie on it; else lexsort, also stable: clusters that tie on
-    # every key keep label order.
-    rank = np.argsort(-mean_scores, kind="stable")
-    first = -mean_scores[rank]
-    if not np.all(first[1:] > first[:-1]):  # a tie, or a NaN mean
-        rank = np.lexsort((centroids[:, 2], centroids[:, 1], centroids[:, 0],
-                           -counts, -mean_scores))
-    ranked, centroids = roots[rank], centroids[rank]
-    mean_scores, counts = mean_scores[rank], counts[rank]
-    if seen:
-        ranked, centroids, mean_scores, counts = _merge_ranked(
-            state, dropped, ranked, centroids, mean_scores, counts)
+    # Rank the kept clusters with the changed ones, which ``pick`` indexes
+    # in the kept and changed columns put end to end. A stable sort on the
+    # first key is the whole ranking when no two tie on it; else lexsort,
+    # label last, so clusters that tie on every key rank by smallest
+    # member. take copies rows several times faster than fancy indexing.
+    old = state.clusters
+    ranked, centroids, mean_scores, counts = (
+        np.concatenate(pair) for pair in (
+            (state.ranked, roots), (old.centroids, centroids),
+            (old.mean_score, mean_scores), (old.members, counts)))
+    pick = np.flatnonzero(np.concatenate((~np.isin(state.ranked, joined),
+                                          np.ones(len(roots), dtype=bool))))
+    key = -mean_scores[pick]
+    rank = np.argsort(key, kind="stable")
+    ordered = key[rank]
+    if not np.all(ordered[1:] > ordered[:-1]):  # a tie, or a NaN mean
+        rank = np.lexsort((ranked[pick], centroids[pick, 2],
+                           centroids[pick, 1], centroids[pick, 0],
+                           -counts[pick], key))
+    ranked, centroids, mean_scores, counts = (
+        np.take(column, pick[rank], axis=0)
+        for column in (ranked, centroids, mean_scores, counts))
     return _ClusterState(state.key, n, labels, ranked,
                          Clusters(centroids, mean_scores, counts))
 
 
 def _links(pos: np.ndarray, seen: int, dist_th: float, z_th: float,
            metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs ``i < j`` that link, ``j`` stored after the first ``seen``
-    rows (any pair when none were seen)."""
+    """Row pairs ``i < j`` that link, ``j`` past the first ``seen`` rows."""
     # Any linkable pair lies within sqrt(dist_th^2 + z_th^2) in 3-D; the
     # tree only prefilters (radius widened past rounding, and floored where
     # a square would lose its relative precision), the canonical arithmetic
@@ -512,21 +513,13 @@ def _links(pos: np.ndarray, seen: int, dist_th: float, z_th: float,
     # rows inside the new rows' bounding box, widened by that radius, can
     # reach a new row.
     reach = max(math.hypot(dist_th, z_th), 1e-150) * (1 + 1e-9)
-    near = slice(None)
-    if seen:
-        in_box = np.ones(len(pos), dtype=bool)
-        for c, column in zip(pos[seen:].T, pos.T):
-            in_box &= (column >= c.min() - reach) & (column <= c.max() + reach)
-        near = np.flatnonzero(in_box)
+    near = np.flatnonzero(_in_box(pos, pos[seen:], reach))
     # An unbalanced, uncompacted tree finds the same pairs and builds faster.
     tree = cKDTree(np.clip(pos[near], -1e153, 1e153), balanced_tree=False,
                    compact_nodes=False)
-    pairs = tree.query_pairs(reach, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    if seen:
-        i, j = near[i], near[j]  # near ascends, so i < j still
-        new = j >= seen
-        i, j = i[new], j[new]
+    # near ascends, so each pair keeps i < j
+    pairs = near[tree.query_pairs(reach, output_type="ndarray")]
+    i, j = pairs[pairs[:, 1] >= seen].T
     dx = pos[i, 0] - pos[j, 0]
     dy = pos[i, 1] - pos[j, 1]
     dz = pos[i, 2] - pos[j, 2]
@@ -536,39 +529,3 @@ def _links(pos: np.ndarray, seen: int, dist_th: float, z_th: float,
     else:
         link = (xy2 + dz * dz <= dist_th * dist_th) & (np.abs(dz) <= z_th)
     return i[link], j[link]
-
-
-def _merge_ranked(state: _ClusterState, dropped: np.ndarray,
-                  ranked: np.ndarray, centroids: np.ndarray,
-                  mean_scores: np.ndarray, counts: np.ndarray) -> tuple:
-    """The ranked clusters of ``state`` less the ``dropped`` labels, with
-    the given ranked clusters merged in where ``lexsort`` would put them."""
-    old = state.clusters
-    kept = (state.ranked, old.centroids, old.mean_score, old.members)
-    if len(dropped):
-        keep = ~np.isin(state.ranked, dropped)
-        kept = tuple(column[keep] for column in kept)
-    k_ranked, k_centroids, k_mean, k_counts = kept
-    # Binary search on the first key; a tie on it is decided by sorting the
-    # tied kept rows with the new one on the other keys and the label.
-    neg = -k_mean
-    at = np.searchsorted(neg, -mean_scores, side="left")
-    tie_end = np.searchsorted(neg, -mean_scores, side="right")
-    for t in np.flatnonzero(tie_end > at).tolist():
-        tied = slice(at[t], tie_end[t])
-        keys = [np.append(column[tied], new[t]) for column, new in (
-            (k_ranked, ranked), (k_centroids[:, 2], centroids[:, 2]),
-            (k_centroids[:, 1], centroids[:, 1]),
-            (k_centroids[:, 0], centroids[:, 0]), (-k_counts, -counts))]
-        at[t] += int(np.flatnonzero(np.lexsort(keys) == len(keys[0]) - 1)[0])
-    # The new rows are in rank order, so ``at`` never decreases.
-    slots = at + np.arange(len(at))
-    is_old = np.ones(len(k_ranked) + len(at), dtype=bool)
-    is_old[slots] = False
-    merged = []
-    for column, new in zip(kept, (ranked, centroids, mean_scores, counts)):
-        out = np.empty((len(is_old),) + column.shape[1:], dtype=column.dtype)
-        out[is_old] = column
-        out[slots] = new
-        merged.append(out)
-    return tuple(merged)

@@ -464,10 +464,11 @@ def loop_cluster_summaries(positions, scores, labels) -> list[tuple]:
     """
     pos = np.asarray(positions, dtype=np.float64)
     sc = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=np.int64)  # also when there are none
     order = np.argsort(labels, kind="stable")
     out = []
-    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+    # split at every group's end; the last piece is always empty
+    for idx in np.split(order, np.cumsum(np.bincount(labels)))[:-1]:
         out.append((pos[idx].mean(axis=0), float(sc[idx].mean()), len(idx)))
     out.sort(key=lambda c: (-c[1], -c[2], c[0][0], c[0][1], c[0][2]))
     return out

@@ -718,6 +718,11 @@ STREAM_DAMAGE = {
 # overflows float range.
 OVERFLOW_X_SITES = json.dumps([dict(VALID_SITE, x=1.7e308)] * 2)
 OVERFLOW_SCORE_SITES = json.dumps([dict(VALID_SITE, score=1.7e308)] * 2)
+# Sixteen sites 0.25 m apart, one cluster, whose scores alternate sign at
+# the float limit: numpy's pairwise sum adds inf to -inf, a NaN mean.
+NAN_SCORE_SITES = json.dumps([dict(VALID_SITE, x=0.25 * k,
+                                   score=1.7e308 * (-1) ** k)
+                              for k in range(16)])
 
 # Two sites whose y difference, squared, overflows float range: they do
 # not link, and clustering them must not overflow either.
@@ -1356,6 +1361,7 @@ class TestCli:
         pytest.param("sites", DEEP, id="sites_deep_nesting"),
         pytest.param("sites", OVERFLOW_X_SITES, id="centroid_overflow"),
         pytest.param("sites", OVERFLOW_SCORE_SITES, id="mean_score_overflow"),
+        pytest.param("sites", NAN_SCORE_SITES, id="mean_score_nan"),
     ])
     def test_malformed_registry_snapshot_exits_2(self, tmp_path, capsys,
                                                  field, token):
@@ -1373,9 +1379,11 @@ class TestCli:
         assert cli_main(["cluster", "--sites", str(path),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        # the sites load; their summary overflows, and the writer refuses it
+        # the sites load; their summary overflows or is NaN, quietly, and
+        # the writer refuses it
         nonfinite = {OVERFLOW_X_SITES: "cx",
-                     OVERFLOW_SCORE_SITES: "mean_score"}.get(token)
+                     OVERFLOW_SCORE_SITES: "mean_score",
+                     NAN_SCORE_SITES: "mean_score"}.get(token)
         if nonfinite:
             assert err == (f"error: {out}: cannot write as strict JSON "
                            f"(non-finite {nonfinite})\n")

@@ -668,6 +668,27 @@ class TestClustering:
         with pytest.raises(OSError, match="non-finite cx"):
             write_clusters_json(tmp_path / "c.json", clusters)
 
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_scores_of_both_signs_at_the_limit_give_a_quiet_nan(self, mode,
+                                                                 tmp_path):
+        # numpy's pairwise sum of 16 scores alternating +-1.7e308 adds inf
+        # to -inf: the mean is NaN, without a warning, whether the chain is
+        # clustered at once or joined across calls, and the writer refuses it
+        positions = [(0.25 * k, 0.0, 0.0) for k in range(16)]
+        scores = 1.7e308 * (-1.0) ** np.arange(16)
+        reg = SiteRegistry(1e-9)
+        with strict_floats(mode):
+            for batch in ([0, 1, 2, 3, 4, 5, 6, 7, 15], [9, 11, 13],
+                          [8, 10, 12, 14]):
+                insert_all(reg, [positions[k] for k in batch], scores[batch])
+                clusters = cluster_sites(reg, 0.3, 0.2)
+            fresh = cluster_sites(registry_with(positions, scores), 0.3, 0.2)
+        for got in (clusters, fresh):
+            assert got.members.tolist() == [16]
+            assert np.isnan(got.mean_score[0])
+        with pytest.raises(OSError, match="non-finite mean_score"):
+            write_clusters_json(tmp_path / "c.json", clusters)
+
     def test_rejects_bad_thresholds(self):
         reg = registry_with([(0, 0, 0)])
         with pytest.raises(ValueError):
@@ -871,6 +892,27 @@ def assert_matches_from_scratch(reg, dist_th, z_th, metric="xy"):
     return got
 
 
+def assert_matches_oracle(reg, clusters, dist_th, z_th, metric):
+    """``clusters`` of ``reg`` as the oracles give them, independent of the
+    registry's code: ``brute_force_partition`` and ``loop_cluster_summaries``
+    bit for bit in rank order, and each row's kept label the smallest member
+    of its oracle group."""
+    positions = reg.positions()
+    labels = brute_force_partition(positions, dist_th, z_th, metric)
+    with np.errstate(over="ignore"):
+        expect = loop_cluster_summaries(
+            positions, [site.score for site in reg.sites], labels)
+    assert clusters.members.tolist() == [e[2] for e in expect]
+    assert int_bits(clusters.centroids).tolist() == \
+        [int_bits(e[0]).tolist() for e in expect]
+    assert int_bits(clusters.mean_score).tolist() == \
+        int_bits([e[1] for e in expect]).tolist()
+    smallest: dict[int, int] = {}
+    for row, label in enumerate(labels):
+        smallest.setdefault(label, row)
+    assert reg._cluster_state.labels.tolist() == [smallest[g] for g in labels]
+
+
 # Lattice steps of 0.25 link under 0.3 m, so a site stored later can join
 # sites stored apart or bridge two clusters; huge coordinates overflow
 # differences and centroid sums, and a few scores give ties.
@@ -892,9 +934,10 @@ STEP = (st.tuples(st.just("insert"), st.lists(STEP_SITE, max_size=8))
 
 class TestIncrementalClustering:
     """Each call clusters only the rows stored since the last one; every
-    result must equal clustering all rows from scratch, bit for bit. The
-    shipped profiles never merge stored sites (see TestClusterLinkBand), so
-    these are the tests that merge clusters across calls."""
+    result must equal clustering all rows from scratch, bit for bit, and
+    the last one what the oracles give, bit for bit too. The shipped
+    profiles never merge stored sites (see TestClusterLinkBand), so these
+    are the tests that merge clusters across calls."""
 
     @given(st.lists(STEP, max_size=14), THRESHOLDS,
            st.sampled_from([1e-9, 0.2]))
@@ -917,7 +960,8 @@ class TestIncrementalClustering:
                     reg.save(Path(tmp) / "sites.json")
                     reg = SiteRegistry.load(Path(tmp) / "sites.json")
             elif kind == "cluster":
-                assert_matches_from_scratch(reg, *arg)
+                clusters = assert_matches_from_scratch(reg, *arg)
+        assert_matches_oracle(reg, clusters, *last)
 
     def test_bridge_merges_old_clusters_into_the_smallest_label(self):
         # chains (0, 0.25) and (1.0, 1.25) stored apart; 0.75 and then 0.5,
