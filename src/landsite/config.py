@@ -23,6 +23,11 @@ _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 WEIGHT_SUM_TOL = 1e-6
 
+# The largest dedup radius or cluster threshold, in metres. Its square, and
+# so the square of every separation it accepts, is finite, and a squared
+# separation that overflows to inf exceeds it.
+MAX_DISTANCE_M = 1e150
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -82,6 +87,9 @@ class PipelineConfig:
                      "d_min_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("dedup_radius_m", "cluster_dist_m", "cluster_z_m"):
+            if not getattr(self, name) <= MAX_DISTANCE_M:
+                raise ConfigError(f"{name} must be at most {MAX_DISTANCE_M:g}")
         _check_slope_tolerance(math.radians(self.slope_tolerance_deg))
         if not self.d_min_m < self.d_max_m:
             raise ConfigError("need d_min_m < d_max_m")

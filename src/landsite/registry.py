@@ -10,12 +10,17 @@ column a caller holds never changes. Records
 one frame's batch at a time, which refuses a site strictly within
 ``dedup_radius`` of one accepted before it (stored or earlier in the
 batch), so the stored set is always sparse and a batch gives the same
-result as inserting its rows one by one. Each refusal test scans only the
-slab of the batch, sorted once by x, whose x lies within the radius (a
-hair wider) of the refusing site. The order of rows tied in x does not
-matter: a slab's bounds depend only on the sorted x values, and a refusal
-marks a set of original rows. A snapshot (``sites.json``) is read one
-field at a time over all its records and written column by column.
+result as inserting its rows one by one. The batch is sorted once by x
+and its ``dead`` flags are kept in that sorted order, so each refusal is
+one in-place OR over the slab of rows whose x lies within the radius (a
+hair wider) of the refusing site: a contiguous run, found by binary
+search. The next accepted row, the first live one in original order, is
+found by reading the flags through the inverse permutation in chunks of
+64 rows, doubled while a chunk is all dead. The order of rows tied in x
+does not matter: a slab's bounds depend only on the sorted x values, and
+each flag is decided by its own row's coordinates. A snapshot
+(``sites.json``) is read one field at a time over all its records and
+written column by column.
 Clustering is single linkage realized as connected components of the
 pairwise linkability relation: two sites link when their horizontal
 separation is within the distance threshold and their height difference
@@ -40,7 +45,10 @@ The canonical linkability arithmetic is
 (plus ``+ dz*dz`` on the left for the 3-D metric). Dedup and ``nearest()``
 share one squared distance, ``dx*dx + dy*dy + dz*dz`` (``_d2``), and dedup
 refuses ``d2 < r*r``. Any reimplementation that follows the same forms
-reproduces the flags and partitions bit-for-bit.
+reproduces the flags and partitions bit-for-bit. The dedup radius and
+both cluster thresholds are at most ``config.MAX_DISTANCE_M`` (1e150), so
+their squares are finite and no threshold accepts a squared separation
+that overflows to inf.
 
 One pipeline thread owns the registry for writes; reads may interleave
 between insertions and the object can be handed across threads freely.
@@ -60,8 +68,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from .config import MAX_DISTANCE_M
 from .formats import integer_column, number, number_column, read_json, \
     write_records_json
+
+# The rows insert's walk reads first when it looks for the next live one.
+_FIRST_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +149,9 @@ class SiteRegistry:
     """Deduplicated global list of landing sites."""
 
     def __init__(self, dedup_radius: float):
-        if not (dedup_radius > 0 and math.isfinite(dedup_radius)):
-            raise ValueError(f"dedup radius must be finite and positive, "
-                             f"not {dedup_radius!r}")
+        if not 0 < dedup_radius <= MAX_DISTANCE_M:
+            raise ValueError(f"dedup radius must be positive and at most "
+                             f"{MAX_DISTANCE_M:g}, not {dedup_radius!r}")
         self.dedup_radius = float(dedup_radius)
         # One row per site in each, read-only; only _append replaces them.
         self._pos = _read_only(np.empty((0, 3)))
@@ -174,25 +186,34 @@ class SiteRegistry:
         This is the registry's only dedup path. A candidate is accepted iff
         no site accepted before it, stored or earlier in the batch, has
         ``_d2 < r*r``, so a batch gives exactly what inserting its rows one
-        at a time would. Each stored site inside the batch's bounding box
-        (widened by the radius), then each newly accepted candidate, kills
-        the live rows within its radius; the next accepted row is the first
-        one still alive.
+        at a time would.
 
-        A kill only looks at the slab of rows whose x lies within
-        ``reach = r * (1 + 1e-9)`` of the killer's: a contiguous run of the
-        batch sorted once by x, bounded by binary search. The slab is a
-        superset of the rows the canonical test kills: ``_d2 < r*r`` needs
-        ``|dx| < r``, and rounding is monotone, so ``x ± reach`` rounded
-        still brackets every such row. The canonical ``_d2`` then decides
-        every kill. Rows tied in x may sort in any order: the binary search
-        reads only the sorted values, which ties leave the same, and a kill
-        clears a set of original row indices, so no flag depends on it.
+        The batch is sorted once by x into contiguous (3, n) planes, and
+        its ``dead`` flags are kept in that sorted order. Each stored site
+        inside the batch's bounding box (widened by the radius), then each
+        newly accepted candidate, kills the rows within its radius. A kill
+        looks only at the slab of rows whose x lies within
+        ``reach = r * (1 + 1e-9)`` of the killer's, a contiguous run of the
+        planes bounded by binary search: it writes the slab's canonical
+        ``_d2`` into scratch and ORs ``d2 < r*r`` into the slab's run of
+        ``dead`` in place, with no gather or scatter. The slab holds every
+        row the canonical test kills: ``_d2 < r*r`` needs ``|dx| < r``, and
+        rounding is monotone, so ``x ± reach`` rounded still brackets every
+        such row.
+
+        The next accepted row is the first live one in original order,
+        which ``_live_rows`` finds by reading ``dead`` through the inverse
+        permutation a chunk at a time. An accepted row is marked dead
+        itself: a radius whose square underflows to 0 kills nothing, not
+        even its own row. Rows tied in x may sort in any order: the binary
+        search reads only the sorted values, which ties leave the same, a
+        kill decides each row by its own coordinates, and the walk reads
+        each row's flag wherever it sorted, so no flag depends on it.
 
         Positions must be (N, 3); they, the N scores and the timestamp must
         be finite and the frame id an integer (not a bool), else ValueError
-        before anything is stored. A bound or distance that overflows is
-        inf, quietly, and kills nothing.
+        before anything is stored. A distance that overflows is inf,
+        quietly, and kills nothing.
         """
         pos = np.asarray(positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -213,19 +234,24 @@ class SiteRegistry:
         r2 = r * r
         reach = r * (1 + 1e-9)
         order = np.argsort(pos[:, 0])  # any order of ties (see above)
-        # Contiguous columns sorted by x; searchsorted reads xs uncopied.
-        xs, ys, zs = (pos[order, k] for k in range(3))
-        alive = np.ones(n, dtype=bool)
+        rank = np.empty(n, dtype=np.intp)  # row i sits at sorted rank[i]
+        rank[order] = np.arange(n)
+        # The batch as contiguous (3, n) planes sorted by x; searchsorted
+        # reads the x plane uncopied, and a slab is a column run of them.
+        sorted_pos = np.take(pos.T, order, axis=1)
+        xs = sorted_pos[0]
+        dead = np.zeros(n, dtype=bool)  # in sorted order
         d2, tmp = np.empty(n), np.empty(n)  # scratch, reused by every kill
+        hit = np.empty(n, dtype=bool)
 
         def kill(q, lo, hi):  # re-killing a dead row changes nothing
-            slab = _d2(xs[lo:hi], ys[lo:hi], zs[lo:hi], q,
-                       d2[: hi - lo], tmp[: hi - lo])
-            alive[order[lo:hi][slab < r2]] = False
+            m = hi - lo
+            slab = _d2(sorted_pos[:, lo:hi], q, d2[:m], tmp[:m])
+            dead[lo:hi] |= np.less(slab, r2, out=hit[:m])
 
         with np.errstate(over="ignore"):
             existing = self.positions()
-            stored = existing[_in_box(existing, pos, r)]
+            stored = np.compress(_in_box(existing, pos, r), existing, axis=0)
             los = np.searchsorted(xs, stored[:, 0] - reach, side="left")
             his = np.searchsorted(xs, stored[:, 0] + reach, side="right")
             for q, lo, hi in zip(stored, los.tolist(), his.tolist()):
@@ -233,19 +259,15 @@ class SiteRegistry:
                     kill(q, lo, hi)
 
             accepted = np.zeros(n, dtype=bool)
-            i = 0
-            while True:
-                i += int(alive[i:].argmax())  # first live row at or after i
-                if not alive[i]:
-                    break
-                alive[i] = False
+            for i in _live_rows(dead, rank):
                 accepted[i] = True
+                dead[rank[i]] = True  # also when r*r underflows to 0
                 q = pos[i]
                 kill(q, int(xs.searchsorted(q[0] - reach, side="left")),
                      int(xs.searchsorted(q[0] + reach, side="right")))
-        rows = pos[accepted]
-        self._append(rows, scores[accepted], [frame_id] * len(rows),
-                     timestamp)
+        rows = np.compress(accepted, pos, axis=0)
+        self._append(rows, np.compress(accepted, scores),
+                     [frame_id] * len(rows), timestamp)
         return accepted.tolist()
 
     def _accept(self, site: LandingSite) -> None:
@@ -274,7 +296,7 @@ class SiteRegistry:
         if len(pos) == 0:
             return None
         with np.errstate(over="ignore"):
-            d2 = _d2(*pos.T, np.asarray(query, dtype=np.float64).reshape(3))
+            d2 = _d2(pos.T, np.asarray(query, dtype=np.float64).reshape(3))
         idx = int(np.argmin(d2))
         if not d2[idx] < np.inf:
             return None
@@ -297,13 +319,13 @@ class SiteRegistry:
     def from_json_obj(cls, obj: dict) -> "SiteRegistry":
         """Rebuild a registry from a snapshot, as stored (no dedup).
 
-        The radius must be a finite positive number and ``sites`` a list of
-        records whose x, y, z, score and timestamp are finite numbers and
-        whose frame_id is an integer (bools are neither). Each field is read
-        in one pass over the records, and a failure names the first bad
-        record (``sites[3].x must be a number, not 'a'``); anything else
-        raises one of ``formats.PARSE_FAILURES``. So every snapshot ``save``
-        writes loads back as it was stored.
+        The radius must be a positive number at most ``MAX_DISTANCE_M`` and
+        ``sites`` a list of records whose x, y, z, score and timestamp are
+        finite numbers and whose frame_id is an integer (bools are neither).
+        Each field is read in one pass over the records, and a failure names
+        the first bad record (``sites[3].x must be a number, not 'a'``);
+        anything else raises one of ``formats.PARSE_FAILURES``. So every
+        snapshot ``save`` writes loads back as it was stored.
         """
         reg = cls(number(obj, "dedup_radius_m"))
         records = obj["sites"]
@@ -337,6 +359,27 @@ def _frame_id(value) -> int:
     raise ValueError(f"frame id must be an integer, not {value!r}")
 
 
+def _live_rows(dead: np.ndarray, rank: np.ndarray):
+    """The original rows whose flag ``dead[rank[i]]`` is False, ascending,
+    found lazily: the caller may kill rows between two of them.
+
+    Each search reads the flags of the next ``_FIRST_CHUNK`` rows in one
+    gather; a chunk that is all dead doubles the next one, and every row
+    found starts the search again at the first size, just past it.
+    """
+    i, step = 0, _FIRST_CHUNK
+    while i < len(rank):
+        chunk = dead.take(rank[i:i + step])
+        k = int(chunk.argmin())  # the chunk's first live row, if any
+        if chunk[k]:
+            i += len(chunk)
+            step *= 2
+        else:
+            yield i + k
+            i += k + 1
+            step = _FIRST_CHUNK
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     """A view of ``column`` that no caller can make writeable again."""
     column.flags.writeable = False
@@ -354,15 +397,15 @@ def _in_box(points: np.ndarray, box: np.ndarray, pad: float) -> np.ndarray:
     return inside
 
 
-def _d2(x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray,
-        out: np.ndarray | None = None,
+def _d2(points: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
         tmp: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances from each point of the x, y, z columns to ``q``.
+    """Squared distances from each column of the (3, m) ``points`` to ``q``.
 
     Accumulated as ``(dx*dx + dy*dy) + dz*dz``, the canonical dedup form,
-    into ``out`` with ``tmp`` as scratch when given (both of the columns'
-    length), else into new arrays.
+    into ``out`` with ``tmp`` as scratch when given (both of length m),
+    else into new arrays.
     """
+    x, y, z = points
     out = np.subtract(x, q[0], out=out)
     out *= out
     tmp = np.subtract(y, q[1], out=tmp)
@@ -400,7 +443,8 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     partition is independent of site ordering. Rows are ranked by mean
     score descending, ties by member count descending, then centroid
     lexicographic, then by smallest member index; an empty registry gives
-    an empty ``Clusters``.
+    an empty ``Clusters``. Both thresholds must be positive and at most
+    ``MAX_DISTANCE_M``, else ValueError.
 
     The registry keeps the clusters of the last call. Stored rows never
     change, so a call links and summarises only the rows stored since then
@@ -414,8 +458,9 @@ def cluster_sites(registry: SiteRegistry, dist_th: float, z_th: float,
     without a warning: an inf difference fails its threshold, so such sites
     do not link, and the JSON writers refuse a non-finite summary.
     """
-    if not (dist_th > 0 and z_th > 0):
-        raise ValueError("clustering thresholds must be positive")
+    if not (0 < dist_th <= MAX_DISTANCE_M and 0 < z_th <= MAX_DISTANCE_M):
+        raise ValueError(f"clustering thresholds must be positive and at "
+                         f"most {MAX_DISTANCE_M:g}")
     if metric not in ("xy", "xyz"):
         raise ValueError(f"unknown cluster metric {metric!r}")
     key = (dist_th, z_th, metric)

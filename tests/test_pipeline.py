@@ -23,7 +23,8 @@ from landsite import costmaps as cm
 from landsite import scene_synth as ss
 from landsite.bench import STAGES, bench, timing_table
 from landsite.cli import main as cli_main
-from landsite.config import PROFILES, PipelineConfig, get_profile
+from landsite.config import MAX_DISTANCE_M, PROFILES, PipelineConfig, \
+    get_profile
 from landsite.detection import Candidates
 from landsite.errors import ConfigError
 from landsite.formats import read_pfm, write_json, write_pfm
@@ -130,6 +131,18 @@ class TestConfig:
         obj.update(value if field == "weights" else {field: value})
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_obj(obj)
+
+    @pytest.mark.parametrize("field", ["dedup_radius_m", "cluster_dist_m",
+                                       "cluster_z_m"])
+    def test_distances_are_bounded_so_squares_stay_finite(self, field):
+        obj = get_profile("sim").to_json_obj()
+        for value in (MAX_DISTANCE_M, math.nextafter(MAX_DISTANCE_M, 0.0)):
+            config = PipelineConfig.from_json_obj({**obj, field: value})
+            assert getattr(config, field) == value
+        for value in (math.nextafter(MAX_DISTANCE_M, math.inf), 1e155):
+            with pytest.raises(ConfigError,
+                               match=rf"^{field} must be at most 1e\+150$"):
+                PipelineConfig.from_json_obj({**obj, field: value})
 
     def test_config_and_steepness_share_the_slope_bound(self):
         # the config refuses BELOW_SLOPE_BOUND_DEG (see above); the next
@@ -1230,8 +1243,10 @@ class TestCli:
                                r"slope tolerance must be positive"),
         # the footprint overflows to inf, which no flat radius reaches
         (HUGE_SAFETY_CONFIG, 0, None),
-        # read as a float, so squaring it cannot make an int too large
-        (HUGE_INT_LINK_CONFIG, 0, None),
+        # its square overflows, so the config loader refuses it
+        (HUGE_INT_LINK_CONFIG, 1,
+         r"error: \S+: malformed config \(ConfigError: cluster_dist_m must "
+         r"be at most 1e\+150\)$"),
     ], ids=["huge_window", "tiny_slope_tolerance", "huge_safety_factor",
             "huge_int_link_distance"])
     def test_extreme_config_value_one_line_at_most(self, config, code,
@@ -1358,6 +1373,7 @@ class TestCli:
         pytest.param("frame_id", "1.5", id="frame_id_float"),
         pytest.param("frame_id", "true", id="frame_id_bool"),
         pytest.param("dedup_radius_m", "1e400", id="radius_1e400"),
+        pytest.param("dedup_radius_m", "1e155", id="radius_past_bound"),
         pytest.param("sites", DEEP, id="sites_deep_nesting"),
         pytest.param("sites", OVERFLOW_X_SITES, id="centroid_overflow"),
         pytest.param("sites", OVERFLOW_SCORE_SITES, id="mean_score_overflow"),

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -7,6 +8,7 @@ import tempfile
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landsite.config import get_profile
+from landsite.config import MAX_DISTANCE_M, get_profile
 from landsite.formats import PARSE_FAILURES, write_json
 from landsite.pipeline import write_clusters_json
 from landsite.registry import Clusters, LandingSite, SiteRegistry, \
-    cluster_sites
+    _live_rows, cluster_sites
 
 from oracles import (
     brute_force_partition,
@@ -213,9 +215,11 @@ class TestInsertBatch:
             .frame_id == stored
 
     @pytest.mark.parametrize("radius", [float("inf"), float("nan"), 0.0,
-                                        -0.5])
+                                        -0.5, 1e155,
+                                        np.nextafter(MAX_DISTANCE_M, np.inf)])
     def test_radius_must_be_finite_and_positive(self, radius):
-        # an infinite radius once stored rows that save could not write
+        # an infinite radius once stored rows that save could not write, and
+        # one whose square overflows stored sites closer than it
         with pytest.raises(ValueError, match="dedup radius"):
             SiteRegistry(radius)
 
@@ -233,8 +237,9 @@ class TestQuietOverflow:
             reg = registry_with(rows[:1], dedup_radius=0.5)
             assert insert_all(reg, [rows[1], (0.0, 1.7e308, 1.0)]) == \
                 [True, True]
-            # x - r and x + r themselves overflow
-            reg = registry_with([(1.7e308, 0.0, 0.0)], dedup_radius=1e308)
+            # at the largest radius, whose square is still finite
+            reg = registry_with([(1.7e308, 0.0, 0.0)],
+                                dedup_radius=MAX_DISTANCE_M)
             assert insert_all(reg, [(-1.7e308, 0.0, 0.0)]) == [True]
         assert len(reg) == 2
 
@@ -246,6 +251,75 @@ class TestQuietOverflow:
             found, dist = reg.nearest((1.7e308, -1.0, 0.0))
         assert found.position.tolist() == [1.7e308, 0.0, 0.0]
         assert dist == 1.0
+
+
+# At the bound and one ulp below it. Coordinates on the radius's scale make
+# dedup refuse and sites link; those at the edge of float range make
+# squared separations overflow.
+BOUNDS = st.sampled_from([MAX_DISTANCE_M, np.nextafter(MAX_DISTANCE_M, 0.0)])
+BOUND_COORD = (st.integers(-6, 6).map(lambda i: i * MAX_DISTANCE_M / 2)
+               | st.floats(-3 * MAX_DISTANCE_M, 3 * MAX_DISTANCE_M)
+               | st.sampled_from([0.0, -0.0, 8e307, -8e307, 1.7e308,
+                                  -1.7e308]))
+# Rounding moves a squared distance or a difference by a few ulps at most.
+ULPS = Fraction(1, 2**48)
+
+
+def exact_square(a, b, axes) -> Fraction:
+    """The squared separation of ``a`` and ``b`` over ``axes``, exactly."""
+    return sum((Fraction(a[k]) - Fraction(b[k])) ** 2 for k in axes)
+
+
+class TestDistanceBound:
+    """The dedup radius and both cluster thresholds are at most
+    MAX_DISTANCE_M, so their squares are finite: no two stored sites are
+    closer than the radius, and no pair links whose squared separation
+    overflows. The oracle here is exact rational arithmetic, which cannot
+    overflow."""
+
+    def test_threshold_past_the_bound_raises(self):
+        past = np.nextafter(MAX_DISTANCE_M, np.inf)
+        reg = registry_with([(1.7e308, 0.0, 0.0), (-1.7e308, 0.0, 0.0)])
+        for dist_th, z_th in ((1e155, 0.01), (past, 0.01), (0.5, past)):
+            with pytest.raises(ValueError, match="clustering thresholds"):
+                cluster_sites(reg, dist_th, z_th)
+        # at the bound, the two sites' inf squared separation links nothing
+        for metric in ("xy", "xyz"):
+            assert cluster_sites(reg, MAX_DISTANCE_M, MAX_DISTANCE_M,
+                                 metric).members.tolist() == [1, 1]
+
+    @given(st.lists(st.tuples(BOUND_COORD, BOUND_COORD, BOUND_COORD),
+                    min_size=1, max_size=24),
+           st.integers(0, 24), BOUNDS, BOUNDS, BOUNDS,
+           st.sampled_from(["xy", "xyz"]))
+    @settings(max_examples=150, deadline=None)
+    def test_no_square_overflows_at_the_bound(self, rows, split, r, dist_th,
+                                              z_th, metric):
+        points = np.array(rows, dtype=float)
+        reg = SiteRegistry(r)
+        insert_all(reg, points[:split])
+        insert_all(reg, points[split:])
+        stored = reg.positions().tolist()
+        for a, b in itertools.combinations(stored, 2):
+            assert exact_square(a, b, range(3)) >= r * r * (1 - ULPS), (a, b)
+
+        # Each cluster lies within one component of the exact link graph,
+        # loosened by a few ulps, in which no pair whose squared separation
+        # overflows is an edge.
+        cluster_sites(reg, dist_th, z_th, metric)
+        labels = reg._cluster_state.labels.tolist()
+        component = list(range(len(stored)))
+        axes = range(2 if metric == "xy" else 3)
+        for i, j in itertools.combinations(range(len(stored)), 2):
+            a, b = stored[i], stored[j]
+            if (exact_square(a, b, axes) <= dist_th**2 * (1 + ULPS)
+                    and abs(Fraction(a[2]) - Fraction(b[2]))
+                    <= z_th * (1 + ULPS)):
+                old, new = component[j], component[i]
+                component = [new if c == old else c for c in component]
+        for i, j in itertools.combinations(range(len(stored)), 2):
+            if labels[i] == labels[j]:
+                assert component[i] == component[j], (stored[i], stored[j])
 
 
 class TestColumns:
@@ -443,6 +517,89 @@ class TestTieOrder:
                 points = np.vstack([stored, rows])
                 assert sequential_dedup(points, r) == [True] + expect
                 assert_dedup_matches_sequential(points, r)
+
+
+class TestSortedWalk:
+    """Batches longer than the first 64-row chunk of the walk for the next
+    accepted row, against the insertion-order oracle."""
+
+    def test_one_stored_site_kills_all_but_the_last_row(self):
+        n = 500
+        # every row within 0.28 * sqrt(3) < r of the stored site but the
+        # last, exactly r away
+        points = np.random.default_rng(27).uniform(-0.28, 0.28, (n, 3))
+        points[-1] = (0.5, 0.0, 0.0)
+        reg = registry_with([(0.0, 0.0, 0.0)], dedup_radius=0.5)
+        assert insert_all(reg, points) == [False] * (n - 1) + [True]
+        assert_dedup_matches_sequential(
+            np.vstack([(0.0, 0.0, 0.0), points]), 0.5)
+
+    @pytest.mark.parametrize("n", [130, 1000])
+    def test_accepted_rows_at_chunk_edges(self, n):
+        # Sites 4 m apart whose x falls as their index rises, so sorted
+        # order reverses insertion order; every other row lies within
+        # 0.2 * sqrt(3) < r of an earlier site, in long dead runs.
+        keep = [0, 63, 64, 65, 127, 128, n - 1]
+        rng = np.random.default_rng(28)
+        sites = np.array([(12.0 - 4 * j, 3.0 * (j % 2), 0.0)
+                          for j in range(len(keep))])
+        points = np.empty((n, 3))
+        for i in range(n):
+            earlier = np.searchsorted(keep, i, side="right")
+            points[i] = sites[earlier - 1] if i in keep else \
+                sites[rng.integers(earlier)] + rng.uniform(-0.2, 0.2, 3)
+        expect = [i in keep for i in range(n)]
+        assert insert_all(SiteRegistry(0.5), points) == expect
+        assert_dedup_matches_sequential(points, 0.5)
+
+    def test_every_row_accepted(self):
+        # a lattice exactly r apart: no two rows are within the radius
+        r = 0.5
+        i, j, k = np.meshgrid(*[np.arange(-3, 3)] * 3, indexing="ij")
+        lattice = np.column_stack([i.ravel(), j.ravel(), k.ravel()]) * r
+        points = lattice[np.random.default_rng(30).permutation(len(lattice))]
+        assert insert_all(SiteRegistry(r), points) == [True] * len(points)
+        assert_dedup_matches_sequential(points, r)
+
+    @given(st.lists(st.tuples(TIE_COORD, TIE_COORD, TIE_COORD), min_size=65,
+                    max_size=400))
+    @settings(max_examples=15, deadline=None)
+    def test_dense_batches_match_sequential(self, rows):
+        assert_dedup_matches_sequential(rows, TIE_R)
+
+    def test_walk_chunks_double_and_reset(self):
+        # Which rows the walk reads: 64 from the start and after every live
+        # row, twice as many after each all-dead chunk.
+        n = 1000
+        live = [0, 63, 64, 65, 127, 128, 193, 999]
+        rank = np.random.default_rng(29).permutation(n)
+        dead = np.ones(n, dtype=bool)
+        dead[rank[live]] = False
+        reads = []
+
+        class Recorded(np.ndarray):
+            def take(self, indices):
+                reads.append(len(indices))
+                return np.asarray(self).take(indices)
+
+        walk = _live_rows(dead.view(Recorded), rank)
+        assert list(itertools.islice(walk, len(live) + 1)) == live
+        assert reads == [64] * 7 + [128, 64, 128, 256, 358]
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3)),
+                    max_size=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_finds_every_live_row(self, runs, seed):
+        # alternating dead and live runs, in original order
+        in_order = np.array([d for dead_run, live_run in runs
+                             for d in [True] * dead_run + [False] * live_run],
+                            dtype=bool)
+        rank = np.random.default_rng(seed).permutation(len(in_order))
+        dead = np.empty(len(in_order), dtype=bool)
+        dead[rank] = in_order
+        live = np.flatnonzero(~in_order).tolist()
+        walk = _live_rows(dead, rank)
+        assert list(itertools.islice(walk, len(live) + 1)) == live
 
 
 class TestNearest:
