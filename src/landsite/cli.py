@@ -182,7 +182,8 @@ def _cmd_synth(args) -> int:
         except ValueError as exc:  # the camera sits inside a solid
             raise ConfigError(f"frame {i}: {exc}") from exc
         frames.append(frame)
-        truths.append(truth)
+        if args.ground_truth:  # about 8 MB a frame at 640x480
+            truths.append(truth)
     write_frame_stream(args.out, frames)
     if args.ground_truth:
         gt_dir = Path(args.out) / "ground_truth"

@@ -207,17 +207,19 @@ def ray_offsets(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def camera_planes(frame: DepthFrame) -> np.ndarray:
-    """Camera-frame x, y and z of every pixel as contiguous (3, H, W) planes.
+def camera_planes(frame: DepthFrame, rows: slice = np.s_[:]) -> np.ndarray:
+    """Camera-frame x, y and z of the pixels in ``rows`` (all by default)
+    as contiguous (3, rows, W) planes.
 
     Invalid pixels hold +0.0 in all three planes.
     """
     u, v = ray_offsets(frame.intrinsics)
-    planes = np.empty((3, *frame.depth.shape), dtype=np.float64)
-    np.multiply(frame.depth, u[None, :], out=planes[0])
-    np.multiply(frame.depth, v[:, None], out=planes[1])
-    planes[2] = frame.depth
-    np.copyto(planes, 0.0, where=~frame.valid)
+    depth = frame.depth[rows]
+    planes = np.empty((3, *depth.shape), dtype=np.float64)
+    np.multiply(depth, u[None, :], out=planes[0])
+    np.multiply(depth, v[rows, None], out=planes[1])
+    planes[2] = depth
+    np.copyto(planes, 0.0, where=~frame.valid[rows])
     return planes
 
 

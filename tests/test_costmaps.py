@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landsite import costmaps
 from landsite.config import get_profile
 from landsite.costmaps import (
     HIGHER_IS_BETTER,
@@ -225,6 +227,59 @@ class TestSurfaceNormals:
                 case = f"frame {k} ({h}x{w}), window {window}"
                 assert nm.normals.tobytes() == want.tobytes(), case
                 assert np.array_equal(nm.valid, want_valid), case
+
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_row_blocks_match_loop_reference_bitwise(self, block,
+                                                     monkeypatch):
+        # Blocks shorter than the window, and frames shorter or narrower
+        # than it (no valid pixel), through every block boundary.
+        monkeypatch.setattr(costmaps, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(23)
+        cases = [((17, 12), 0.0, (0.0, 0.0, 0.0)),
+                 ((14, 10), 0.1, (0.0, 0.0, 0.0)),
+                 ((15, 11), 0.1, (0.4, -0.7, 2.1)),
+                 ((4, 13), 0.1, (0.2, 0.1, -1.0)),
+                 ((9, 3), 0.0, (0.0, 0.3, 0.0))]
+        for (h, w), holes, angles in cases:
+            intr = CameraIntrinsics(fx=float(rng.uniform(20, 600)),
+                                    fy=float(rng.uniform(20, 600)),
+                                    cx=float(rng.uniform(0, w - 1e-9)),
+                                    cy=float(rng.uniform(0, h - 1e-9)),
+                                    width=w, height=h)
+            yy, xx = np.mgrid[0:h, 0:w]
+            depth = (rng.uniform(1, 10) + rng.normal(0, 0.1) * xx
+                     + rng.normal(0, 0.1) * yy + rng.normal(0, 1e-3, (h, w)))
+            valid = rng.random((h, w)) >= holes
+            pose = camera_pose(rng.normal(0, 5, 3), *angles)
+            frame = DepthFrame(depth, valid, intr, pose)
+            for window in (1, 3, 5, 9):
+                nm = surface_normals(frame, window)
+                want, want_valid = loop_surface_normals(
+                    frame.depth, frame.valid, intr, pose.rotation, window)
+                case = f"{h}x{w}, holes {holes}, window {window}"
+                assert nm.normals.tobytes() == want.tobytes(), case
+                assert np.array_equal(nm.valid, want_valid), case
+                if window > min(h, w):
+                    assert not nm.valid.any(), case
+
+    def test_traced_peak_under_16_mb(self, intrinsics_vga):
+        # The returned (3, 480, 640) float64 planes alone are 7.4 MB; a
+        # full-frame float temporary would add 2.5 MB per plane.
+        rng = np.random.default_rng(2)
+        yy, xx = np.mgrid[0:480, 0:640]
+        depth = 5.0 + 0.002 * xx + 0.001 * yy + rng.normal(0, 0.002, xx.shape)
+        frame = DepthFrame(depth, rng.random(xx.shape) > 0.01,
+                           intrinsics_vga, camera_pose((0.0, 0.0, 5.0)))
+        surface_normals(frame, 3)
+        tracemalloc.start()
+        try:
+            nm = surface_normals(frame, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nm.valid.any()
+        assert peak < 16e6, peak
 
 
 class TestSteepness:

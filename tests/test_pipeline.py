@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import gc
 import io
 import json
 import logging
@@ -12,6 +13,7 @@ import tempfile
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from landsite import costmaps as cm
 from landsite import scene_synth as ss
+from landsite import cli
 from landsite.bench import STAGES, bench, timing_table
 from landsite.cli import main as cli_main
 from landsite.config import MAX_DISTANCE_M, PROFILES, PipelineConfig, \
@@ -1167,6 +1170,39 @@ class TestCli:
         assert len(frames) == 2
         # per-frame noise differs but stays seed-determined
         assert not np.array_equal(frames[0].depth, frames[1].depth)
+
+    def test_synth_keeps_ground_truth_only_when_asked(self, tmp_path,
+                                                      monkeypatch):
+        render, write = ss.render_depth, cli.write_frame_stream
+        truths, alive = [], []
+
+        def tracked_render(*args, **kwargs):
+            frame, truth = render(*args, **kwargs)
+            truths.append(weakref.ref(truth))
+            return frame, truth
+
+        def tracked_write(out, frames):
+            gc.collect()
+            alive.append([ref() is not None for ref in truths])
+            truths.clear()
+            return write(out, frames)
+
+        monkeypatch.setattr(ss, "render_depth", tracked_render)
+        monkeypatch.setattr(cli, "write_frame_stream", tracked_write)
+        for name, extra in (("plain", []), ("truth", ["--ground-truth"])):
+            assert cli_main(["synth", "--scene", "rubble", "--frames", "3",
+                             "--out", str(tmp_path / name), *extra]) == 0
+        # While the stream is written, only the loop's last truth is still
+        # referenced without --ground-truth; with it, every frame's is.
+        assert alive == [[False, False, True], [True, True, True]]
+        plain = sorted(p.relative_to(tmp_path / "plain")
+                       for p in (tmp_path / "plain").rglob("*"))
+        assert plain and not (tmp_path / "plain" / "ground_truth").exists()
+        for rel in plain:
+            assert (tmp_path / "plain" / rel).read_bytes() \
+                == (tmp_path / "truth" / rel).read_bytes(), rel
+        assert len(list((tmp_path / "truth" / "ground_truth").iterdir())) \
+            == 5 * 3
 
     def test_synth_ground_truth_keeps_255_prim_ids_apart(self, tmp_path):
         path = tmp_path / "scene.json"
