@@ -8,12 +8,13 @@ over its frames. The report gives mean and standard deviation per stage
 over all frames of all passes, in milliseconds.
 
 The Depth Accuracy, Flatness and Energy rows, each including its map's
-normalisation, run on a worker thread while the Steepness row (normals
-and steepness) runs on the caller's (see ``pipeline.evaluate_costmaps``),
-so on a multi-core host those rows overlap and "Total Time", the sum of
-the rows, is more than a frame's wall time. "Final" is the fusion
-(``decision_map``) alone, the only costmap stage after the two branches
-join.
+normalisation, run on the calling thread while the Steepness row
+(normals and steepness) runs on a worker thread (see
+``pipeline.evaluate_costmaps``), so on a multi-core host those rows
+overlap and "Total Time", the sum of the rows, is more than a frame's
+wall time. "Final" is the fusion (``decision_map``) alone, the only
+costmap stage after the two branches join; it runs on the calling
+thread.
 """
 
 from __future__ import annotations

@@ -100,9 +100,13 @@ class NormalMap:
 
 
 def depth_confidence_map(frame: DepthFrame) -> Costmap:
-    """Score -depth^2: nearer measurements are trusted more."""
-    values = np.where(frame.valid, -frame.depth * frame.depth, 0.0)
-    return Costmap(values, frame.valid.copy())
+    """Score -depth^2: nearer measurements are trusted more; +0.0 where
+    the depth is invalid."""
+    valid = frame.valid.copy()
+    values = np.zeros(valid.shape)
+    np.negative(frame.depth, out=values, where=valid)
+    np.multiply(values, frame.depth, out=values, where=valid)
+    return Costmap(values, valid)
 
 
 def canny_edges(frame: DepthFrame, low: float, high: float) -> BinaryMap:

@@ -9,7 +9,10 @@ and ground-truth types, and the full-frame candidate selector only fills
 a ``Candidates``.
 ``edge_mask_from_prim_ids`` derives the edge ground truth from a
 render's primitive ids. The Canny reference follows the documented
-detector conventions tap for tap so the comparison is exact. The
+detector conventions tap for tap so the comparison is exact, and its
+gradients are exposed for tests that pick thresholds from them; the
+invalid-pixel forcing has a second reference in scipy's
+``binary_dilation``. The
 box-validity, min-max and unit-normal references are whole-array
 formulations (a minimum filter, a gather and scatter, ``np.where``
 masks) that pin the package's in-place versions bit for bit.
@@ -55,9 +58,10 @@ def brute_force_squared_edt(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def naive_canny(depth: np.ndarray, valid: np.ndarray, low: float,
-                high: float, sigma: float = 1.0) -> np.ndarray:
-    """Loop-based Canny sharing the production detector's conventions."""
+def naive_gradients(depth: np.ndarray, valid: np.ndarray,
+                    sigma: float = 1.0) -> tuple[list, list, list]:
+    """Loop-based smoothed Sobel gradients (gx, gy) and their magnitude,
+    as lists of rows, by the production detector's conventions."""
     h, w = depth.shape
     img = [[float(depth[y, x]) if valid[y, x] else 0.0 for x in range(w)]
            for y in range(h)]
@@ -104,6 +108,14 @@ def naive_canny(depth: np.ndarray, valid: np.ndarray, low: float,
             gx[y][x] = ax
             gy[y][x] = ay
             mag[y][x] = math.sqrt(ax * ax + ay * ay)
+    return gx, gy, mag
+
+
+def naive_canny(depth: np.ndarray, valid: np.ndarray, low: float,
+                high: float, sigma: float = 1.0) -> np.ndarray:
+    """Loop-based Canny sharing the production detector's conventions."""
+    h, w = depth.shape
+    gx, gy, mag = naive_gradients(depth, valid, sigma)
 
     def mag_at(y, x):
         if 0 <= y < h and 0 <= x < w:
@@ -156,6 +168,13 @@ def naive_canny(depth: np.ndarray, valid: np.ndarray, low: float,
                         if 0 <= ny < h and 0 <= nx < w:
                             out[ny, nx] = 1
     return out
+
+
+def dilated_holes(valid: np.ndarray) -> np.ndarray:
+    """Every invalid pixel and its 8 neighbours: ``binary_dilation`` of
+    the invalid mask by a 3x3 square, nothing outside the frame."""
+    return ndimage.binary_dilation(~np.asarray(valid, dtype=bool),
+                                   np.ones((3, 3), bool))
 
 
 def backproject(frame: DepthFrame) -> tuple[np.ndarray, np.ndarray]:

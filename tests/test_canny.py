@@ -5,7 +5,7 @@ from landsite.canny import detect_edges
 from landsite.costmaps import canny_edges
 from landsite.errors import ConfigError
 
-from oracles import naive_canny
+from oracles import dilated_holes, naive_canny, naive_gradients
 
 
 def test_constant_plane_has_no_edges(make_frame):
@@ -107,3 +107,118 @@ def test_matches_reimplementation_at_tight_thresholds():
     depth, valid = _random_scene(rng, 32, 40, "inside")
     assert np.array_equal(detect_edges(depth, valid, 0.02, 0.02),
                           naive_canny(depth, valid, 0.02, 0.02))
+
+
+# Suppression runs only where the magnitude reaches ``low``; these pin it
+# against the whole-frame reference where that set is empty, is every
+# pixel, sits exactly on a threshold, or touches the frame's border.
+
+def _magnitude(depth, valid):
+    return np.array(naive_gradients(depth, valid)[2])
+
+
+def _assert_matches_reference(depth, valid, low, high):
+    edges = detect_edges(depth, valid, low, high)
+    assert np.array_equal(edges, naive_canny(depth, valid, low, high))
+    return edges
+
+
+def test_no_candidate_pixel():
+    rng = np.random.default_rng(20)
+    depth = 3.0 + rng.normal(0.0, 1e-4, (24, 31))
+    valid = np.ones(depth.shape, bool)
+    assert _magnitude(depth, valid).max() < 0.05
+    edges = _assert_matches_reference(depth, valid, 0.05, 0.2)
+    assert not edges.any()
+
+
+@pytest.mark.parametrize("shape", [(24, 31), (1, 17), (17, 1)])
+def test_every_pixel_a_candidate(shape):
+    # A 1 m/px ramp along both axes with 0.2 m noise: every magnitude,
+    # the clamped border's included, is far above ``low``, and the noise
+    # spreads the gradients over all four direction classes.
+    rng = np.random.default_rng(21)
+    h, w = shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    depth = 3.0 + 1.0 * xx + 0.7 * yy + rng.normal(0.0, 0.2, shape)
+    valid = np.ones(shape, bool)
+    assert _magnitude(depth, valid).min() >= 0.05
+    edges = _assert_matches_reference(depth, valid, 0.05, 0.2)
+    assert 0 < edges.sum() < edges.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_magnitude_exactly_at_a_threshold(seed):
+    rng = np.random.default_rng(30 + seed)
+    depth, valid = _random_scene(rng, 32, 40)
+    mag = _magnitude(depth, valid)
+    top = float(mag.max())
+    # low == high == the largest magnitude: only that pixel passes, and
+    # only with ``>=`` at both thresholds.
+    edges = _assert_matches_reference(depth, valid, top, top)
+    assert edges.sum() == np.count_nonzero(mag == top) == 1
+    # thresholds that are magnitudes of pixels inside the frame
+    for q_low, q_high in ((0.5, 0.9), (0.8, 0.8), (0.9, 0.99)):
+        low = float(np.quantile(mag, q_low, method="lower"))
+        high = float(np.quantile(mag, q_high, method="lower"))
+        _assert_matches_reference(depth, valid, low, high)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidates_on_every_border_row_and_column(seed):
+    # Steps one pixel inside each border make the strongest magnitudes lie
+    # on the first and last rows and columns, where one neighbour of most
+    # classes is outside the frame and counts as 0.
+    rng = np.random.default_rng(40 + seed)
+    h, w = rng.integers(5, 20, size=2)
+    depth = 3.0 + rng.normal(0.0, 0.02, (h, w))
+    depth[:, 0] += rng.uniform(0.5, 2.0)
+    depth[:, -1] -= rng.uniform(0.5, 2.0)
+    depth[0, :] += rng.uniform(0.5, 2.0)
+    depth[-1, :] -= rng.uniform(0.5, 2.0)
+    valid = np.ones((h, w), bool)
+    mag = _magnitude(depth, valid)
+    for border in (mag[0], mag[-1], mag[:, 0], mag[:, -1]):
+        assert (border >= 0.05).any()
+    edges = _assert_matches_reference(depth, valid, 0.05, 0.2)
+    for border in (edges[0], edges[-1], edges[:, 0], edges[:, -1]):
+        assert border.any()
+    # Millimetre noise and ``low`` at the smallest magnitude: every pixel
+    # is a candidate, and a border pixel's magnitude is small enough that
+    # an outside neighbour read as anything much above 0 would suppress it.
+    depth = 3.0 + rng.normal(0.0, 1e-3, (h, w))
+    mag = _magnitude(depth, valid)
+    low = float(mag.min())
+    assert low > 0.0
+    _assert_matches_reference(depth, valid, low,
+                              float(np.quantile(mag, 0.8, method="lower")))
+
+
+@pytest.mark.parametrize("shape", [(1, 23), (23, 1), (1, 2), (2, 1)])
+def test_one_pixel_wide_frames(shape):
+    rng = np.random.default_rng(50)
+    steps = rng.choice([0.0, 0.0, 0.6, -0.4], max(shape))
+    depth = (3.0 + np.cumsum(steps)).reshape(shape)
+    valid = np.ones(shape, bool)
+    assert (_magnitude(depth, valid) >= 0.05).any()
+    _assert_matches_reference(depth, valid, 0.05, 0.2)
+
+
+@pytest.mark.parametrize("shape", [(24, 31), (1, 13), (13, 1), (1, 1),
+                                   (2, 2), (3, 1)])
+def test_invalid_forcing_equals_binary_dilation(shape):
+    # Thresholds no magnitude reaches leave only the forced pixels.
+    rng = np.random.default_rng(60)
+    depth = rng.uniform(2.0, 6.0, shape)
+    for frac in (0.0, 0.02, 0.3, 1.0):
+        for _ in range(10):
+            valid = rng.random(shape) >= frac
+            edges = detect_edges(depth, valid, 1e300, 1e300)
+            assert np.array_equal(edges, dilated_holes(valid))
+    border = np.ones(shape, bool)
+    border[1:-1, 1:-1] = False
+    for y, x in np.argwhere(border):  # one hole on each border pixel
+        valid = np.ones(shape, bool)
+        valid[y, x] = False
+        edges = detect_edges(depth, valid, 1e300, 1e300)
+        assert np.array_equal(edges, dilated_holes(valid))

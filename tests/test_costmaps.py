@@ -67,6 +67,40 @@ class TestDepthConfidence:
         cmap = depth_confidence_map(frame)
         assert np.argmax(cmap.values) == np.argmin(frame.depth)
 
+    def test_equals_where_formula_bitwise(self, intrinsics_vga):
+        # Invalid pixels hold NaN, infinities, signed zeros and negative or
+        # huge depths; each reads +0.0, and valid ones read -d * d.
+        rng = np.random.default_rng(4)
+        depth = rng.uniform(0.05, 10.0, (480, 640))
+        valid = rng.random(depth.shape) > 0.1
+        junk = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0, 1e200])
+        depth[~valid] = rng.choice(junk, np.count_nonzero(~valid))
+        frame = DepthFrame(depth, valid, intrinsics_vga,
+                           camera_pose((0.0, 0.0, 5.0)))
+        cmap = depth_confidence_map(frame)
+        with np.errstate(over="ignore"):
+            want = np.where(valid, -depth * depth, 0.0)
+        assert cmap.values.tobytes() == want.tobytes()
+        assert np.array_equal(cmap.valid, valid)
+        assert cmap.valid is not frame.valid
+
+    def test_traced_peak_is_the_result_and_its_mask(self, intrinsics_vga):
+        # The (480, 640) float64 values are 2.5 MB and the mask 0.3 MB; a
+        # full-frame float temporary would add 2.5 MB.
+        rng = np.random.default_rng(5)
+        depth = rng.uniform(1.0, 10.0, (480, 640))
+        frame = DepthFrame(depth, rng.random(depth.shape) > 0.05,
+                           intrinsics_vga, camera_pose((0.0, 0.0, 5.0)))
+        depth_confidence_map(frame)
+        tracemalloc.start()
+        try:
+            cmap = depth_confidence_map(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = cmap.values.nbytes + cmap.valid.nbytes
+        assert peak < result + 64 * 1024, (peak, result)
+
 
 class TestFlatness:
     def test_uniform_plane_center_value(self, intrinsics_vga):

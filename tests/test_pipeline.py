@@ -563,9 +563,9 @@ def tiny_frame(depth) -> DepthFrame:
 
 
 # The stage functions evaluate_costmaps calls, by the thread that runs them.
-WORKER_STAGES = ("depth_confidence_map", "canny_edges", "distance_transform",
-                 "energy_map", "minmax_normalize")
-CALLER_STAGES = ("surface_normals", "steepness_map", "decision_map")
+DEPTH_STAGES = ("depth_confidence_map", "canny_edges", "distance_transform",
+                "energy_map", "minmax_normalize")
+WORKER_STAGES = ("surface_normals", "steepness_map")
 
 
 class TestConcurrentCostmaps:
@@ -583,19 +583,21 @@ class TestConcurrentCostmaps:
                 return out
             return run
 
-        for name in WORKER_STAGES + CALLER_STAGES:
+        for name in DEPTH_STAGES + WORKER_STAGES + ("decision_map",):
             monkeypatch.setattr(cm, name, recorded(name, getattr(cm, name)))
         evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
 
         caller = threading.get_ident()
-        worker = next(tid for name, tid, *_ in calls if name == "energy_map")
+        worker = next(tid for name, tid, *_ in calls
+                      if name == "surface_normals")
         assert worker != caller
         threads = {}
         for name, tid, *_ in calls:
             threads.setdefault(name, []).append(tid)
-        assert threads == {**{name: [worker] for name in WORKER_STAGES},
-                           "minmax_normalize": [worker] * 3,
-                           **{name: [caller] for name in CALLER_STAGES}}
+        assert threads == {**{name: [caller] for name in DEPTH_STAGES},
+                           "minmax_normalize": [caller] * 3,
+                           **{name: [worker] for name in WORKER_STAGES},
+                           "decision_map": [caller]}
         # decision_map starts only after every stage of both branches ended
         *branches, fusion = sorted(calls, key=lambda call: call[2])
         assert fusion[0] == "decision_map"
@@ -621,33 +623,37 @@ class TestConcurrentCostmaps:
                                       serial_costmaps(config, frame))
 
     def test_caller_errstate_reaches_the_worker(self):
-        # -depth^2 overflows in depth_confidence_map, the worker's first
-        # stage; the normals branch overflows too, so the error must be
-        # traced back to the worker's stage.
-        frame = tiny_frame(np.full((6, 8), 1e200))
-        with np.errstate(all="raise"), \
-                pytest.raises(FloatingPointError) as caught:
-            evaluate_costmaps(get_profile("sim"), frame)
-        assert "depth_confidence_map" in {e.name for e in caught.traceback}
+        # At 1e100 m the squares of the depth branch stay finite, but the
+        # unit normals square the tangents' cross product, about 1e198:
+        # only the worker's branch overflows.
+        config = get_profile("sim")
+        frame = tiny_frame(np.full((6, 8), 1e100))
+        with np.errstate(all="raise"):
+            pipeline._depth_branch(config, frame)
+            with pytest.raises(FloatingPointError) as caught:
+                evaluate_costmaps(config, frame)
+        assert "surface_normals" in {e.name for e in caught.traceback}
 
     @pytest.mark.parametrize("worker_delay_s", [0.0, 0.05])
     def test_worker_error_wins(self, monkeypatch, worker_delay_s):
-        # Canny is the worker's second stage and energy its last; either
-        # fails before the normals in the serial order the worker mirrors.
+        # Canny is the depth branch's second stage and energy its last;
+        # either fails before the normals in the serial order the branches
+        # mirror, so the depth branch's error wins, whichever branch fails
+        # first.
         def normals_fail(*args):
-            time.sleep(0.05 - worker_delay_s)
+            time.sleep(worker_delay_s)
             raise FloatingPointError("normals branch")
 
-        for worker_stage in ("canny_edges", "energy_map"):
-            def worker_fails(*args, stage=worker_stage):
-                time.sleep(worker_delay_s)
+        for depth_stage in ("canny_edges", "energy_map"):
+            def depth_fails(*args, stage=depth_stage):
+                time.sleep(0.05 - worker_delay_s)
                 raise ValueError(f"{stage} in the depth branch")
 
             with monkeypatch.context() as patch:
-                patch.setattr(cm, worker_stage, worker_fails)
+                patch.setattr(cm, depth_stage, depth_fails)
                 patch.setattr(cm, "surface_normals", normals_fail)
                 with pytest.raises(ValueError,
-                                   match=f"{worker_stage} in the depth"):
+                                   match=f"{depth_stage} in the depth"):
                     evaluate_costmaps(get_profile("sim"),
                                       render_canonical("FLAT_PAD"))
 
@@ -672,6 +678,23 @@ class TestConcurrentCostmaps:
         with pytest.raises(FloatingPointError, match="normals branch"):
             evaluate_costmaps(config, frame)
         assert finished == [True]
+        assert threading.active_count() == before
+
+        # The mirror case: the depth branch fails at once while the
+        # worker's normals are still running.
+        def slow_normals(*args):
+            time.sleep(0.05)
+            finished.append(True)
+            raise FloatingPointError("normals branch")
+
+        def canny_fails(*args):
+            raise ValueError("depth branch")
+
+        monkeypatch.setattr(cm, "canny_edges", canny_fails)
+        monkeypatch.setattr(cm, "surface_normals", slow_normals)
+        with pytest.raises(ValueError, match="depth branch"):
+            evaluate_costmaps(config, frame)
+        assert finished == [True, True]
         assert threading.active_count() == before
 
 

@@ -75,10 +75,10 @@ def test_spans_attach_and_count():
     assert len(costmaps) == 1, names
     frame_span = tracer.spans[costmaps[0]]
     # The depth-only maps (Canny, the EDT and the three normalisations
-    # among them) run on a worker thread while the normals run on the
-    # caller's, and the tracer keeps one span stack for all threads, so
-    # their direct parent may be a span of the other branch; each still
-    # lies inside the frame's costmaps span, under it.
+    # among them) run on the calling thread while the normals run on a
+    # worker thread, and the tracer keeps one span stack for all threads,
+    # so their direct parent may be a span of the other branch; each
+    # still lies inside the frame's costmaps span, under it.
     def inside_frame(span):
         assert costmaps[0] in _ancestors(tracer.spans, span), span
         assert frame_span[3] <= span[3] <= span[4] <= frame_span[4], span
@@ -87,9 +87,9 @@ def test_spans_attach_and_count():
         found = [span for span in tracer.spans if span[0] == name]
         assert len(found) == 1, (name, names)
         inside_frame(found[0])
-    # Four fuse spans: three normalisations in the worker's branch, then
-    # decision_map, the only stage after the join, directly under the
-    # frame's costmaps span once every other stage has ended.
+    # Four fuse spans: three normalisations in the calling thread's depth
+    # branch, then decision_map, the only stage after the join, directly
+    # under the frame's costmaps span once every other stage has ended.
     fuse = sorted((span for span in tracer.spans
                    if span[0] == "costmaps.fuse"), key=lambda span: span[3])
     assert len(fuse) == 4, names
