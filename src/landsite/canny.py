@@ -126,7 +126,7 @@ def detect_edges(depth: np.ndarray, valid: np.ndarray, low: float,
                                      structure=np.ones((3, 3), dtype=int))
     keep = np.zeros(n_labels + 1, dtype=bool)
     keep[labels.ravel().take(strong_at)] = True  # keep[0] stays False
-    edges = keep[labels[1:-1, 1:-1]]
+    edges = keep.take(labels[1:-1, 1:-1])
 
     # Every invalid pixel and its 8 neighbours: the mask ORed with its
     # rows above and below, then that ORed into the edges with its

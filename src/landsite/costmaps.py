@@ -12,13 +12,15 @@ decision map is their convex combination with the ``PipelineConfig``
 weights; ``steepness_map`` takes its falloff scale in radians.
 
 Flatness is the exact Euclidean distance transform of the edge map,
-``scipy.ndimage.distance_transform_edt`` (the linear-time EDT of Maurer,
-Qi & Raghavan, TPAMI 2003). A virtual one-pixel ring of set pixels
-surrounds the image, so the result is finite even with no edge at all.
-scipy sums the squared integer offsets to the nearest set pixel in
-float64, which is exact below 2^53, then takes the square root; each
-distance is therefore the correctly rounded square root of the exact
-integer squared distance.
+from scipy's feature transform (``distance_transform_edt`` with
+``return_indices``, the linear-time EDT of Maurer, Qi & Raghavan, TPAMI
+2003). A virtual one-pixel ring of set pixels surrounds the image, so
+the result is finite even with no edge at all. The squared offset to
+each pixel's nearest set pixel is summed in int32, which is exact since
+no pixel is farther than the ring, and its float64 square root is the
+correctly rounded square root of the exact integer squared distance:
+the same bits as scipy's own distances, which sum the offsets' squares
+in float64, exactly below 2^53.
 
 Normals run down the frame in blocks of ``_BLOCK_ROWS`` rows: each block
 computes its own camera points (one halo row each side for the vertical
@@ -27,8 +29,19 @@ boxes reach, and writes its normals straight into the output planes, so
 the stage holds no full-frame float temporary. The result is bit for bit
 that of a whole-frame pass: each column's prefix sum is one sequence of
 additions down the frame, carried from one block to the next; the row
-prefix sums and the box corners are formed one row at a time; and every
-other operation is per pixel, with the same operands in the same order.
+prefix sums run along each row; and every other operation is per pixel,
+with the same operands in the same order.
+
+The block buffers are laid out flat: six planes (three components of
+each tangent), each holding its rows end to end at the frame's width,
+so a row's neighbours along y are one width away and every box corner
+is a fixed flat offset from its box's mean. The differences, the box
+combination, the scaling and the masks are then each one numpy pass per
+plane over all of a block's rows, not one per row: numpy pays a fixed
+cost for each inner loop it runs (about 0.3 us on a 2-vCPU Xeon guest),
+and over per-row windows those costs came to more than the arithmetic. Reads that run past a row's end land on the next
+row's first columns (or the last of the row above); the columns they
+feed are the ones outside the frame's boxes, and are reset to +0.0.
 
 Everything here is a pure, deterministic, single-threaded function of
 its inputs: the stages compute in place only in buffers they allocate
@@ -104,9 +117,16 @@ def depth_confidence_map(frame: DepthFrame) -> Costmap:
     the depth is invalid."""
     valid = frame.valid.copy()
     values = np.zeros(valid.shape)
-    np.negative(frame.depth, out=values, where=valid)
-    np.multiply(values, frame.depth, out=values, where=valid)
+    where = _mask_or_true(valid)
+    np.negative(frame.depth, out=values, where=where)
+    np.multiply(values, frame.depth, out=values, where=where)
     return Costmap(values, valid)
+
+
+def _mask_or_true(mask: np.ndarray):
+    """``mask`` as a ufunc's ``where``: True where it holds everywhere,
+    since numpy's masked passes take about twice as long as plain ones."""
+    return True if mask.all() else mask
 
 
 def canny_edges(frame: DepthFrame, low: float, high: float) -> BinaryMap:
@@ -121,9 +141,22 @@ def distance_transform(edges: BinaryMap, valid: np.ndarray) -> Costmap:
     The ring just outside the frame counts as edge pixels, so the result
     is finite everywhere; see the module docstring for its exactness.
     """
-    padded = np.pad(edges.bits != 0, 1, constant_values=True)
-    return Costmap(ndimage.distance_transform_edt(~padded)[1:-1, 1:-1],
-                   np.array(valid, dtype=bool))
+    h, w = edges.bits.shape
+    # True off the edges: scipy's features are the False pixels.
+    clear = np.zeros((h + 2, w + 2), dtype=bool)
+    np.equal(edges.bits, 0, out=clear[1:-1, 1:-1])
+    nearest = ndimage.distance_transform_edt(clear, return_distances=False,
+                                             return_indices=True)
+    # The squared offsets to each pixel's nearest feature, in int32: a
+    # distance is at most (min(H, W) + 1) / 2, the way to the ring, so
+    # they cannot overflow below 92,000 pixels a side.
+    d2 = np.subtract(nearest[0, 1:-1, 1:-1],
+                     np.arange(1, h + 1, dtype=np.int32)[:, None])
+    d2 *= d2
+    dx = np.subtract(nearest[1, 1:-1, 1:-1], np.arange(1, w + 1, dtype=np.int32))
+    dx *= dx
+    d2 += dx
+    return Costmap(np.sqrt(d2, dtype=np.float64), np.array(valid, dtype=bool))
 
 
 def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
@@ -142,8 +175,8 @@ def surface_normals(frame: DepthFrame, smoothing_window: int = 3) -> NormalMap:
     planes the returned map wraps, so no full-frame float temporary is
     held. The blocks change no bit: the column prefix sums of the
     integral images run down the frame in one sequence, carried from
-    block to block; the row prefix sums and the corner combination work
-    one row at a time; and every other step works one pixel at a time.
+    block to block; the row prefix sums run along each row; and every
+    other step works one pixel at a time.
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
         raise ConfigError("smoothing window must be odd and >= 1")
@@ -205,12 +238,23 @@ def _tangent_blocks(frame: DepthFrame, window: int, ok_h: np.ndarray,
     their axis are 0.
 
     The box sums come from integral images of the differences: prefix
-    sums down the columns, then along the rows, behind a zero first row
-    and column, with corners combined as ``((d - b) - c) + a``. Only the
-    integral rows the block's boxes reach are held: the ``window`` rows
-    the next block shares are moved to the front of the buffer, and the
-    column prefix of the last differences row summed carries over, so
-    each column's additions run in one sequence down the frame.
+    sums down the columns, then along the rows, behind a zero first row,
+    with corners combined as ``((d - b) - c) + a``. Only the integral
+    rows the block's boxes reach are held: the ``window`` rows the next
+    block shares are moved to the front of the buffer, and the column
+    prefix of the last differences row summed carries over, so each
+    column's additions run in one sequence down the frame.
+
+    The integral rows and the means share the row pitch W, so each
+    corner of every box in the block is one flat offset away from its
+    mean, and each step of the combination is one pass per plane over
+    the block's rows laid end to end. The integral holds no zero column:
+    a box in column r has the zero column as its left corners, and the
+    flat read there lands on the row above's last sum instead, so that
+    column is recomputed as ``((d - 0) - c) + 0``, which is
+    ``(d - c) + 0``. The flat passes also write the columns where the
+    box leaves the frame, from reads that wrap past a row's end; those
+    are reset to +0.0 before the means are scaled and masked.
     """
     h, w = ok_h.shape
     r = window // 2
@@ -218,10 +262,12 @@ def _tangent_blocks(frame: DepthFrame, window: int, ok_h: np.ndarray,
     # Rows [top, bottom) of the means whose box lies inside the frame.
     top, bottom = (r, h - r) if window <= min(h, w) else (0, 0)
     means = np.zeros((6, min(_BLOCK_ROWS, h), w))
+    flat_means = means.reshape(6, -1)
     if window > 1 and top < bottom:  # so the window fits in the frame
         scale = 1.0 / float(window * window)
         # Integral rows [first, first + held); row 0 is the zero row.
-        integral = np.zeros((6, _BLOCK_ROWS + window, w + 1))
+        integral = np.zeros((6, _BLOCK_ROWS + window, w))
+        flat_integral = integral.reshape(6, -1)
         first, held, carry = 0, 1, None
     for y0 in range(0, h, _BLOCK_ROWS):
         y1 = min(y0 + _BLOCK_ROWS, h)
@@ -237,7 +283,7 @@ def _tangent_blocks(frame: DepthFrame, window: int, ok_h: np.ndarray,
         n = y1 - y0
         block = means[:, :n]
         if window == 1:
-            _differences(p, p0, y0, y1, h, block)
+            _differences(p, p0, y0, y1, h, flat_means[:, : n * w])
         else:
             # Rows outside [a0, a1) keep +0.0; interior blocks have none.
             i0 = min(max(a0 - y0, 0), n)
@@ -250,47 +296,73 @@ def _tangent_blocks(frame: DepthFrame, window: int, ok_h: np.ndarray,
                     integral[:, : held - drop] = integral[:, drop:held]
                     first, held = a0 - r, held - drop
                 # Extend the integral image by rows for differences [lo, hi).
-                new = integral[:, held : held + hi - lo, 1:]
-                _differences(p, p0, lo, hi, h, new)
+                new = integral[:, held : held + hi - lo]
+                _differences(p, p0, lo, hi, h,
+                             flat_integral[:, held * w : (held + hi - lo) * w])
                 if carry is not None:
                     new[:, 0] += carry
-                for y in range(1, hi - lo):  # np.cumsum's additions, faster
-                    new[:, y] += new[:, y - 1]
+                # np.cumsum's additions, one contiguous row at a time: faster.
+                for plane in new:
+                    for y in range(1, hi - lo):
+                        plane[y] += plane[y - 1]
                 carry = new[:, -1].copy()
                 np.cumsum(new, axis=-1, out=new)
                 held += hi - lo
 
-                box = block[:, i0:i1, r : r + nx]
-                upper = integral[:, a0 - r - first : a1 - r - first]
-                lower = integral[:, a0 + r + 1 - first : a1 + r + 1 - first]
-                np.subtract(lower[..., window:], lower[..., :nx], out=box)
-                box -= upper[..., window:]
-                box += upper[..., :nx]
-                box *= scale
-                box[:3] *= ok_h[a0:a1, r : r + nx]
-                box[3:] *= ok_v[a0:a1, r : r + nx]
+                # Integral rows of the lower and upper corners of row a0.
+                lower, upper = a0 + r + 1 - first, a0 - r - first
+                # The means from column r + 1 of row a0 to the last full
+                # box of row a1 - 1, end to end, and the flat starts of
+                # their corners d, b (lower) and c, a (upper); column r is
+                # done below.
+                start, size = i0 * w + r + 1, (i1 - i0 - 1) * w + nx - 1
+                d, b = lower * w + 2 * r + 1, lower * w
+                c, a = upper * w + 2 * r + 1, upper * w
+                box = flat_means[:, start : start + size]
+                np.subtract(flat_integral[:, d : d + size],
+                            flat_integral[:, b : b + size], out=box)
+                box -= flat_integral[:, c : c + size]
+                box += flat_integral[:, a : a + size]
+                left = block[:, i0:i1, r]
+                np.subtract(integral[:, lower : lower + i1 - i0, 2 * r],
+                            integral[:, upper : upper + i1 - i0, 2 * r],
+                            out=left)
+                left += 0.0
+                block[:, i0:i1, :r] = 0.0
+                block[:, i0:i1, r + nx :] = 0.0
+                flat_means[:, i0 * w : i1 * w] *= scale
+                block[:3, i0:i1] *= ok_h[a0:a1]
+                block[3:, i0:i1] *= ok_v[a0:a1]
         yield y0, y1, p[:, y0 - p0 : y1 - p0], block
 
 
 def _differences(p: np.ndarray, p0: int, lo: int, hi: int, h: int,
                  out: np.ndarray) -> None:
-    """Write the central differences of frame rows ``[lo, hi)`` into the
-    ``(6, hi - lo, W)`` ``out``: along x into ``out[:3]``, along y into
-    ``out[3:]``, 0 on the frame's edge along each axis. ``p`` holds the
-    camera planes of frame rows ``p0`` on, one more row each side where
-    the frame has one."""
+    """Write the central differences of frame rows ``[lo, hi)`` into
+    ``out``, six planes of those rows laid end to end: along x into
+    ``out[:3]``, along y into ``out[3:]``, 0 on the frame's edge along
+    each axis. ``p`` holds the camera planes of frame rows ``p0`` on, one
+    more row each side where the frame has one.
+
+    Each pass runs over the rows end to end: a difference along y reads
+    the points one row pitch away, and one along x reads its neighbours
+    in the flat rows, which past a row's end are the next row's; the
+    first and last columns are then reset to 0.
+    """
+    w = p.shape[-1]
+    points = p.reshape(3, -1)
     along_x, along_y = out[:3], out[3:]
-    along_x[..., 0] = 0.0
-    along_x[..., -1] = 0.0
-    np.subtract(p[:, lo - p0 : hi - p0, 2:], p[:, lo - p0 : hi - p0, :-2],
-                out=along_x[..., 1:-1])
+    rows = points[:, (lo - p0) * w : (hi - p0) * w]
+    np.subtract(rows[:, 2:], rows[:, :-2], out=along_x[:, 1:-1])
+    along_x[:, ::w] = 0.0
+    along_x[:, w - 1 :: w] = 0.0
     inner0 = max(lo, 1)  # rows [inner0, inner1) have a row above and below
     inner1 = max(min(hi, h - 1), inner0)
-    along_y[:, : inner0 - lo] = 0.0
-    along_y[:, inner1 - lo :] = 0.0
-    np.subtract(p[:, inner0 + 1 - p0 : inner1 + 1 - p0],
-                p[:, inner0 - 1 - p0 : inner1 - 1 - p0],
-                out=along_y[:, inner0 - lo : inner1 - lo])
+    along_y[:, : (inner0 - lo) * w] = 0.0
+    along_y[:, (inner1 - lo) * w :] = 0.0
+    np.subtract(points[:, (inner0 + 1 - p0) * w : (inner1 + 1 - p0) * w],
+                points[:, (inner0 - 1 - p0) * w : (inner1 - 1 - p0) * w],
+                out=along_y[:, (inner0 - lo) * w : (inner1 - lo) * w])
 
 
 def _box_valid(ok: np.ndarray, window: int) -> np.ndarray:
@@ -394,17 +466,18 @@ def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
         raise ConfigError(f"unknown orientation {orientation!r}")
     ok, values = costmap.valid, costmap.values
     out = np.zeros_like(values)
+    where = _mask_or_true(ok)
     # With no valid pixel, hi - lo is -inf and nothing is written.
-    lo = float(values.min(where=ok, initial=np.inf))
-    hi = float(values.max(where=ok, initial=-np.inf))
+    lo = float(values.min(where=where, initial=np.inf))
+    hi = float(values.max(where=where, initial=-np.inf))
     if hi - lo < NORMALIZE_EPS:
-        np.copyto(out, 0.5, where=ok)
+        np.copyto(out, 0.5, where=where)
     else:
         if orientation == HIGHER_IS_BETTER:
-            np.subtract(values, lo, out=out, where=ok)
+            np.subtract(values, lo, out=out, where=where)
         else:
-            np.subtract(hi, values, out=out, where=ok)
-        np.divide(out, hi - lo, out=out, where=ok)
+            np.subtract(hi, values, out=out, where=where)
+        np.divide(out, hi - lo, out=out, where=where)
     return Costmap(out, ok.copy())
 
 

@@ -322,7 +322,10 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
             t, n = _intersect_box(prim, origin, dirs[win])
         closer = t < best_t[win]
         np.copyto(best_t[win], t, where=closer)
-        np.copyto(best_n[win], n, where=closer[..., None])
+        # One component at a time: a mask broadcast over the last axis
+        # makes numpy run one inner loop per pixel.
+        for i in range(3):
+            np.copyto(best_n[win][..., i], n[..., i], where=closer)
         np.copyto(prim_id[win], np.int32(idx), where=closer)
 
     # A miss stays at inf, past D_MAX_DEFAULT; DepthFrame zeroes invalid depth.
@@ -339,8 +342,12 @@ def render_depth(scene: SceneSpec, intrinsics: CameraIntrinsics, pose: Pose,
     toward = (best_n[..., 0] * dirs[..., 0] + best_n[..., 1] * dirs[..., 1]) \
         + best_n[..., 2] * dirs[..., 2]
     normals = best_n
-    normals *= _FLIP.take((toward > 0.0).view(np.uint8))[..., None]
-    np.copyto(normals, 0.0, where=~valid[..., None])
+    flip = _FLIP.take((toward > 0.0).view(np.uint8))
+    invalid = ~valid
+    for i in range(3):
+        normals[..., i] *= flip
+        np.copyto(normals[..., i], 0.0, where=invalid)
+    del flip, invalid  # before the truth's full-frame arrays
     prim_id = np.where(valid, prim_id, np.int32(-1))
     safe_ids = np.array([i for i, p in enumerate(scene.primitives) if p.safe],
                         dtype=np.int32)

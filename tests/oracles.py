@@ -12,7 +12,7 @@ render's primitive ids. The Canny reference follows the documented
 detector conventions tap for tap so the comparison is exact, and its
 gradients are exposed for tests that pick thresholds from them; the
 invalid-pixel forcing has a second reference in scipy's
-``binary_dilation``. The
+``binary_dilation``, and the EDT one in scipy's distance call. The
 box-validity, min-max and unit-normal references are whole-array
 formulations (a minimum filter, a gather and scatter, ``np.where``
 masks) that pin the package's in-place versions bit for bit.
@@ -56,6 +56,14 @@ def brute_force_squared_edt(bits: np.ndarray) -> np.ndarray:
         dy2 = (np.int64(y) - sy) ** 2
         out[y] = (dx2 + dy2[None, :]).min(axis=1)
     return out
+
+
+def scipy_flatness(bits: np.ndarray) -> np.ndarray:
+    """Flatness distances as one ``distance_transform_edt`` call on the
+    edge map inside a ring of edge pixels, the ring then cut off (the
+    result is a view into the padded map)."""
+    padded = np.pad(np.asarray(bits) != 0, 1, constant_values=True)
+    return ndimage.distance_transform_edt(~padded)[1:-1, 1:-1]
 
 
 def naive_gradients(depth: np.ndarray, valid: np.ndarray,

@@ -297,6 +297,44 @@ class TestSurfaceNormals:
                 if window > min(h, w):
                     assert not nm.valid.any(), case
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_flat_reads_at_buffer_ends_match_loop_reference(self, block,
+                                                            monkeypatch):
+        # Widths 1-5 and window +/- 1 put the flat corner reads and the
+        # wrapped difference reads on the first and last elements of a
+        # row and of a buffer; a height one past a multiple of the block
+        # makes the last block one row. Holes sit on the first and last
+        # rows and columns, alone or among others.
+        monkeypatch.setattr(costmaps, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(40 + block)
+        for window in (1, 3, 5, 7, 9):
+            h = block * (window // block + 1) + 1
+            for w in sorted({1, 2, 3, 4, 5, window - 1, window,
+                             window + 1} - {0}):
+                intr = CameraIntrinsics(fx=float(rng.uniform(20, 600)),
+                                        fy=float(rng.uniform(20, 600)),
+                                        cx=float(rng.uniform(0, w - 1e-9)),
+                                        cy=float(rng.uniform(0, h - 1e-9)),
+                                        width=w, height=h)
+                yy, xx = np.mgrid[0:h, 0:w]
+                depth = (rng.uniform(1, 10) + rng.normal(0, 0.1) * xx
+                         + rng.normal(0, 0.1) * yy
+                         + rng.normal(0, 1e-3, (h, w)))
+                pose = camera_pose(rng.normal(0, 5, 3), *rng.uniform(-3, 3, 3))
+                for others in (0.0, 0.1):
+                    valid = rng.random((h, w)) >= others
+                    valid[0, rng.integers(w)] = False
+                    valid[-1, rng.integers(w)] = False
+                    valid[rng.integers(h), 0] = False
+                    valid[rng.integers(h), -1] = False
+                    frame = DepthFrame(depth, valid & (depth > 0), intr, pose)
+                    nm = surface_normals(frame, window)
+                    want, want_valid = loop_surface_normals(
+                        frame.depth, frame.valid, intr, pose.rotation, window)
+                    case = f"{h}x{w}, window {window}, holes {others}"
+                    assert nm.normals.tobytes() == want.tobytes(), case
+                    assert np.array_equal(nm.valid, want_valid), case
+
     def test_traced_peak_under_16_mb(self, intrinsics_vga):
         # The returned (3, 480, 640) float64 planes alone are 7.4 MB; a
         # full-frame float temporary would add 2.5 MB per plane.
@@ -481,6 +519,20 @@ class TestMinmaxNormalize:
         if zeros.any() and not zeros.all() and 0 in (vals.min(), vals.max()):
             same |= (values == 0) & (got.values == want)
         assert same.all()
+
+    @pytest.mark.parametrize("orientation", [HIGHER_IS_BETTER,
+                                             LOWER_IS_BETTER])
+    def test_all_and_partly_valid_match_gather_bytewise(self, orientation):
+        # An all-True mask takes numpy's unmasked passes; any other mask
+        # the masked ones. Both give the gathered rescale's bytes.
+        rng = np.random.default_rng(17)
+        for shape in ((1, 1), (1, 9), (9, 1), (48, 64)):
+            for values in (rng.uniform(-5.0, 5.0, shape), np.full(shape, 2.5)):
+                for valid in (np.ones(shape, bool), rng.random(shape) < 0.6):
+                    got = minmax_normalize(Costmap(values, valid), orientation)
+                    want = gather_minmax_normalize(values, valid, orientation)
+                    assert got.values.tobytes() == want.tobytes(), shape
+                    assert np.array_equal(got.valid, valid)
 
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ConfigError):

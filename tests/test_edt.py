@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from landsite.costmaps import BinaryMap, distance_transform
 
-from oracles import brute_force_squared_edt
+from oracles import brute_force_squared_edt, scipy_flatness
 
 
 def edt(bits) -> np.ndarray:
@@ -96,3 +96,20 @@ def test_matches_brute_force_property(bits):
 def test_rejects_non_2d():
     with pytest.raises(ValueError):
         edt(np.zeros(5, np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 31),
+                                   (31, 2), (48, 64)])
+@pytest.mark.parametrize("fill", ["random", "none", "all"])
+def test_bytes_equal_scipy_distances(shape, fill):
+    # The squared offsets are formed in integers from the feature
+    # transform; scipy forms them in float64. Both are exact, so the
+    # square roots are the same bits, now in a C-contiguous map.
+    rng = np.random.default_rng(sum(shape))
+    bits = {"random": rng.random(shape) < 0.1,
+            "none": np.zeros(shape, bool),
+            "all": np.ones(shape, bool)}[fill].astype(np.uint8)
+    got = edt(bits)
+    want = scipy_flatness(bits)
+    assert got.flags.c_contiguous and got.shape == shape
+    assert got.tobytes() == want.tobytes()
