@@ -13,8 +13,8 @@ normalisation, run on the calling thread while the Steepness row
 ``pipeline.evaluate_costmaps``), so on a multi-core host those rows
 overlap and "Total Time", the sum of the rows, is more than a frame's
 wall time. "Final" is the fusion (``decision_map``) alone, the only
-costmap stage after the two branches join; it runs on the calling
-thread.
+costmap stage after the two branches join; the calling thread fuses
+the top half of the rows and the worker the bottom half.
 """
 
 from __future__ import annotations

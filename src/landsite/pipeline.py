@@ -7,9 +7,9 @@ registry's dedup semantics are order sensitive. Within a frame, the two
 costmap branches overlap on two threads: every map that needs only the
 depth (depth confidence, flatness and energy, each normalised) on the
 calling thread, normals and steepness on a worker; only the fusion runs
-after they join, on the calling thread. Each stage function is still
-single-threaded and pure, so the maps are the same bits as in serial
-order.
+after they join, half its rows on each thread. Each other stage
+function is single-threaded, every stage is pure, and the fusion is
+per pixel, so the maps are the same bits as in serial order.
 
 A frame stream on disk is a directory holding intrinsics.json,
 frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
@@ -128,12 +128,20 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     thread runs normals and steepness; the branches share only the input
     frame, and numpy and ``scipy.ndimage`` release the GIL, so they
     overlap on a multi-core host. Only ``decision_map`` runs after they
-    join, and the "final" lap times it alone. The worker runs in a copy
-    of the caller's context, so an enclosing ``np.errstate`` applies to it
-    too. Both branches finish before this returns or raises, and the
-    depth branch's error wins, as it would in the serial order this
-    mirrors: depth confidence, flatness and energy (each normalised),
-    then normals and steepness.
+    join, and the "final" lap times it alone: this thread allocates its
+    output and mask and fuses rows ``[0, H/2)`` while the worker, through
+    the same pool, fuses rows ``[H/2, H)``, so the worker is not idle
+    during it. The worker runs each of its tasks in a copy of the
+    caller's context, so an enclosing ``np.errstate`` applies to it too.
+    Both branches, and both fusion halves, finish before this returns or
+    raises; the depth branch's error wins, as it would in the serial
+    order this mirrors (depth confidence, flatness and energy, each
+    normalised, then normals and steepness), and no fusion runs after it.
+
+    Every numpy call takes the GIL, so the other thread may wait on it:
+    a stage on either thread costs the frame its calls as well as its
+    arithmetic, and the worker's normals keep their calls few (see
+    ``costmaps._tangent_blocks``).
 
     The depth branch runs here rather than on the worker because it makes
     most of a frame's short-lived full-frame arrays, and what they cost
@@ -147,13 +155,13 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
         # A depth error leaves the block, which waits for the worker and
         # leaves its error unread.
         depth_maps = _depth_branch(config, frame)
-    normals, steep, steep_ms = worker.result()
+        normals, steep, steep_ms = worker.result()
 
-    final = _StageClock()
-    decision = cm.decision_map(depth_maps["depth_confidence"],
-                               depth_maps["flatness"], steep,
-                               depth_maps["energy"], config)
-    final.lap("final")
+        final = _StageClock()
+        decision = cm.decision_map(depth_maps["depth_confidence"],
+                                   depth_maps["flatness"], steep,
+                                   depth_maps["energy"], config, pool)
+        final.lap("final")
     stage_ms = {**depth_maps.pop("stage_ms"), **steep_ms, **final.ms}
     return FrameMaps(**depth_maps, normals=normals, steepness=steep,
                      decision=decision, stage_ms=stage_ms)
@@ -174,7 +182,7 @@ def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
                                       frame.timestamp)
     clock.lap("dense_detection")
     return FrameResult(frame_id=frame.frame_id, candidates=candidates,
-                       inserted=sum(flags),
+                       inserted=flags.count(True),
                        stage_ms={**maps.stage_ms, **clock.ms})
 
 

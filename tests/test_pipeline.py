@@ -14,6 +14,7 @@ import threading
 import time
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -696,6 +697,104 @@ class TestConcurrentCostmaps:
             evaluate_costmaps(config, frame)
         assert finished == [True, True]
         assert threading.active_count() == before
+
+
+def recorded_halves(monkeypatch, halves: list, caller_fails=None):
+    """Patch ``cm._fuse_rows`` to append ``(thread id, lo, hi, np.geterr())``
+    for each half it fuses. With ``caller_fails`` set, the half on the
+    calling thread (True) or on the worker (False) raises at once and the
+    other one waits 0.05 s before it fuses."""
+    fuse_rows = cm._fuse_rows
+    caller = threading.get_ident()
+
+    def half(maps, config, fused, ok, lo, hi):
+        if caller_fails is not None:
+            if (threading.get_ident() == caller) == caller_fails:
+                raise FloatingPointError(f"half [{lo}, {hi})")
+            time.sleep(0.05)
+        fuse_rows(maps, config, fused, ok, lo, hi)
+        halves.append((threading.get_ident(), lo, hi, np.geterr()))
+
+    monkeypatch.setattr(cm, "_fuse_rows", half)
+
+
+class TestSplitFusion:
+    """After the join, the calling thread fuses rows [0, H/2) and the worker
+    rows [H/2, H), into one output: the same bytes as ``decision_map``
+    run on one thread over the same maps."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 7, 480])
+    def test_split_decision_equals_serial_fusion(self, monkeypatch, h):
+        config = get_profile("sim")
+        rng = np.random.default_rng(h)
+        w = 640 if h == 480 else 9
+        full = rng.uniform(2.0, 6.0, (h, w))
+        full[rng.random((h, w)) < 0.2] += 1.5  # steps for Canny
+        holes = full.copy()
+        holes[rng.random((h, w)) < 0.25] = 0.0
+        caller = threading.get_ident()
+        for depth in (full, holes, np.zeros((h, w))):
+            halves = []
+            with monkeypatch.context() as patch:
+                recorded_halves(patch, halves)
+                maps = evaluate_costmaps(config, tiny_frame(depth))
+            serial = cm.decision_map(maps.depth_confidence, maps.flatness,
+                                     maps.steepness, maps.energy, config)
+            assert maps.decision.values.tobytes() == serial.values.tobytes()
+            assert maps.decision.valid.tobytes() == serial.valid.tobytes()
+            on_caller = sorted((lo, hi, tid == caller)
+                               for tid, lo, hi, _ in halves)
+            assert on_caller == [(0, h // 2, True), (h // 2, h, False)]
+        assert not maps.decision.valid.any()  # the frame with no valid depth
+
+    def test_depth_error_wins_and_no_half_runs(self, monkeypatch):
+        def canny_fails(*args):
+            raise ValueError("depth branch")
+
+        def normals_fail(*args):
+            raise FloatingPointError("normals branch")
+
+        halves = []
+        recorded_halves(monkeypatch, halves)
+        monkeypatch.setattr(cm, "canny_edges", canny_fails)
+        monkeypatch.setattr(cm, "surface_normals", normals_fail)
+        with pytest.raises(ValueError, match="depth branch"):
+            evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
+        assert halves == []
+
+    @pytest.mark.parametrize("caller_fails", [True, False])
+    def test_half_error_raises_after_both_halves(self, monkeypatch,
+                                                 caller_fails):
+        config = get_profile("sim")
+        frame = render_canonical("FLAT_PAD")
+        maps = evaluate_costmaps(config, frame)
+        before = threading.active_count()
+        halves = []
+        recorded_halves(monkeypatch, halves, caller_fails)
+        (lo, hi), other = [((0, 240), (240, 480)),
+                           ((240, 480), (0, 240))][not caller_fails]
+        match = re.escape(f"half [{lo}, {hi})")
+        with pytest.raises(FloatingPointError, match=match):
+            evaluate_costmaps(config, frame)
+        # The other half ran to its end before the error left the call.
+        assert [(lo, hi) for _, lo, hi, _ in halves] == [other]
+        assert threading.active_count() == before
+        # decision_map itself waits for it, while the pool lives on.
+        halves.clear()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(FloatingPointError, match=match):
+                cm.decision_map(maps.depth_confidence, maps.flatness,
+                                maps.steepness, maps.energy, config, pool)
+            assert [(lo, hi) for _, lo, hi, _ in halves] == [other]
+
+    def test_caller_errstate_reaches_the_worker_half(self, monkeypatch):
+        halves = []
+        recorded_halves(monkeypatch, halves)
+        with np.errstate(all="raise"):
+            evaluate_costmaps(get_profile("sim"), render_canonical("FLAT_PAD"))
+        assert len({tid for tid, *_ in halves}) == 2
+        for *_, err in halves:
+            assert set(err.values()) == {"raise"}, err
 
 
 def test_outside_timing_harness_calls():
