@@ -9,12 +9,13 @@ over all frames of all passes, in milliseconds.
 
 The Depth Accuracy, Flatness and Energy rows, each including its map's
 normalisation, run on the calling thread while the Steepness row
-(normals and steepness) runs on a worker thread (see
-``pipeline.evaluate_costmaps``), so on a multi-core host those rows
-overlap and "Total Time", the sum of the rows, is more than a frame's
-wall time. "Final" is the fusion (``decision_map``) alone, the only
-costmap stage after the two branches join; the calling thread fuses
-the top half of the rows and the worker the bottom half.
+(normals and steepness) runs on the costmap worker, the one thread the
+process keeps for it (see ``pipeline.evaluate_costmaps``), so on a
+multi-core host those rows overlap and "Total Time", the sum of the
+rows, is more than a frame's wall time. "Final" is the fusion
+(``decision_map``) alone, the only costmap stage after the two branches
+join; the calling thread fuses the top half of the rows and the worker
+the bottom half.
 """
 
 from __future__ import annotations

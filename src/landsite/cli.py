@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -115,7 +116,15 @@ def _build_parser() -> _Parser:
 def _cmd_detect(args) -> int:
     config = _resolve_config(args)
     frames = read_frame_stream(args.stream, config.d_min_m, config.d_max_m)
-    result = run_pipeline(config, frames, dump_dir=args.dump_costmaps)
+    # The first frame is read before the output directories are made, so
+    # an unreadable stream leaves none behind, and they are made before
+    # any frame runs.
+    first = next(frames)
+    args.out.mkdir(parents=True, exist_ok=True)
+    if args.dump_costmaps is not None:
+        args.dump_costmaps.mkdir(parents=True, exist_ok=True)
+    result = run_pipeline(config, itertools.chain((first,), frames),
+                          dump_dir=args.dump_costmaps)
     write_outputs(args.out, result)
     n_candidates = sum(len(f.candidates) for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "
@@ -207,12 +216,12 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1")
     frames = list(read_frame_stream(args.stream, config.d_min_m, config.d_max_m))
+    if args.out is not None:  # before any frame runs
+        args.out.mkdir(parents=True, exist_ok=True)
     report = bench(config, frames, repetitions=args.reps)
     print(timing_table(report))
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        formats.write_json(out / "timing.json", report)
+        formats.write_json(args.out / "timing.json", report)
     return 0
 
 

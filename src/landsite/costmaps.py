@@ -46,14 +46,22 @@ feed are the ones outside the frame's boxes, and are reset to +0.0.
 Everything here is a pure, deterministic function of its inputs: the
 stages compute in place only in buffers they allocate themselves, and
 return no view of an input. Each runs on the calling thread alone,
-except that ``decision_map``, given an executor, fuses half of its rows
-there; every pixel's sum is the same on either thread.
+except that ``decision_map`` fuses half of its rows on the costmap
+worker; every pixel's sum is the same on either thread.
+
+The costmap worker is one thread for the whole process, started by its
+first task and shared by every caller; ``run_both`` runs one task there
+while the calling thread runs another. ``pipeline.evaluate_costmaps``
+overlaps its two branches with it and ``decision_map`` its two row
+halves. A forked child makes a worker of its own, since the fork does
+not copy the parent's thread.
 """
 
 from __future__ import annotations
 
 import contextvars
-from concurrent.futures import Executor, wait
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,20 +499,20 @@ def minmax_normalize(costmap: Costmap, orientation: str) -> Costmap:
 
 def decision_map(depth_confidence: Costmap, flatness: Costmap,
                  steepness: Costmap, energy: Costmap,
-                 config: PipelineConfig,
-                 pool: Executor | None = None) -> Costmap:
+                 config: PipelineConfig) -> Costmap:
     """Weighted sum of the four scores; valid only where all inputs are.
 
     The weights are ``config``'s four ``weight_*`` fields, which
     ``PipelineConfig`` keeps convex. Expects depth confidence and flatness
     normalized higher-is-better, energy normalized lower-is-better, and raw
-    steepness.
+    steepness. Each pixel is the weighted terms summed left to right, or
+    +0.0 where any input is invalid.
 
-    With ``pool``, an executor, rows ``[H/2, H)`` are fused on it, in a
-    copy of the caller's context, while this thread fuses rows
-    ``[0, H/2)``; both write into the one output this thread allocates.
-    Each pixel's sum is the same either way. Both halves finish before
-    this returns or raises, and an error in rows ``[0, H/2)`` wins.
+    Through ``run_both``, this thread fuses rows ``[0, H/2)`` while the
+    costmap worker fuses rows ``[H/2, H)``, both into the one output this
+    thread allocates; each pixel's sum is the same on either thread. Both
+    halves finish before this returns or raises, and an error in rows
+    ``[0, H/2)`` wins. Do not call it from the worker (see ``run_both``).
     """
     maps = (depth_confidence, flatness, steepness, energy)
     shape = depth_confidence.shape
@@ -513,16 +521,8 @@ def decision_map(depth_confidence: Costmap, flatness: Costmap,
     fused = np.empty(shape)
     ok = np.empty(shape, dtype=bool)
     h = shape[0]
-    if pool is None:
-        _fuse_rows(maps, config, fused, ok, 0, h)
-    else:
-        bottom = pool.submit(contextvars.copy_context().run, _fuse_rows, maps,
-                            config, fused, ok, h // 2, h)
-        try:
-            _fuse_rows(maps, config, fused, ok, 0, h // 2)
-        finally:
-            wait((bottom,))
-        bottom.result()
+    run_both(lambda: _fuse_rows(maps, config, fused, ok, 0, h // 2),
+             lambda: _fuse_rows(maps, config, fused, ok, h // 2, h))
     return Costmap(fused, ok)
 
 
@@ -544,3 +544,38 @@ def _fuse_rows(maps: tuple[Costmap, ...], config: PipelineConfig,
     out += np.multiply(config.weight_energy, energy.values[rows], out=term)
     del term  # before the mask's inverse is allocated
     np.copyto(out, 0.0, where=~mask)
+
+
+def _make_worker() -> None:
+    """Make the process's costmap worker; its thread starts with its
+    first task."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="landsite-costmaps")
+
+
+_make_worker()
+# The fork copies the parent's worker but not its thread, so a task queued
+# on it in the child would never run: the child makes its own.
+os.register_at_fork(after_in_child=_make_worker)
+
+
+def run_both(here, there):
+    """Run ``there()`` on the costmap worker while this thread runs
+    ``here()``; return ``(here(), there())``.
+
+    ``there`` runs in a copy of this thread's context, so an enclosing
+    ``np.errstate`` applies to it too. Both finish before this returns or
+    raises, and if both fail, ``here``'s error wins.
+
+    Every caller in the process shares the one worker: concurrent
+    callers' ``there`` tasks run on it one after another. Never call this
+    from the worker itself (from a ``there``): the call would wait for a
+    task queued behind its own.
+    """
+    elsewhere = _worker.submit(contextvars.copy_context().run, there)
+    try:
+        result = here()
+    finally:
+        wait((elsewhere,))
+    return result, elsewhere.result()

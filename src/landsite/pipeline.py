@@ -6,10 +6,11 @@ end (or on demand). Frames are processed strictly in order because the
 registry's dedup semantics are order sensitive. Within a frame, the two
 costmap branches overlap on two threads: every map that needs only the
 depth (depth confidence, flatness and energy, each normalised) on the
-calling thread, normals and steepness on a worker; only the fusion runs
-after they join, half its rows on each thread. Each other stage
-function is single-threaded, every stage is pure, and the fusion is
-per pixel, so the maps are the same bits as in serial order.
+calling thread, normals and steepness on the costmap worker, one thread
+that the whole process shares (see ``costmaps.run_both``); only the
+fusion runs after they join, half its rows on each thread. Each other
+stage function is single-threaded, every stage is pure, and the fusion
+is per pixel, so the maps are the same bits as in serial order.
 
 A frame stream on disk is a directory holding intrinsics.json,
 frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
@@ -20,11 +21,9 @@ load.
 
 from __future__ import annotations
 
-import contextvars
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -124,19 +123,21 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     """Run the costmap stages for one frame, timing each into ``stage_ms``.
 
     This thread builds and normalises every map that needs only the depth
-    (depth confidence; Canny, the EDT and flatness; energy) while a worker
-    thread runs normals and steepness; the branches share only the input
-    frame, and numpy and ``scipy.ndimage`` release the GIL, so they
-    overlap on a multi-core host. Only ``decision_map`` runs after they
-    join, and the "final" lap times it alone: this thread allocates its
-    output and mask and fuses rows ``[0, H/2)`` while the worker, through
-    the same pool, fuses rows ``[H/2, H)``, so the worker is not idle
-    during it. The worker runs each of its tasks in a copy of the
-    caller's context, so an enclosing ``np.errstate`` applies to it too.
-    Both branches, and both fusion halves, finish before this returns or
-    raises; the depth branch's error wins, as it would in the serial
-    order this mirrors (depth confidence, flatness and energy, each
-    normalised, then normals and steepness), and no fusion runs after it.
+    (depth confidence; Canny, the EDT and flatness; energy) while the
+    costmap worker, the process's one shared thread, runs normals and
+    steepness; the branches share only the input frame, and numpy and
+    ``scipy.ndimage`` release the GIL, so they overlap on a multi-core
+    host. Only ``decision_map`` runs after they join, and the "final" lap
+    times it alone: this thread allocates its output and mask and fuses
+    rows ``[0, H/2)`` while the worker fuses rows ``[H/2, H)``, so the
+    worker is not idle during it. Both joins are ``costmaps.run_both``:
+    the worker runs each task in a copy of the caller's context, so an
+    enclosing ``np.errstate`` applies to it too, and both sides finish
+    before this returns or raises. The depth branch's error wins, as it
+    would in the serial order this mirrors (depth confidence, flatness
+    and energy, each normalised, then normals and steepness), and no
+    fusion runs after it. Concurrent callers share the worker, and a
+    forked child starts its own.
 
     Every numpy call takes the GIL, so the other thread may wait on it:
     a stage on either thread costs the frame its calls as well as its
@@ -149,19 +150,14 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
     Canny suppressing only its candidates, a rubble frame took about
     3,750 minor page faults against 1 here.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(contextvars.copy_context().run, _normals_branch,
-                             config, frame)
-        # A depth error leaves the block, which waits for the worker and
-        # leaves its error unread.
-        depth_maps = _depth_branch(config, frame)
-        normals, steep, steep_ms = worker.result()
-
-        final = _StageClock()
-        decision = cm.decision_map(depth_maps["depth_confidence"],
-                                   depth_maps["flatness"], steep,
-                                   depth_maps["energy"], config, pool)
-        final.lap("final")
+    depth_maps, (normals, steep, steep_ms) = cm.run_both(
+        lambda: _depth_branch(config, frame),
+        lambda: _normals_branch(config, frame))
+    final = _StageClock()
+    decision = cm.decision_map(depth_maps["depth_confidence"],
+                               depth_maps["flatness"], steep,
+                               depth_maps["energy"], config)
+    final.lap("final")
     stage_ms = {**depth_maps.pop("stage_ms"), **steep_ms, **final.ms}
     return FrameMaps(**depth_maps, normals=normals, steepness=steep,
                      decision=decision, stage_ms=stage_ms)

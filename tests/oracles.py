@@ -13,9 +13,10 @@ detector conventions tap for tap so the comparison is exact, and its
 gradients are exposed for tests that pick thresholds from them; the
 invalid-pixel forcing has a second reference in scipy's
 ``binary_dilation``, and the EDT one in scipy's distance call. The
-box-validity, min-max and unit-normal references are whole-array
-formulations (a minimum filter, a gather and scatter, ``np.where``
-masks) that pin the package's in-place versions bit for bit.
+box-validity, min-max, unit-normal and fusion references are
+whole-array formulations (a minimum filter, a gather and scatter,
+``np.where`` masks) that pin the package's in-place versions bit for
+bit; the fusion one is written from ``decision_map``'s docstring.
 """
 
 from __future__ import annotations
@@ -314,6 +315,22 @@ def gather_minmax_normalize(values, valid, orientation: str) -> np.ndarray:
         else:
             out[valid] = (hi - vals) / (hi - lo)
     return out
+
+
+def formula_decision_map(depth_confidence, flatness, steepness, energy,
+                         config) -> tuple[np.ndarray, np.ndarray]:
+    """Reference fusion of four ``(values, valid)`` maps, returned as
+    ``(values, valid)``: the weighted terms of ``config``'s ``weight_*``
+    fields summed left to right, +0.0 where any input is invalid; valid
+    is the AND of the four masks."""
+    maps = (depth_confidence, flatness, steepness, energy)
+    weights = (config.weight_depth_confidence, config.weight_flatness,
+               config.weight_steepness, config.weight_energy)
+    total = weights[0] * maps[0].values
+    for weight, m in zip(weights[1:], maps[1:]):
+        total = total + weight * m.values
+    valid = maps[0].valid & maps[1].valid & maps[2].valid & maps[3].valid
+    return np.where(valid, total, 0.0), valid
 
 
 def where_unit_normals(cross: np.ndarray, points: np.ndarray):

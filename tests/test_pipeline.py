@@ -7,14 +7,16 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import signal
 import struct
+import sys
 import tempfile
 import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,8 @@ from landsite.pipeline import (
     write_outputs,
 )
 
-from oracles import json_dumps_candidates_jsonl, scene_to_json_obj
+from oracles import formula_decision_map, json_dumps_candidates_jsonl, \
+    scene_to_json_obj
 from test_formats import read_pgm
 
 
@@ -527,8 +530,16 @@ class TestBenchRunsPipeline:
             bench(get_profile("sim"), frames[1:], repetitions=2)
 
 
+def oracle_decision(depth_conf, flat, steep, energy, config) -> cm.Costmap:
+    """The fusion oracle's ``(values, valid)`` as a ``Costmap``."""
+    return cm.Costmap(*formula_decision_map(depth_conf, flat, steep, energy,
+                                            config))
+
+
 def serial_costmaps(config, frame) -> dict:
-    """The costmap stages one after another, in the order of their fields."""
+    """The costmap stages one after another on this thread, in the order
+    of their fields, then the fusion oracle: ``decision_map`` itself
+    always splits its rows over two threads."""
     depth_conf_raw = cm.depth_confidence_map(frame)
     edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
     flat_raw = cm.distance_transform(edges, frame.valid)
@@ -542,7 +553,7 @@ def serial_costmaps(config, frame) -> dict:
                 flatness_raw=flat_raw, normals=normals, steepness=steep,
                 energy_raw=energy_raw, depth_confidence=depth_conf,
                 flatness=flat, energy=energy,
-                decision=cm.decision_map(depth_conf, flat, steep, energy,
+                decision=oracle_decision(depth_conf, flat, steep, energy,
                                          config))
 
 
@@ -659,12 +670,15 @@ class TestConcurrentCostmaps:
                                       render_canonical("FLAT_PAD"))
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
+        # Both branches end before the call returns or raises, and the
+        # worker is one thread for the process: after the call that starts
+        # it, no call, successful or failing, adds or ends a thread.
         config = get_profile("sim")
         frame = render_canonical("FLAT_PAD")
-        before = threading.active_count()
         evaluate_costmaps(config, frame)
-        assert threading.active_count() == before
-        finished = []
+        before = threading.active_count()
+        finished, workers = [], set()
+        surface_normals = cm.surface_normals
 
         def slow_canny(*args):
             time.sleep(0.05)
@@ -672,18 +686,13 @@ class TestConcurrentCostmaps:
             return cm.BinaryMap(np.zeros(frame.shape, np.uint8))
 
         def normals_fail(*args):
+            workers.add(threading.get_ident())
             raise FloatingPointError("normals branch")
-
-        monkeypatch.setattr(cm, "canny_edges", slow_canny)
-        monkeypatch.setattr(cm, "surface_normals", normals_fail)
-        with pytest.raises(FloatingPointError, match="normals branch"):
-            evaluate_costmaps(config, frame)
-        assert finished == [True]
-        assert threading.active_count() == before
 
         # The mirror case: the depth branch fails at once while the
         # worker's normals are still running.
         def slow_normals(*args):
+            workers.add(threading.get_ident())
             time.sleep(0.05)
             finished.append(True)
             raise FloatingPointError("normals branch")
@@ -691,12 +700,138 @@ class TestConcurrentCostmaps:
         def canny_fails(*args):
             raise ValueError("depth branch")
 
-        monkeypatch.setattr(cm, "canny_edges", canny_fails)
-        monkeypatch.setattr(cm, "surface_normals", slow_normals)
-        with pytest.raises(ValueError, match="depth branch"):
-            evaluate_costmaps(config, frame)
-        assert finished == [True, True]
-        assert threading.active_count() == before
+        def normals(*args):
+            workers.add(threading.get_ident())
+            return surface_normals(*args)
+
+        for rep in range(1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "surface_normals", normals)
+                for _ in range(3):
+                    evaluate_costmaps(config, frame)
+                    assert threading.active_count() == before
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "canny_edges", slow_canny)
+                patch.setattr(cm, "surface_normals", normals_fail)
+                with pytest.raises(FloatingPointError, match="normals branch"):
+                    evaluate_costmaps(config, frame)
+            assert finished == [True] * (2 * rep - 1)
+            assert threading.active_count() == before
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "canny_edges", canny_fails)
+                patch.setattr(cm, "surface_normals", slow_normals)
+                with pytest.raises(ValueError, match="depth branch"):
+                    evaluate_costmaps(config, frame)
+            assert finished == [True] * (2 * rep)
+            assert threading.active_count() == before
+        assert len(workers) == 1 and threading.get_ident() not in workers
+
+    # A serial run of both branches on one thread gives these bits
+    # whatever the threads' interleaving: under a switch interval of 1 us,
+    # with the worker's tasks starting late, and with two callers sharing
+    # the worker.
+
+    def test_tiny_switch_interval_keeps_the_serial_bits(self):
+        config = get_profile("sim")
+        frames = [render_canonical("RUBBLE")]
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            depth = rng.uniform(2.0, 6.0, (24, 32))
+            depth[rng.random((24, 32)) < 0.2] += 1.5
+            depth[rng.random((24, 32)) < 0.25] = 0.0
+            frames.append(tiny_frame(depth))
+        expected = [serial_costmaps(config, frame) for frame in frames]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            maps = [evaluate_costmaps(config, frame) for frame in frames]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sys.getswitchinterval() == interval
+        for got, want in zip(maps, expected):
+            assert_maps_bitwise_equal(got, want)
+
+    def test_late_worker_keeps_the_serial_bits(self, monkeypatch):
+        config = get_profile("sim")
+        frame = render_canonical("RUBBLE")
+        expected = serial_costmaps(config, frame)
+        caller = threading.get_ident()
+        normals_branch, fuse_rows = pipeline._normals_branch, cm._fuse_rows
+        delayed = []
+
+        def late_branch(*args):
+            time.sleep(0.05)
+            delayed.append("branch")
+            return normals_branch(*args)
+
+        def late_half(*args):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+                delayed.append("half")
+            fuse_rows(*args)
+
+        monkeypatch.setattr(pipeline, "_normals_branch", late_branch)
+        monkeypatch.setattr(cm, "_fuse_rows", late_half)
+        assert_maps_bitwise_equal(evaluate_costmaps(config, frame), expected)
+        assert delayed == ["branch", "half"]
+
+    def test_two_callers_share_the_worker(self):
+        config = get_profile("sim")
+        frames = [render_canonical("RUBBLE"),
+                  render_canonical("TREE", frame_id=1)]
+        expected = [serial_costmaps(config, frame) for frame in frames]
+        start = threading.Barrier(len(frames))
+        results = [[] for _ in frames]
+        errors = []
+
+        def caller(i):
+            try:
+                start.wait()
+                for _ in range(3):
+                    results[i].append(evaluate_costmaps(config, frames[i]))
+            except BaseException as exc:  # re-raised on the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(len(frames))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        for got, want in zip(results, expected):
+            assert len(got) == 3
+            for maps in got:
+                assert_maps_bitwise_equal(maps, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker():
+    """A child forked after the worker started runs the costmaps on a
+    worker of its own. The parent's worker thread is not copied by the
+    fork: a task queued on it in the child would wait forever, so an
+    alarm ends the child after 10 s."""
+    config = get_profile("sim")
+    frame = render_canonical("FLAT_PAD")
+    want = evaluate_costmaps(config, frame).decision  # the worker is running
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork while another thread runs.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: exit at once, never back into pytest
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(10)
+            got = evaluate_costmaps(config, frame).decision
+            same = (got.values.tobytes() == want.values.tobytes()
+                    and got.valid.tobytes() == want.valid.tobytes())
+            code = 0 if same else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    # -14 (SIGALRM) if the child waited on the parent's worker
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def recorded_halves(monkeypatch, halves: list, caller_fails=None):
@@ -720,8 +855,8 @@ def recorded_halves(monkeypatch, halves: list, caller_fails=None):
 
 class TestSplitFusion:
     """After the join, the calling thread fuses rows [0, H/2) and the worker
-    rows [H/2, H), into one output: the same bytes as ``decision_map``
-    run on one thread over the same maps."""
+    rows [H/2, H), into one output: the same bytes as the fusion oracle
+    over the same maps."""
 
     @pytest.mark.parametrize("h", [1, 2, 3, 7, 480])
     def test_split_decision_equals_serial_fusion(self, monkeypatch, h):
@@ -738,7 +873,7 @@ class TestSplitFusion:
             with monkeypatch.context() as patch:
                 recorded_halves(patch, halves)
                 maps = evaluate_costmaps(config, tiny_frame(depth))
-            serial = cm.decision_map(maps.depth_confidence, maps.flatness,
+            serial = oracle_decision(maps.depth_confidence, maps.flatness,
                                      maps.steepness, maps.energy, config)
             assert maps.decision.values.tobytes() == serial.values.tobytes()
             assert maps.decision.valid.tobytes() == serial.valid.tobytes()
@@ -779,13 +914,13 @@ class TestSplitFusion:
         # The other half ran to its end before the error left the call.
         assert [(lo, hi) for _, lo, hi, _ in halves] == [other]
         assert threading.active_count() == before
-        # decision_map itself waits for it, while the pool lives on.
+        # decision_map itself waits for it.
         halves.clear()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(FloatingPointError, match=match):
-                cm.decision_map(maps.depth_confidence, maps.flatness,
-                                maps.steepness, maps.energy, config, pool)
-            assert [(lo, hi) for _, lo, hi, _ in halves] == [other]
+        with pytest.raises(FloatingPointError, match=match):
+            cm.decision_map(maps.depth_confidence, maps.flatness,
+                            maps.steepness, maps.energy, config)
+        assert [(lo, hi) for _, lo, hi, _ in halves] == [other]
+        assert threading.active_count() == before
 
     def test_caller_errstate_reaches_the_worker_half(self, monkeypatch):
         halves = []
@@ -1469,6 +1604,30 @@ class TestCli:
                          "--config", str(tmp_path / "c.json")]) == 1
         assert cli_main(["synth", "--out", str(tmp_path / "s")]) == 1
         assert cli_main(["nonsense"]) == 1
+
+    @pytest.mark.parametrize("command, option", [("detect", "--out"),
+                                                 ("detect", "--dump-costmaps"),
+                                                 ("bench", "--out")])
+    def test_unwritable_out_fails_before_any_frame(self, tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   option):
+        stream = self._synth(tmp_path, frames=2)
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(pipeline, "evaluate_costmaps",
+                            lambda *args: ran.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "out"):
+            argv = [command, "--in", str(stream), option, str(out)]
+            if option != "--out":
+                argv += ["--out", str(tmp_path / "o")]
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1, captured.err
+            assert captured.err.startswith("error: ")
+        assert ran == []
 
     def test_io_error_exits_2(self, tmp_path):
         assert cli_main(["detect", "--in", str(tmp_path / "missing"),
