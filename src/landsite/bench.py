@@ -1,11 +1,12 @@
 """Per-stage wall-clock benchmark over a frame set.
 
-Each repetition is one ``run_pipeline`` pass (fresh registry, so dedup
-and its cost repeat exactly; failed and empty frames are handled as in
-``detect``). Costmap and dense-detection rows are each frame's
-``stage_ms``; clustering is the pass's one ``cluster_ms`` split evenly
-over its frames. The report gives mean and standard deviation per stage
-over all frames of all passes, in milliseconds.
+Each repetition is one ``run_pipeline`` pass, the frame loop ``detect``
+runs, with no candidates written (fresh registry, so dedup and its cost
+repeat exactly; failed and empty frames are handled as in ``detect``).
+Costmap and dense-detection rows are each frame's ``stage_ms``;
+clustering is the pass's one ``cluster_ms`` split evenly over its
+frames. The report gives mean and standard deviation per stage over all
+frames of all passes, in milliseconds.
 
 The Depth Accuracy, Flatness and Energy rows, each including its map's
 normalisation, run on the calling thread while the Steepness row

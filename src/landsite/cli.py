@@ -124,9 +124,10 @@ def _cmd_detect(args) -> int:
     if args.dump_costmaps is not None:
         args.dump_costmaps.mkdir(parents=True, exist_ok=True)
     result = run_pipeline(config, itertools.chain((first,), frames),
-                          dump_dir=args.dump_costmaps)
+                          dump_dir=args.dump_costmaps,
+                          candidates_path=args.out / "candidates.jsonl")
     write_outputs(args.out, result)
-    n_candidates = sum(len(f.candidates) for f in result.frames)
+    n_candidates = sum(f.n_candidates for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "
           f"empty: {result.frames_empty}  candidates: {n_candidates}  "
           f"sites: {len(result.registry)}  clusters: {len(result.clusters)}")
@@ -137,6 +138,7 @@ def _cmd_costmap(args) -> int:
     config = _resolve_config(args)
     for frame in read_frame_stream(args.stream, config.d_min_m, config.d_max_m):
         if args.frame_id is None or frame.frame_id == args.frame_id:
+            args.out.mkdir(parents=True, exist_ok=True)  # before the frame runs
             maps = evaluate_costmaps(config, frame)
             dump_costmaps(args.out, frame.frame_id, maps)
             print(f"dumped stage maps for frame {frame.frame_id} to {args.out}")

@@ -2,8 +2,11 @@
 
 Per frame: hazard costmaps -> decision map -> dense candidates -> world
 sites -> registry insertion; clustering runs over the registry at the
-end (or on demand). Frames are processed strictly in order because the
-registry's dedup semantics are order sensitive. Within a frame, the two
+end (or on demand). ``run_pipeline`` is the one frame loop. It processes
+frames strictly in order, because the registry's dedup semantics are
+order sensitive, and hands each frame's candidates on (to
+``write_candidates_jsonl``, or nowhere) as soon as the frame is done, so
+a run keeps no frame's candidates. Within a frame, the two
 costmap branches overlap on two threads: every map that needs only the
 depth (depth confidence, flatness and energy, each normalised) on the
 calling thread, normals and steepness on the costmap worker, one thread
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -59,8 +63,10 @@ class FrameMaps:
 
 @dataclass(eq=False)
 class FrameResult:
+    """What a run keeps of one frame: counts and timings, no candidates."""
+
     frame_id: int
-    candidates: Candidates
+    n_candidates: int
     inserted: int
     # FrameMaps.stage_ms plus dense_detection (select, lift and insert)
     stage_ms: dict[str, float] = field(default_factory=dict)
@@ -164,11 +170,12 @@ def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
 
 
 def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
-                 registry: SiteRegistry) -> FrameResult:
+                 registry: SiteRegistry) -> tuple[Candidates, FrameResult]:
     """Dense detection for one frame, including registry aggregation.
 
     Candidate positions and scores go to the registry in raster order,
-    matching sequential insertion semantics.
+    matching sequential insertion semantics. Returns the frame's
+    candidates and its summary.
     """
     clock = _StageClock()
     candidates = dense_candidates(maps.decision, maps.flatness_raw, frame,
@@ -177,15 +184,22 @@ def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
                                       candidates.score, frame.frame_id,
                                       frame.timestamp)
     clock.lap("dense_detection")
-    return FrameResult(frame_id=frame.frame_id, candidates=candidates,
-                       inserted=flags.count(True),
-                       stage_ms={**maps.stage_ms, **clock.ms})
+    return candidates, FrameResult(frame_id=frame.frame_id,
+                                   n_candidates=len(candidates),
+                                   inserted=flags.count(True),
+                                   stage_ms={**maps.stage_ms, **clock.ms})
 
 
-def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResult:
-    """Process a frame iterable end to end.
+def run_pipeline(config: PipelineConfig, frames, dump_dir=None,
+                 candidates_path=None) -> PipelineResult:
+    """Process a frame iterable end to end; the one per-frame loop.
 
-    Returns per-frame candidates, the final registry and its clusters.
+    Each frame's candidates are handed on as soon as the frame is done:
+    with ``candidates_path`` set, ``write_candidates_jsonl`` writes them
+    there as ``candidates.jsonl`` lines (see it for what an error
+    leaves); without, they are dropped. The result holds each frame's
+    ``FrameResult`` summary, the final registry and its clusters, but no
+    frame's candidates, so a run's memory does not grow with them.
     A frame with no pixel valid in every costmap (no valid depth, or a
     smoothing window wider than the frame) is processed like any other
     (it yields no candidates) but logged and counted in ``frames_empty``.
@@ -194,22 +208,33 @@ def run_pipeline(config: PipelineConfig, frames, dump_dir=None) -> PipelineResul
     """
     registry = SiteRegistry(config.dedup_radius_m)
     result = PipelineResult(registry=registry)
-    for frame in frames:
-        try:
-            maps = evaluate_costmaps(config, frame)
-        except (ValueError, FloatingPointError) as exc:
-            log.warning("frame %s failed: %s", getattr(frame, "frame_id", "?"), exc)
-            result.frames_failed += 1
-            continue
-        if not maps.decision.valid.any():
-            log.warning("frame %s has no pixel valid in every costmap "
-                        "(%d valid depth pixels)", frame.frame_id,
-                        np.count_nonzero(frame.valid))
-            result.frames_empty += 1
-        if dump_dir is not None:
-            dump_costmaps(dump_dir, frame.frame_id, maps)
-        result.frames.append(detect_frame(config, frame, maps, registry))
-        del maps  # free this frame's maps before the next frame's are built
+
+    def frame_results():
+        for frame in frames:
+            try:
+                maps = evaluate_costmaps(config, frame)
+            except (ValueError, FloatingPointError) as exc:
+                log.warning("frame %s failed: %s",
+                            getattr(frame, "frame_id", "?"), exc)
+                result.frames_failed += 1
+                continue
+            if not maps.decision.valid.any():
+                log.warning("frame %s has no pixel valid in every costmap "
+                            "(%d valid depth pixels)", frame.frame_id,
+                            np.count_nonzero(frame.valid))
+                result.frames_empty += 1
+            if dump_dir is not None:
+                dump_costmaps(dump_dir, frame.frame_id, maps)
+            candidates, summary = detect_frame(config, frame, maps, registry)
+            del maps  # free this frame's maps before the next frame's are built
+            result.frames.append(summary)
+            yield candidates, summary
+
+    if candidates_path is None:
+        for _ in frame_results():
+            pass
+    else:
+        write_candidates_jsonl(candidates_path, frame_results())
     t0 = time.perf_counter()
     result.clusters = cluster_sites(registry, config.cluster_dist_m,
                                     config.cluster_z_m, config.cluster_metric)
@@ -239,8 +264,15 @@ def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps) -> None:
     formats.write_binary_pgm(out / f"{prefix}_edges.pgm", maps.edges.bits)
 
 
-def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
+def write_candidates_jsonl(path, frame_results) -> None:
     """One JSON object per candidate, frames in order, rows in raster order.
+
+    ``frame_results`` is an iterable of ``(Candidates, FrameResult)``
+    pairs, as ``detect_frame`` returns them, read one frame at a time:
+    each frame's lines are written before the next frame is asked for.
+    They go to ``<path>.tmp``, renamed to ``path`` after the last frame.
+    If reading a frame or writing raises, the temporary file is removed
+    and ``path`` is left as it was.
 
     The lines are byte-identical to ``json.dumps`` of each row's dict:
     ``json.dumps`` writes a finite float as ``float.__repr__``, which is
@@ -248,15 +280,21 @@ def write_candidates_jsonl(path, frame_results: list[FrameResult]) -> None:
     ``>=`` gates of ``dense_candidates`` (depth is finite on valid pixels,
     the score lies in [0, 1] and the flat radius is an EDT distance).
     """
-    with open(path, "w", encoding="utf-8") as f:
-        for fr in frame_results:
-            c = fr.candidates
-            f.writelines(
-                f'{{"frame_id": {fr.frame_id}, "px": {x}, "py": {y}, '
-                f'"depth_m": {d!r}, "score": {s!r}, "flat_radius_px": {r!r}}}\n'
-                for x, y, d, s, r in zip(c.xs.tolist(), c.ys.tolist(),
-                                         c.depth.tolist(), c.score.tolist(),
-                                         c.flat_radius_px.tolist()))
+    tmp = Path(f"{path}.tmp")
+    f = open(tmp, "w", encoding="utf-8")  # a file not made needs no removal
+    try:
+        with f:
+            for c, fr in frame_results:
+                f.writelines(
+                    f'{{"frame_id": {fr.frame_id}, "px": {x}, "py": {y}, '
+                    f'"depth_m": {d!r}, "score": {s!r}, "flat_radius_px": {r!r}}}\n'
+                    for x, y, d, s, r in zip(c.xs.tolist(), c.ys.tolist(),
+                                             c.depth.tolist(), c.score.tolist(),
+                                             c.flat_radius_px.tolist()))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_clusters_json(path, clusters: Clusters) -> None:
@@ -267,9 +305,10 @@ def write_clusters_json(path, clusters: Clusters) -> None:
 
 
 def write_outputs(out_dir, result: PipelineResult) -> None:
+    """Write ``sites.json`` and ``clusters.json`` once a run is done; its
+    ``candidates.jsonl`` is written while it runs (``run_pipeline``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_candidates_jsonl(out / "candidates.jsonl", result.frames)
     result.registry.save(out / "sites.json")
     write_clusters_json(out / "clusters.json", result.clusters)
 

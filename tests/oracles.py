@@ -347,10 +347,10 @@ def where_unit_normals(cross: np.ndarray, points: np.ndarray):
 
 
 def json_dumps_candidates_jsonl(frame_results) -> str:
-    """Reference candidates.jsonl text: one ``json.dumps`` call per row."""
+    """Reference candidates.jsonl text: one ``json.dumps`` call per row of
+    each ``(Candidates, FrameResult)`` pair."""
     lines = []
-    for fr in frame_results:
-        c = fr.candidates
+    for c, fr in frame_results:
         for i in range(len(c)):
             obj = {"frame_id": fr.frame_id, "px": int(c.xs[i]),
                    "py": int(c.ys[i]), "depth_m": float(c.depth[i]),

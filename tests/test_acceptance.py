@@ -281,8 +281,10 @@ def test_criterion_9_deterministic_outputs(tmp_path):
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}"
+        out.mkdir()
         result = run_pipeline(SIM, read_frame_stream(stream, SIM.d_min_m,
-                                                     SIM.d_max_m))
+                                                     SIM.d_max_m),
+                              candidates_path=out / "candidates.jsonl")
         write_outputs(out, result)
         outputs.append({name: (out / name).read_bytes()
                         for name in ("candidates.jsonl", "sites.json",

@@ -330,14 +330,14 @@ class TestCandidatesToWorld:
                                    frame_id=7, timestamp=1.25)
         config = get_profile("sim")
         registry = SiteRegistry(config.dedup_radius_m)
-        result = detect_frame(config, frame, evaluate_costmaps(config, frame),
-                              registry)
+        cands, result = detect_frame(config, frame,
+                                     evaluate_costmaps(config, frame), registry)
         assert result.frame_id == 7
+        assert result.n_candidates == len(cands)
         assert result.inserted == len(registry) > 0
         assert all(s.frame_id == 7 and s.timestamp == 1.25
                    for s in registry.sites)
         # the first candidate in raster order always enters an empty registry
-        cands = result.candidates
         assert registry.sites[0].score == cands.score[0]
         assert np.array_equal(registry.sites[0].position,
                               world_positions(cands, frame)[0])

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import io
+import itertools
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -34,8 +36,9 @@ from landsite.config import MAX_DISTANCE_M, PROFILES, PipelineConfig, \
 from landsite.detection import Candidates
 from landsite.errors import ConfigError
 from landsite.formats import read_pfm, write_json, write_pfm
-from landsite.geometry import (CameraIntrinsics, DepthFrame, camera_pose,
-                               project_uav_radius, rotation_x, rotation_z)
+from landsite.geometry import (CameraIntrinsics, DepthFrame, Pose,
+                               camera_pose, project_uav_radius, rotation_x,
+                               rotation_z)
 from landsite.registry import SiteRegistry, cluster_sites
 from landsite import pipeline
 from landsite.pipeline import (
@@ -299,11 +302,12 @@ class TestRunPipeline:
     def test_dumped_maps_reproduce_decisions(self, tmp_path):
         frame = render_canonical("RUBBLE")
         config = get_profile("sim")
-        result = run_pipeline(config, [frame], dump_dir=tmp_path / "maps")
+        run_pipeline(config, [frame], dump_dir=tmp_path / "maps",
+                     candidates_path=tmp_path / "candidates.jsonl")
         decision = read_pfm(tmp_path / "maps" / "000000_decision.pfm")
         flat = read_pfm(tmp_path / "maps" / "000000_flatness_raw.pfm")
         dec_valid, flat_valid = np.isfinite(decision), np.isfinite(flat)
-        cands = result.frames[0].candidates
+        cands = _read_candidates(tmp_path / "candidates.jsonl")
         assert len(cands) > 0
         # dumps are the decision arrays themselves, float32-quantized
         from landsite.pipeline import evaluate_costmaps as _eval
@@ -321,7 +325,7 @@ class TestRunPipeline:
         assert np.all(dec_valid[ys, xs] & flat_valid[ys, xs])
         assert np.all(decision[ys, xs] >= config.decision_threshold - eps)
         assert np.all(flat[ys, xs] >= req[ys, xs] - eps)
-        # and the in-memory values pass exactly
+        # and the written values (exact float reprs) pass exactly
         assert np.all(cands.score >= config.decision_threshold)
         assert np.all(cands.flat_radius_px >= req[ys, xs])
 
@@ -338,7 +342,7 @@ class TestRunPipeline:
                 "(0 valid depth pixels)") in caplog.text
         # still processed, so the outputs are those of the good frame alone
         assert [f.frame_id for f in result.frames] == [0, 1]
-        assert len(result.frames[1].candidates) == 0
+        assert result.frames[1].n_candidates == 0
         assert result.registry.to_json_obj() == once.registry.to_json_obj()
         # every depth pixel valid, but a smoothing window wider than the
         # frame leaves no pixel with a steepness score
@@ -353,7 +357,7 @@ class TestRunPipeline:
         assert result.frames_empty == 1 and result.frames_failed == 0
         assert ("frame 2 has no pixel valid in every costmap "
                 "(9 valid depth pixels)") in caplog.text
-        assert len(result.frames[0].candidates) == 0
+        assert result.frames[0].n_candidates == 0
 
     def test_stage_timings_recorded(self):
         frames = [render_canonical("FLAT_PAD", frame_id=i, camera_xy=(0.3 * i, 0))
@@ -368,19 +372,114 @@ class TestRunPipeline:
 
     def test_all_outputs_written(self, tmp_path):
         frame = render_canonical("FLAT_PAD")
-        result = run_pipeline(get_profile("sim"), [frame])
+        result = run_pipeline(get_profile("sim"), [frame],
+                              candidates_path=tmp_path / "candidates.jsonl")
+        assert [p.name for p in tmp_path.iterdir()] == ["candidates.jsonl"]
         write_outputs(tmp_path, result)
-        assert (tmp_path / "candidates.jsonl").exists()
-        assert (tmp_path / "sites.json").exists()
-        assert (tmp_path / "clusters.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["candidates.jsonl", "clusters.json", "sites.json"]
+        lines = (tmp_path / "candidates.jsonl").read_text().splitlines()
+        assert len(lines) == result.frames[0].n_candidates > 0
         sites = json.loads((tmp_path / "sites.json").read_text())
         assert len(sites["sites"]) == len(result.registry)
         clusters = json.loads((tmp_path / "clusters.json").read_text())
         keys = set(clusters["clusters"][0])
         assert keys == {"cx", "cy", "cz", "mean_score", "members"}
-        line = (tmp_path / "candidates.jsonl").read_text().splitlines()[0]
-        assert set(json.loads(line)) == {"frame_id", "px", "py", "depth_m",
-                                         "score", "flat_radius_px"}
+        assert set(json.loads(lines[0])) == {"frame_id", "px", "py",
+                                             "depth_m", "score",
+                                             "flat_radius_px"}
+
+    def test_memory_does_not_grow_with_frames(self, tmp_path):
+        # A flat 72x112 frame: 2,960 candidates, five 8-byte columns each.
+        # Replayed, it adds no site after the first time, so only what the
+        # run keeps of each frame could raise the peak.
+        config = get_profile("sim")
+        depth = np.full((72, 112), 4.0)
+        frame = DepthFrame(depth, np.ones_like(depth, bool),
+                           CameraIntrinsics(fx=50.0, fy=50.0, cx=55.5,
+                                            cy=35.5, width=112, height=72),
+                           camera_pose((0.0, 0.0, 4.0)))
+        cands, _ = detect_frame(config, frame, evaluate_costmaps(config, frame),
+                                SiteRegistry(config.dedup_radius_m))
+        nbytes = sum(getattr(cands, f.name).nbytes
+                     for f in dataclasses.fields(cands))
+        assert nbytes >= 100_000
+        path = tmp_path / "candidates.jsonl"
+
+        def peak(n_frames):
+            tracemalloc.start()
+            try:
+                result = run_pipeline(config, itertools.repeat(frame, n_frames),
+                                      candidates_path=path)
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result.frames) == n_frames
+            with open(path, "rb") as f:
+                assert sum(1 for _ in f) == n_frames * len(cands)
+            return peak_bytes
+
+        ten, forty = peak(10), peak(40)
+        assert forty - ten <= nbytes, (ten, forty, nbytes)
+
+
+@st.composite
+def posed_frames(draw):
+    """One to three small random frames (steps for Canny, holes), each
+    with a tilted camera pose at its own position."""
+    angle = st.floats(-math.pi, math.pi)
+    frames = []
+    for i in range(draw(st.integers(1, 3))):
+        h, w = draw(st.integers(1, 24)), draw(st.integers(1, 32))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        depth = rng.uniform(2.0, 6.0, (h, w))
+        depth[rng.random((h, w)) < 0.2] += 1.5
+        depth[rng.random((h, w)) < 0.25] = 0.0
+        position = draw(st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+        pose = camera_pose(position, draw(angle), draw(angle), draw(angle))
+        frame = tiny_frame(depth)
+        frames.append(dataclasses.replace(frame, pose_world_from_camera=pose,
+                                          frame_id=i))
+    return frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=posed_frames(), yaw=st.floats(-10.0, 10.0),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_heading_and_position_change_no_map_and_no_candidate(tmp_path_factory,
+                                                             frames, yaw,
+                                                             shift):
+    """Turning every pose about the world z axis and shifting it leaves
+    every map bit (the normals' world x and y aside) and every
+    ``candidates.jsonl`` byte as it was: where to land does not depend on
+    where the UAV is or which way it faces."""
+    config = get_profile("sim")
+    turned = [dataclasses.replace(f, pose_world_from_camera=Pose(
+        rotation_z(yaw) @ f.pose_world_from_camera.rotation,
+        f.pose_world_from_camera.translation + shift)) for f in frames]
+    for frame, other in zip(frames, turned):
+        maps = evaluate_costmaps(config, frame)
+        got = evaluate_costmaps(config, other)
+        for name in (f.name for f in dataclasses.fields(maps)):
+            if name not in ("normals", "stage_ms"):
+                want, have = getattr(maps, name), getattr(got, name)
+                for f in dataclasses.fields(want):
+                    assert getattr(have, f.name).tobytes() == \
+                        getattr(want, f.name).tobytes(), (name, f.name)
+        assert got.normals.valid.tobytes() == maps.normals.valid.tobytes()
+        assert got.normals.normals[..., 2].tobytes() == \
+            maps.normals.normals[..., 2].tobytes()
+    out = tmp_path_factory.mktemp("turned")
+    run_pipeline(config, frames, candidates_path=out / "a.jsonl")
+    run_pipeline(config, turned, candidates_path=out / "b.jsonl")
+    assert (out / "a.jsonl").read_bytes() == (out / "b.jsonl").read_bytes()
+
+
+def _read_candidates(path) -> Candidates:
+    """The columns of a ``candidates.jsonl``, its frames run together."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return _candidates(*([row[key] for row in rows] for key in
+                         ("px", "py", "depth_m", "score", "flat_radius_px")))
 
 
 def _candidates(xs, ys, depth, score, flat_radius_px):
@@ -402,26 +501,51 @@ class TestWriteCandidates:
     def test_awkward_floats_empty_and_several_frames(self, tmp_path):
         awkward = [0.1, 1e-05, 1e16, 5e-324, 57.0, 4.800000190734863]
         frames = [
-            FrameResult(0, _candidates(range(6), [0, 0, 1, 1, 2, 479], awkward,
-                                       awkward[::-1], awkward[2:] + awkward[:2]),
-                        inserted=1),
-            FrameResult(3, _candidates([], [], [], [], []), inserted=0),
-            FrameResult(12, _candidates([639, 5], [0, 7], [19.999999, 0.05],
-                                        [1.0, 0.72], [1e-300, 123456789.5]),
-                        inserted=2),
+            _candidates(range(6), [0, 0, 1, 1, 2, 479], awkward,
+                        awkward[::-1], awkward[2:] + awkward[:2]),
+            _candidates([], [], [], [], []),
+            _candidates([639, 5], [0, 7], [19.999999, 0.05], [1.0, 0.72],
+                        [1e-300, 123456789.5]),
         ]
-        self._assert_matches_oracle(tmp_path / "candidates.jsonl", frames)
+        results = [(c, FrameResult(frame_id, len(c), inserted))
+                   for c, frame_id, inserted in zip(frames, (0, 3, 12),
+                                                    (1, 0, 2))]
+        self._assert_matches_oracle(tmp_path / "candidates.jsonl", results)
 
     def test_no_frames(self, tmp_path):
         self._assert_matches_oracle(tmp_path / "candidates.jsonl", [])
 
     def test_rubble_frames(self, tmp_path):
+        config = get_profile("sim")
         frames = [render_canonical("RUBBLE", frame_id=i, camera_xy=(0.4 * i, 0))
                   for i in range(2)]
-        result = run_pipeline(get_profile("sim"), frames)
-        assert sum(len(f.candidates) for f in result.frames) > 0
-        self._assert_matches_oracle(tmp_path / "candidates.jsonl",
-                                    result.frames)
+        registry = SiteRegistry(config.dedup_radius_m)
+        results = [detect_frame(config, frame, evaluate_costmaps(config, frame),
+                                registry) for frame in frames]
+        assert sum(len(c) for c, _ in results) > 0
+        path = tmp_path / "candidates.jsonl"
+        run_pipeline(config, frames, candidates_path=path)
+        assert path.read_bytes() == \
+            json_dumps_candidates_jsonl(results).encode("utf-8")
+
+    def test_error_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "candidates.jsonl"
+        path.write_bytes(b"earlier run\n")
+        first = (_candidates([1], [2], [3.0], [0.9], [4.0]),
+                 FrameResult(0, 1, 1))
+
+        def failing_second_frame():
+            yield first
+            raise OSError("frame 1 unreadable")
+
+        with pytest.raises(OSError, match="frame 1 unreadable"):
+            write_candidates_jsonl(path, failing_second_frame())
+        assert path.read_bytes() == b"earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["candidates.jsonl"]
+        write_candidates_jsonl(path, iter([first]))
+        assert path.read_bytes() == \
+            json_dumps_candidates_jsonl([first]).encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["candidates.jsonl"]
 
 
 @pytest.fixture(scope="module")
@@ -938,8 +1062,9 @@ def test_outside_timing_harness_calls():
     frame = render_canonical("FLAT_PAD")
     maps = evaluate_costmaps(config, frame)
     reg = SiteRegistry(config.dedup_radius_m)
-    result = detect_frame(config, frame, maps, reg)
+    cands, result = detect_frame(config, frame, maps, reg)
     assert result.inserted == len(reg) > 0
+    assert result.n_candidates == len(cands) >= result.inserted
     pos = reg.positions() + [0.0, 0.0, 0.01]
     scores = np.full(len(pos), 0.9)
     flags = reg.insert_positions(pos, scores, 1, 0.05)
@@ -1607,15 +1732,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command, option", [("detect", "--out"),
                                                  ("detect", "--dump-costmaps"),
-                                                 ("bench", "--out")])
+                                                 ("bench", "--out"),
+                                                 ("costmap", "--out")])
     def test_unwritable_out_fails_before_any_frame(self, tmp_path, capsys,
                                                    monkeypatch, command,
                                                    option):
         stream = self._synth(tmp_path, frames=2)
         capsys.readouterr()
         ran = []
-        monkeypatch.setattr(pipeline, "evaluate_costmaps",
-                            lambda *args: ran.append(args))
+        # cli imports evaluate_costmaps by name for `costmap`
+        for owner in (pipeline, cli):
+            monkeypatch.setattr(owner, "evaluate_costmaps",
+                                lambda *args: ran.append(args))
         blocker = tmp_path / "file"
         blocker.write_text("")
         for out in (blocker, blocker / "out"):
@@ -1628,6 +1756,26 @@ class TestCli:
             assert captured.err.count("\n") == 1, captured.err
             assert captured.err.startswith("error: ")
         assert ran == []
+
+    def test_failed_run_leaves_the_earlier_outputs(self, tmp_path, capsys):
+        stream = self._synth(tmp_path, frames=2)
+        out, dump = tmp_path / "out", tmp_path / "dump"
+        assert cli_main(["detect", "--in", str(stream), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["candidates.jsonl", "clusters.json",
+                                  "sites.json"]
+        # the second frame's first dumped map cannot be written
+        blocked = dump / "000001_depth_confidence_raw.pfm"
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert cli_main(["detect", "--in", str(stream), "--out", str(out),
+                         "--dump-costmaps", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and str(blocked) in captured.err
+        assert (dump / "000000_decision.pfm").exists()  # frame 0 ran
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_io_error_exits_2(self, tmp_path):
         assert cli_main(["detect", "--in", str(tmp_path / "missing"),
