@@ -15,12 +15,14 @@ from .costmaps import (
     LOWER_IS_BETTER,
     BinaryMap,
     Costmap,
+    FrameMaps,
     NormalMap,
     canny_edges,
     decision_map,
     depth_confidence_map,
     distance_transform,
     energy_map,
+    evaluate_costmaps,
     minmax_normalize,
     steepness_map,
     surface_normals,
@@ -36,9 +38,7 @@ from .geometry import (
     project_uav_radius,
 )
 from .pipeline import (
-    FrameMaps,
     PipelineResult,
-    evaluate_costmaps,
     read_frame_stream,
     run_pipeline,
     write_frame_stream,

@@ -13,7 +13,10 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -123,10 +126,18 @@ def _cmd_detect(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     if args.dump_costmaps is not None:
         args.dump_costmaps.mkdir(parents=True, exist_ok=True)
-    result = run_pipeline(config, itertools.chain((first,), frames),
-                          dump_dir=args.dump_costmaps,
-                          candidates_path=args.out / "candidates.jsonl")
-    write_outputs(args.out, result)
+    # All three outputs are staged in --out and replace the real ones only
+    # once every one is written, so a failed run leaves --out as it was.
+    staged = Path(tempfile.mkdtemp(prefix=".detect-staged-", dir=args.out))
+    try:
+        result = run_pipeline(config, itertools.chain((first,), frames),
+                              dump_dir=args.dump_costmaps,
+                              candidates_path=staged / "candidates.jsonl")
+        write_outputs(staged, result)
+        for name in ("candidates.jsonl", "sites.json", "clusters.json"):
+            os.replace(staged / name, args.out / name)
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
     n_candidates = sum(f.n_candidates for f in result.frames)
     print(f"frames: {len(result.frames)} (failed: {result.frames_failed})  "
           f"empty: {result.frames_empty}  candidates: {n_candidates}  "

@@ -45,22 +45,50 @@ feed are the ones outside the frame's boxes, and are reset to +0.0.
 
 Everything here is a pure, deterministic function of its inputs: the
 stages compute in place only in buffers they allocate themselves, and
-return no view of an input. Each runs on the calling thread alone,
-except that ``decision_map`` fuses half of its rows on the costmap
-worker; every pixel's sum is the same on either thread.
+return no view of an input.
 
-The costmap worker is one thread for the whole process, started by its
-first task and shared by every caller; ``run_both`` runs one task there
-while the calling thread runs another. ``pipeline.evaluate_costmaps``
-overlaps its two branches with it and ``decision_map`` its two row
-halves. A forked child makes a worker of its own, since the fork does
-not copy the parent's thread.
+``evaluate_costmaps`` runs a frame's stages on two threads, the calling
+thread and the costmap worker: one thread for the whole process, started
+by its first task and shared by every caller. Every other function here
+runs on the thread that calls it, except ``decision_map``'s split.
+
+- The calling thread runs the depth branch: every map that needs only
+  the depth (depth confidence; Canny, the EDT and flatness; energy),
+  each with its normalisation. It makes most of a frame's short-lived
+  full-frame arrays, and what they cost can depend on the thread that
+  allocates them: here a steady-state rubble frame takes no minor page
+  fault, while with the branches swapped it took about 4,200 a frame in
+  some processes (and none in others).
+- The worker meanwhile runs normals and steepness. The branches share
+  only the input frame, and numpy and ``scipy.ndimage`` release the
+  GIL, so they overlap on a multi-core host.
+- After both end, only ``decision_map`` runs: the calling thread
+  allocates its output and mask and fuses rows ``[0, H/2)`` while the
+  worker fuses rows ``[H/2, H)``, so the worker is not idle during it.
+
+Every numpy call takes the GIL, so the other thread may wait on it: a
+stage on either thread costs the frame its calls as well as its
+arithmetic, and the worker's normals keep their calls few, about 470 a
+640x480 frame rather than 2,800 (see ``_tangent_blocks``).
+
+Both joins are ``_run_both``. The worker runs each task in a copy of the
+caller's context, so an enclosing ``np.errstate`` applies to it too, and
+both sides finish before the join returns or raises. The calling
+thread's error wins: the depth branch's, as in the serial order the
+branches mirror (depth confidence, flatness and energy, each normalised,
+then normals and steepness), after which no fusion runs; in the fusion,
+that of rows ``[0, H/2)``. Concurrent callers' worker tasks run one
+after another. A forked child makes a worker of its own, since the fork
+does not copy the parent's thread. The stages are pure and the fusion is
+per pixel, so every map is the same bits as in serial order.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -122,6 +150,23 @@ class NormalMap:
         if self.normals.ndim != 3 or self.normals.shape[2] != 3 \
                 or self.normals.shape[:2] != self.valid.shape:
             raise ValueError("normals must be (H, W, 3) with matching mask")
+
+
+@dataclass(eq=False)
+class FrameMaps:
+    """Every array the per-frame stages produce, exactly as used downstream."""
+
+    depth_confidence_raw: Costmap
+    edges: BinaryMap
+    flatness_raw: Costmap
+    normals: NormalMap
+    steepness: Costmap
+    energy_raw: Costmap
+    depth_confidence: Costmap
+    flatness: Costmap
+    energy: Costmap
+    decision: Costmap
+    stage_ms: dict[str, float]  # costmap stages
 
 
 def depth_confidence_map(frame: DepthFrame) -> Costmap:
@@ -508,11 +553,11 @@ def decision_map(depth_confidence: Costmap, flatness: Costmap,
     steepness. Each pixel is the weighted terms summed left to right, or
     +0.0 where any input is invalid.
 
-    Through ``run_both``, this thread fuses rows ``[0, H/2)`` while the
-    costmap worker fuses rows ``[H/2, H)``, both into the one output this
-    thread allocates; each pixel's sum is the same on either thread. Both
-    halves finish before this returns or raises, and an error in rows
-    ``[0, H/2)`` wins. Do not call it from the worker (see ``run_both``).
+    This thread fuses rows ``[0, H/2)`` and the costmap worker rows
+    ``[H/2, H)``, into the one output this thread allocates (see the module
+    docstring). Both halves finish before this returns or raises, and an
+    error in rows ``[0, H/2)`` wins. Do not call it from the worker (see
+    ``_run_both``).
     """
     maps = (depth_confidence, flatness, steepness, energy)
     shape = depth_confidence.shape
@@ -521,8 +566,8 @@ def decision_map(depth_confidence: Costmap, flatness: Costmap,
     fused = np.empty(shape)
     ok = np.empty(shape, dtype=bool)
     h = shape[0]
-    run_both(lambda: _fuse_rows(maps, config, fused, ok, 0, h // 2),
-             lambda: _fuse_rows(maps, config, fused, ok, h // 2, h))
+    _run_both(lambda: _fuse_rows(maps, config, fused, ok, 0, h // 2),
+              lambda: _fuse_rows(maps, config, fused, ok, h // 2, h))
     return Costmap(fused, ok)
 
 
@@ -560,18 +605,15 @@ _make_worker()
 os.register_at_fork(after_in_child=_make_worker)
 
 
-def run_both(here, there):
+def _run_both(here, there):
     """Run ``there()`` on the costmap worker while this thread runs
     ``here()``; return ``(here(), there())``.
 
     ``there`` runs in a copy of this thread's context, so an enclosing
     ``np.errstate`` applies to it too. Both finish before this returns or
-    raises, and if both fail, ``here``'s error wins.
-
-    Every caller in the process shares the one worker: concurrent
-    callers' ``there`` tasks run on it one after another. Never call this
-    from the worker itself (from a ``there``): the call would wait for a
-    task queued behind its own.
+    raises, and if both fail, ``here``'s error wins. Never call this from
+    the worker itself (from a ``there``): the call would wait for a task
+    queued behind its own.
     """
     elsewhere = _worker.submit(contextvars.copy_context().run, there)
     try:
@@ -579,3 +621,66 @@ def run_both(here, there):
     finally:
         wait((elsewhere,))
     return result, elsewhere.result()
+
+
+class _StageClock:
+    """Lap timer: each ``lap`` records the milliseconds since the last one."""
+
+    def __init__(self):
+        self.ms: dict[str, float] = {}
+        self._t0 = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        t = time.perf_counter()
+        self.ms[stage] = (t - self._t0) * 1e3
+        self._t0 = t
+
+
+def _depth_branch(config: PipelineConfig, frame: DepthFrame) -> dict:
+    """Every map that needs only the depth, each with its normalisation,
+    timed on its own clock; the ``FrameMaps`` fields plus ``stage_ms``."""
+    clock = _StageClock()
+    depth_conf_raw = depth_confidence_map(frame)
+    depth_conf = minmax_normalize(depth_conf_raw, HIGHER_IS_BETTER)
+    clock.lap("depth_accuracy")
+    edges = canny_edges(frame, config.canny_low_m, config.canny_high_m)
+    flat_raw = distance_transform(edges, frame.valid)
+    flat = minmax_normalize(flat_raw, HIGHER_IS_BETTER)
+    clock.lap("flatness")
+    energy_raw = energy_map(frame)
+    energy = minmax_normalize(energy_raw, LOWER_IS_BETTER)
+    clock.lap("energy")
+    return dict(depth_confidence_raw=depth_conf_raw, edges=edges,
+                flatness_raw=flat_raw, energy_raw=energy_raw,
+                depth_confidence=depth_conf, flatness=flat, energy=energy,
+                stage_ms=clock.ms)
+
+
+def _normals_branch(config: PipelineConfig, frame: DepthFrame):
+    """Normals and steepness, timed as one "steepness" lap; returns
+    ``(normals, steepness, stage_ms)``."""
+    clock = _StageClock()
+    normals = surface_normals(frame, config.smoothing_window_px)
+    steep = steepness_map(normals, math.radians(config.slope_tolerance_deg))
+    clock.lap("steepness")
+    return normals, steep, clock.ms
+
+
+def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
+    """Run the costmap stages for one frame, timing each into ``stage_ms``.
+
+    The depth branch runs on this thread and normals and steepness on the
+    costmap worker; "final" times the fusion alone, after they join. The
+    module docstring describes the schedule and what an error leaves.
+    """
+    depth_maps, (normals, steep, steep_ms) = _run_both(
+        lambda: _depth_branch(config, frame),
+        lambda: _normals_branch(config, frame))
+    final = _StageClock()
+    decision = decision_map(depth_maps["depth_confidence"],
+                            depth_maps["flatness"], steep,
+                            depth_maps["energy"], config)
+    final.lap("final")
+    stage_ms = {**depth_maps.pop("stage_ms"), **steep_ms, **final.ms}
+    return FrameMaps(**depth_maps, normals=normals, steepness=steep,
+                     decision=decision, stage_ms=stage_ms)

@@ -6,14 +6,9 @@ end (or on demand). ``run_pipeline`` is the one frame loop. It processes
 frames strictly in order, because the registry's dedup semantics are
 order sensitive, and hands each frame's candidates on (to
 ``write_candidates_jsonl``, or nowhere) as soon as the frame is done, so
-a run keeps no frame's candidates. Within a frame, the two
-costmap branches overlap on two threads: every map that needs only the
-depth (depth confidence, flatness and energy, each normalised) on the
-calling thread, normals and steepness on the costmap worker, one thread
-that the whole process shares (see ``costmaps.run_both``); only the
-fusion runs after they join, half its rows on each thread. Each other
-stage function is single-threaded, every stage is pure, and the fusion
-is per pixel, so the maps are the same bits as in serial order.
+a run keeps no frame's candidates. ``costmaps.evaluate_costmaps`` runs
+a frame's costmap stages; the ``costmaps`` module docstring describes
+how.
 
 A frame stream on disk is a directory holding intrinsics.json,
 frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
@@ -25,7 +20,6 @@ load.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -33,32 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costmaps as cm
 from . import formats
 from .config import PipelineConfig
+from .costmaps import Costmap, FrameMaps, evaluate_costmaps
 from .detection import Candidates, dense_candidates, world_positions
 from .geometry import DepthFrame, load_intrinsics, load_pose_records, \
     save_intrinsics, save_pose_records
 from .registry import Clusters, SiteRegistry, cluster_fields, cluster_sites
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(eq=False)
-class FrameMaps:
-    """Every array the per-frame stages produce, exactly as used downstream."""
-
-    depth_confidence_raw: cm.Costmap
-    edges: cm.BinaryMap
-    flatness_raw: cm.Costmap
-    normals: cm.NormalMap
-    steepness: cm.Costmap
-    energy_raw: cm.Costmap
-    depth_confidence: cm.Costmap
-    flatness: cm.Costmap
-    energy: cm.Costmap
-    decision: cm.Costmap
-    stage_ms: dict[str, float]  # costmap stages
 
 
 @dataclass(eq=False)
@@ -82,93 +59,6 @@ class PipelineResult:
     cluster_ms: float = 0.0  # the one cluster_sites call, at the end
 
 
-class _StageClock:
-    """Lap timer: each ``lap`` records the milliseconds since the last one."""
-
-    def __init__(self):
-        self.ms: dict[str, float] = {}
-        self._t0 = time.perf_counter()
-
-    def lap(self, stage: str) -> None:
-        t = time.perf_counter()
-        self.ms[stage] = (t - self._t0) * 1e3
-        self._t0 = t
-
-
-def _depth_branch(config: PipelineConfig, frame: DepthFrame) -> dict:
-    """Every map that needs only the depth, each with its normalisation,
-    timed on its own clock; the ``FrameMaps`` fields plus ``stage_ms``."""
-    clock = _StageClock()
-    depth_conf_raw = cm.depth_confidence_map(frame)
-    depth_conf = cm.minmax_normalize(depth_conf_raw, cm.HIGHER_IS_BETTER)
-    clock.lap("depth_accuracy")
-    edges = cm.canny_edges(frame, config.canny_low_m, config.canny_high_m)
-    flat_raw = cm.distance_transform(edges, frame.valid)
-    flat = cm.minmax_normalize(flat_raw, cm.HIGHER_IS_BETTER)
-    clock.lap("flatness")
-    energy_raw = cm.energy_map(frame)
-    energy = cm.minmax_normalize(energy_raw, cm.LOWER_IS_BETTER)
-    clock.lap("energy")
-    return dict(depth_confidence_raw=depth_conf_raw, edges=edges,
-                flatness_raw=flat_raw, energy_raw=energy_raw,
-                depth_confidence=depth_conf, flatness=flat, energy=energy,
-                stage_ms=clock.ms)
-
-
-def _normals_branch(config: PipelineConfig, frame: DepthFrame):
-    """Normals and steepness, timed as one "steepness" lap; returns
-    ``(normals, steepness, stage_ms)``."""
-    clock = _StageClock()
-    normals = cm.surface_normals(frame, config.smoothing_window_px)
-    steep = cm.steepness_map(normals, math.radians(config.slope_tolerance_deg))
-    clock.lap("steepness")
-    return normals, steep, clock.ms
-
-
-def evaluate_costmaps(config: PipelineConfig, frame: DepthFrame) -> FrameMaps:
-    """Run the costmap stages for one frame, timing each into ``stage_ms``.
-
-    This thread builds and normalises every map that needs only the depth
-    (depth confidence; Canny, the EDT and flatness; energy) while the
-    costmap worker, the process's one shared thread, runs normals and
-    steepness; the branches share only the input frame, and numpy and
-    ``scipy.ndimage`` release the GIL, so they overlap on a multi-core
-    host. Only ``decision_map`` runs after they join, and the "final" lap
-    times it alone: this thread allocates its output and mask and fuses
-    rows ``[0, H/2)`` while the worker fuses rows ``[H/2, H)``, so the
-    worker is not idle during it. Both joins are ``costmaps.run_both``:
-    the worker runs each task in a copy of the caller's context, so an
-    enclosing ``np.errstate`` applies to it too, and both sides finish
-    before this returns or raises. The depth branch's error wins, as it
-    would in the serial order this mirrors (depth confidence, flatness
-    and energy, each normalised, then normals and steepness), and no
-    fusion runs after it. Concurrent callers share the worker, and a
-    forked child starts its own.
-
-    Every numpy call takes the GIL, so the other thread may wait on it:
-    a stage on either thread costs the frame its calls as well as its
-    arithmetic, and the worker's normals keep their calls few (see
-    ``costmaps._tangent_blocks``).
-
-    The depth branch runs here rather than on the worker because it makes
-    most of a frame's short-lived full-frame arrays, and what they cost
-    depends on the thread that allocates them: on the worker, with
-    Canny suppressing only its candidates, a rubble frame took about
-    3,750 minor page faults against 1 here.
-    """
-    depth_maps, (normals, steep, steep_ms) = cm.run_both(
-        lambda: _depth_branch(config, frame),
-        lambda: _normals_branch(config, frame))
-    final = _StageClock()
-    decision = cm.decision_map(depth_maps["depth_confidence"],
-                               depth_maps["flatness"], steep,
-                               depth_maps["energy"], config)
-    final.lap("final")
-    stage_ms = {**depth_maps.pop("stage_ms"), **steep_ms, **final.ms}
-    return FrameMaps(**depth_maps, normals=normals, steepness=steep,
-                     decision=decision, stage_ms=stage_ms)
-
-
 def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
                  registry: SiteRegistry) -> tuple[Candidates, FrameResult]:
     """Dense detection for one frame, including registry aggregation.
@@ -177,17 +67,17 @@ def detect_frame(config: PipelineConfig, frame: DepthFrame, maps: FrameMaps,
     matching sequential insertion semantics. Returns the frame's
     candidates and its summary.
     """
-    clock = _StageClock()
+    t0 = time.perf_counter()
     candidates = dense_candidates(maps.decision, maps.flatness_raw, frame,
                                   config)
     flags = registry.insert_positions(world_positions(candidates, frame),
                                       candidates.score, frame.frame_id,
                                       frame.timestamp)
-    clock.lap("dense_detection")
-    return candidates, FrameResult(frame_id=frame.frame_id,
-                                   n_candidates=len(candidates),
-                                   inserted=flags.count(True),
-                                   stage_ms={**maps.stage_ms, **clock.ms})
+    ms = (time.perf_counter() - t0) * 1e3
+    return candidates, FrameResult(
+        frame_id=frame.frame_id, n_candidates=len(candidates),
+        inserted=flags.count(True),
+        stage_ms={**maps.stage_ms, "dense_detection": ms})
 
 
 def run_pipeline(config: PipelineConfig, frames, dump_dir=None,
@@ -256,7 +146,7 @@ def dump_costmaps(dump_dir, frame_id: int, maps: FrameMaps) -> None:
     prefix = f"{frame_id:06d}"
     for name in (f.name for f in fields(maps)):
         costmap = getattr(maps, name)
-        if isinstance(costmap, cm.Costmap):
+        if isinstance(costmap, Costmap):
             formats.write_values_pfm(out / f"{prefix}_{name}.pfm",
                                      costmap.values, costmap.valid)
             formats.write_pgm(out / f"{prefix}_{name}.pgm",

@@ -1253,6 +1253,96 @@ class TestSnapshot:
             SiteRegistry.from_json_obj(obj)
 
 
+def dyadic(rng, bound, size) -> np.ndarray:
+    """Multiples of 1/64 in [-bound, bound]. Within +-1000 m their
+    differences, squares and sums are exact in float64."""
+    return rng.integers(-64 * bound, 64 * bound + 1, size) / 64
+
+
+def dyadic_batches(seed, n_batches=3, rows=300):
+    """Three batches of positions around a dozen centres within +-500 m,
+    spread about the dedup radius and the cluster thresholds below, z
+    varying, with scores that are multiples of 1/64."""
+    rng = np.random.default_rng(seed)
+    centres = dyadic(rng, 500, (12, 3))
+    batches = []
+    for _ in range(n_batches):
+        offsets = np.column_stack([dyadic(rng, 2, (rows, 2)),
+                                   dyadic(rng, 0.5, rows)])
+        pos = centres[rng.integers(0, len(centres), rows)] + offsets
+        batches.append((pos, rng.integers(0, 65, rows) / 64))
+    return batches
+
+
+def insert_and_cluster(batches, metric):
+    """Each batch inserted as one frame, then clustered: the registry,
+    each batch's flags, each row's cluster label (its smallest member's
+    row) and ``{label: (centroid, mean score, members)}``."""
+    reg = SiteRegistry(0.5)
+    flags = [reg.insert_positions(pos, scores, k, k / 20)
+             for k, (pos, scores) in enumerate(batches)]
+    clusters = cluster_sites(reg, 1.0, 0.25, metric)
+    state = reg._cluster_state
+    summaries = {label: (tuple(c), m, n) for label, c, m, n in zip(
+        state.ranked.tolist(), clusters.centroids.tolist(),
+        clusters.mean_score.tolist(), clusters.members.tolist())}
+    return reg, flags, state.labels.tolist(), summaries
+
+
+class TestExactInvariance:
+    """On a dyadic grid every difference, square and sum is exact, so
+    where the mission is, which way it faces and the order the sites are
+    stored in must change no dedup flag and no cluster. Clusters are
+    compared unranked: the rank order of clusters tied on mean score and
+    members follows their centroids."""
+
+    @pytest.mark.parametrize("metric", ["xy", "xyz"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shift_and_quarter_turn(self, seed, metric):
+        batches = dyadic_batches(seed)
+        _, flags, labels, summaries = insert_and_cluster(batches, metric)
+        assert 0 < sum(map(sum, flags)) < sum(map(len, flags))
+        assert len(summaries) < sum(map(sum, flags))  # some clusters merge
+        shift = dyadic(np.random.default_rng(100 + seed), 400, 3)
+        shifted = insert_and_cluster(
+            [(pos + shift, scores) for pos, scores in batches], metric)
+        assert shifted[1:3] == (flags, labels)
+        # a shift need not map a centroid: the mean rounds
+        assert {k: v[1:] for k, v in shifted[3].items()} == \
+            {k: v[1:] for k, v in summaries.items()}
+        turned = insert_and_cluster(
+            [(np.column_stack([-pos[:, 1], pos[:, 0], pos[:, 2]]), scores)
+             for pos, scores in batches], metric)
+        assert turned[1:3] == (flags, labels)
+        assert turned[3] == {label: ((-cy, cx, cz), score, members)
+                             for label, ((cx, cy, cz), score, members)
+                             in summaries.items()}
+
+    @pytest.mark.parametrize("metric", ["xy", "xyz"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stored_row_order(self, seed, metric):
+        reg, _, labels, summaries = insert_and_cluster(dyadic_batches(seed),
+                                                       metric)
+        obj = reg.to_json_obj()
+        order = np.random.default_rng(200 + seed).permutation(len(reg))
+        permuted = SiteRegistry.from_json_obj(
+            dict(obj, sites=[obj["sites"][k] for k in order]))
+        clusters = cluster_sites(permuted, 1.0, 0.25, metric)
+
+        def partition(labels, rows):
+            groups = {}
+            for row, label in zip(rows, labels):
+                groups.setdefault(label, set()).add(row)
+            return sorted(map(sorted, groups.values()))
+
+        assert partition(permuted._cluster_state.labels.tolist(), order) == \
+            partition(labels, range(len(reg)))
+        assert sorted(zip(map(tuple, clusters.centroids.tolist()),
+                          clusters.mean_score.tolist(),
+                          clusters.members.tolist())) == \
+            sorted(summaries.values())
+
+
 # One damaged value: (kind, replacement)
 BAD_VALUES = {"string": "a", "bool": True, "nan": float("nan"),
               "1e400": float("1e400"), "int_1e400": 10**400, "null": None}
