@@ -12,18 +12,20 @@ Conventions used throughout the package:
 
 Arrays are indexed [row, column] = [y, x]. All functions are pure and
 never mutate their inputs; they are safe to call from multiple threads.
+The module does no I/O: ``pipeline`` reads and writes the frame-stream
+files, through ``CameraIntrinsics.to_json_obj``/``from_json_obj`` and
+``Pose``'s quaternion conversions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .formats import integer, malformed, number, read_json, write_json
+from .formats import integer, number
 
 ROTATION_TOL = 1e-9
 QUAT_NORM_TOL = 1e-6
@@ -84,12 +86,23 @@ def rotation_matrix(value) -> np.ndarray:
     return r
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that no caller can make writeable again.
+
+    ``array`` must own its data: numpy refuses the flag to a view only
+    while the array that owns the data is read-only.
+    """
+    array.flags.writeable = False
+    return array.view()
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform mapping camera/body coordinates into the world.
 
     ``rotation`` must pass ``rotation_matrix``; ``translation`` is the
-    camera position in world coordinates.
+    camera position in world coordinates. Both are stored as read-only
+    copies.
     """
 
     rotation: np.ndarray
@@ -97,13 +110,11 @@ class Pose:
 
     def __post_init__(self):
         r = rotation_matrix(self.rotation)
-        t = np.array(self.translation, dtype=np.float64).reshape(3)
+        t = np.array(np.reshape(self.translation, 3), dtype=np.float64)
         if not np.all(np.isfinite(t)):
             raise ValueError("pose translation must be finite")
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", _read_only(r))
+        object.__setattr__(self, "translation", _read_only(t))
 
     @classmethod
     def from_quaternion(cls, qw: float, qx: float, qy: float, qz: float,
@@ -249,52 +260,3 @@ def project_uav_radius(uav_radius: float, depth, intrinsics: CameraIntrinsics):
     r = intrinsics.fx * uav_radius / d
     return float(r) if np.isscalar(depth) or d.ndim == 0 else r
 
-
-# --- file interchange -------------------------------------------------------
-
-def load_intrinsics(path) -> CameraIntrinsics:
-    """Read intrinsics JSON; OSError naming the path if it is malformed."""
-    return read_json(path, CameraIntrinsics.from_json_obj, "intrinsics")
-
-
-def save_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
-    write_json(path, intrinsics.to_json_obj())
-
-
-def load_pose_records(path) -> dict[int, tuple[float, Pose]]:
-    """Read a JSONL pose stream into {frame_id: (t_sec, pose)}.
-
-    Pose fields and ``t_sec`` must be finite numbers and ``frame_id`` an
-    integer (``formats.number``/``integer``); a malformed line, including
-    one with a ``frame_id`` already seen, raises OSError naming the path
-    and line number.
-    """
-    records: dict[int, tuple[float, Pose]] = {}
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            with malformed(f"{path}:{lineno}", "pose record"):
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                pose = Pose.from_quaternion(
-                    *(number(obj, k) for k in ("qw", "qx", "qy", "qz")),
-                    tuple(number(obj, k) for k in ("tx", "ty", "tz")))
-                t_sec = number(obj, "t_sec")
-                frame_id = integer(obj, "frame_id")
-                if frame_id in records:
-                    raise ValueError(f"repeated frame_id {frame_id}")
-                records[frame_id] = (t_sec, pose)
-    return records
-
-
-def save_pose_records(path, records) -> None:
-    """Write (frame_id, t_sec, Pose) triples as a JSONL pose stream."""
-    with open(path, "w", encoding="utf-8") as f:
-        for frame_id, t_sec, pose in records:
-            qw, qx, qy, qz = pose.to_quaternion()
-            tx, ty, tz = (float(c) for c in pose.translation)
-            obj = {"frame_id": int(frame_id), "t_sec": float(t_sec),
-                   "qw": qw, "qx": qx, "qy": qy, "qz": qz,
-                   "tx": tx, "ty": ty, "tz": tz}
-            f.write(json.dumps(obj) + "\n")

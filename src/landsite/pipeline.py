@@ -10,16 +10,35 @@ a run keeps no frame's candidates. ``costmaps.evaluate_costmaps`` runs
 a frame's costmap stages; the ``costmaps`` module docstring describes
 how.
 
-A frame stream on disk is a directory holding intrinsics.json,
-frames.jsonl (one pose record per frame) and one NNNNNN.pfm depth file
-per frame, matched by frame id. Depth PFMs encode invalid pixels as 0.0;
-anything outside the configured sensor range is treated as invalid on
-load.
+A frame stream on disk is a directory that ``write_frame_stream`` writes
+and ``read_frame_stream`` reads:
+
+* ``intrinsics.json``: ``CameraIntrinsics.to_json_obj()``, the keys fx,
+  fy, cx, cy, width and height.
+* ``frames.jsonl``: one pose record a line, frames in the order written,
+  keys frame_id, t_sec, qw, qx, qy, qz, tx, ty and tz: the frame id, its
+  timestamp, the world-from-camera rotation as ``Pose.to_quaternion``
+  gives it (qw >= 0) and the camera position. Every value must be a
+  finite number and frame_id an integer; a line that breaks this or
+  repeats a frame id is an OSError naming ``path:line``, and a blank
+  line is skipped.
+* ``NNNNNN.pfm``: one depth file per frame, named by its frame id as
+  ``f"{frame_id:06d}"``. Invalid pixels are stored as 0.0; anything
+  outside the configured sensor range is invalid on load.
+
+``write_frame_stream`` raises ValueError, before it writes any file, if
+the frames are empty or do not share one intrinsics, if a frame id is a
+bool or not an integer (``operator.index`` refuses it), if a timestamp
+is not finite, or if a frame id repeats. So every stream it writes reads
+back.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -31,8 +50,7 @@ from . import formats
 from .config import PipelineConfig
 from .costmaps import Costmap, FrameMaps, evaluate_costmaps
 from .detection import Candidates, dense_candidates, world_positions
-from .geometry import DepthFrame, load_intrinsics, load_pose_records, \
-    save_intrinsics, save_pose_records
+from .geometry import CameraIntrinsics, DepthFrame, Pose
 from .registry import Clusters, SiteRegistry, cluster_fields, cluster_sites
 
 log = logging.getLogger(__name__)
@@ -206,37 +224,55 @@ def write_outputs(out_dir, result: PipelineResult) -> None:
 # --- frame streams -----------------------------------------------------------
 
 def write_frame_stream(stream_dir, frames) -> None:
-    """Write frames as intrinsics.json + frames.jsonl + NNNNNN.pfm files."""
+    """Write frames as a stream directory (see the module docstring)."""
     frames = list(frames)
     if not frames:
         raise ValueError("cannot write an empty frame stream")
     if any(f.intrinsics != frames[0].intrinsics for f in frames):
         raise ValueError("all frames in a stream must share intrinsics")
+    for f in frames:
+        try:
+            operator.index(f.frame_id)
+        except TypeError:
+            integral = False
+        else:
+            integral = not isinstance(f.frame_id, bool)
+        if not integral:
+            raise ValueError(f"frame id {f.frame_id!r} is not an integer")
+        if not math.isfinite(f.timestamp):
+            raise ValueError(f"frame {f.frame_id}: timestamp {f.timestamp!r} "
+                             f"is not finite")
     if len({f.frame_id for f in frames}) != len(frames):
         raise ValueError("frame ids in a stream must be unique")
     out = Path(stream_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_intrinsics(out / "intrinsics.json", frames[0].intrinsics)
-    records = []
-    for frame in frames:
-        records.append((frame.frame_id, frame.timestamp,
-                        frame.pose_world_from_camera))
-        formats.write_pfm(out / f"{frame.frame_id:06d}.pfm", frame.depth)
-    save_pose_records(out / "frames.jsonl", records)
+    formats.write_json(out / "intrinsics.json",
+                       frames[0].intrinsics.to_json_obj())
+    with open(out / "frames.jsonl", "w", encoding="utf-8") as poses:
+        for frame in frames:
+            qw, qx, qy, qz = frame.pose_world_from_camera.to_quaternion()
+            tx, ty, tz = frame.pose_world_from_camera.translation.tolist()
+            poses.write(json.dumps(
+                {"frame_id": int(frame.frame_id), "t_sec": float(frame.timestamp),
+                 "qw": qw, "qx": qx, "qy": qy, "qz": qz,
+                 "tx": tx, "ty": ty, "tz": tz}, allow_nan=False) + "\n")
+            formats.write_pfm(out / f"{frame.frame_id:06d}.pfm", frame.depth)
 
 
 def read_frame_stream(stream_dir, d_min: float, d_max: float):
     """Yield DepthFrames from a stream directory, in frame-id order.
 
-    Frames whose depth file is missing or unreadable are skipped with a
-    warning; a pass that yields no frame raises
-    ``OSError("no readable frames in <stream>")``.
+    A malformed ``intrinsics.json`` or pose line raises OSError naming
+    the file (and line). Frames whose depth file is missing or
+    unreadable are skipped with a warning; a pass that yields no frame
+    raises ``OSError("no readable frames in <stream>")``.
     """
     root = Path(stream_dir)
     if not root.is_dir():
         raise OSError(f"{root}: not a directory")
-    intrinsics = load_intrinsics(root / "intrinsics.json")
-    poses = load_pose_records(root / "frames.jsonl")
+    intrinsics = formats.read_json(root / "intrinsics.json",
+                                   CameraIntrinsics.from_json_obj, "intrinsics")
+    poses = _read_poses(root / "frames.jsonl")
     shape = (intrinsics.height, intrinsics.width)
     readable = False
     for frame_id in sorted(poses):
@@ -259,3 +295,24 @@ def read_frame_stream(stream_dir, d_min: float, d_max: float):
                          timestamp=t_sec)
     if not readable:
         raise OSError(f"no readable frames in {root}")
+
+
+def _read_poses(path) -> dict[int, tuple[float, Pose]]:
+    """``frames.jsonl`` as {frame_id: (t_sec, pose)}; blank lines skipped."""
+    records: dict[int, tuple[float, Pose]] = {}
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            with formats.malformed(f"{path}:{lineno}", "pose record"):
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                pose = Pose.from_quaternion(
+                    *(formats.number(obj, k) for k in ("qw", "qx", "qy", "qz")),
+                    tuple(formats.number(obj, k) for k in ("tx", "ty", "tz")))
+                t_sec = formats.number(obj, "t_sec")
+                frame_id = formats.integer(obj, "frame_id")
+                if frame_id in records:
+                    raise ValueError(f"repeated frame_id {frame_id}")
+                records[frame_id] = (t_sec, pose)
+    return records

@@ -71,6 +71,7 @@ from scipy.spatial import cKDTree
 from .config import MAX_DISTANCE_M
 from .formats import integer_column, number, number_column, read_json, \
     write_records_json
+from .geometry import _read_only
 
 # The rows insert's walk reads first when it looks for the next live one.
 _FIRST_CHUNK = 64
@@ -86,9 +87,8 @@ class LandingSite:
     timestamp: float
 
     def __post_init__(self):
-        p = np.array(self.position, dtype=np.float64).reshape(3)
-        p.flags.writeable = False
-        object.__setattr__(self, "position", p)
+        p = np.array(np.reshape(self.position, 3), dtype=np.float64)
+        object.__setattr__(self, "position", _read_only(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +132,7 @@ class Clusters:
         for name, dtype, shape in (("centroids", np.float64, (-1, 3)),
                                    ("mean_score", np.float64, (-1,)),
                                    ("members", np.int64, (-1,))):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            # a view of a read-only array cannot be made writeable again
+            column = _read_only(np.array(getattr(self, name), dtype=dtype))
             object.__setattr__(self, name, column.reshape(shape))
 
     def __len__(self) -> int:
@@ -378,12 +376,6 @@ def _live_rows(dead: np.ndarray, rank: np.ndarray):
             yield i + k
             i += k + 1
             step = _FIRST_CHUNK
-
-
-def _read_only(column: np.ndarray) -> np.ndarray:
-    """A view of ``column`` that no caller can make writeable again."""
-    column.flags.writeable = False
-    return column.view()
 
 
 def _in_box(points: np.ndarray, box: np.ndarray, pad: float) -> np.ndarray:

@@ -12,12 +12,8 @@ from landsite.geometry import (
     Pose,
     camera_planes,
     camera_pose,
-    load_intrinsics,
-    load_pose_records,
     project_points,
     project_uav_radius,
-    save_intrinsics,
-    save_pose_records,
 )
 
 from oracles import homogeneous_pixel_to_world
@@ -44,11 +40,6 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=80, fy=80, cx=4.0, cy=1.0, width=4, height=4)
 
-    def test_json_round_trip(self, tmp_path, intrinsics_small):
-        path = tmp_path / "intrinsics.json"
-        save_intrinsics(path, intrinsics_small)
-        assert load_intrinsics(path) == intrinsics_small
-
 
 def assert_quaternion_contract(pose):
     """``to_quaternion`` gives a unit quaternion with w >= 0 that
@@ -70,6 +61,15 @@ class TestPose:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             Pose(r, np.zeros(3))
+
+    @pytest.mark.parametrize("translation", [(1.0, 2.0, 3.0), np.ones((3, 1))])
+    def test_arrays_cannot_be_made_writeable(self, translation):
+        pose = Pose(np.eye(3), translation)
+        for array in (pose.rotation, pose.translation):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
 
     def test_rejects_zero_quaternion(self):
         with pytest.raises(ValueError):
@@ -276,19 +276,3 @@ class TestDepthFrame:
             DepthFrame(depth, valid, intrinsics_small,
                        Pose(np.eye(3), np.zeros(3)))
 
-
-class TestPoseStream:
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "frames.jsonl"
-        poses = [
-            (0, 0.0, Pose.from_quaternion(1, 0, 0, 0, (0, 0, 5))),
-            (1, 0.05, Pose.from_quaternion(0.9, 0.1, -0.2, 0.3, (1, 2, 6))),
-        ]
-        save_pose_records(path, poses)
-        records = load_pose_records(path)
-        assert set(records) == {0, 1}
-        for frame_id, t_sec, pose in poses:
-            t_loaded, p_loaded = records[frame_id]
-            assert t_loaded == t_sec
-            assert np.allclose(p_loaded.rotation, pose.rotation, atol=1e-9)
-            assert np.allclose(p_loaded.translation, pose.translation)

@@ -198,6 +198,30 @@ class TestFrameStream:
             assert np.allclose(back.pose_world_from_camera.translation,
                                orig.pose_world_from_camera.translation)
 
+    def test_intrinsics_json_round_trip(self, tmp_path, make_frame,
+                                        intrinsics_small):
+        write_frame_stream(tmp_path / "s", [make_frame(np.full((48, 64), 5.0))])
+        (frame,) = read_frame_stream(tmp_path / "s", 0.05, 20.0)
+        assert frame.intrinsics == intrinsics_small
+
+    def test_pose_jsonl_round_trip(self, tmp_path, make_frame):
+        poses = [
+            (0, 0.0, Pose.from_quaternion(1, 0, 0, 0, (0, 0, 5))),
+            (1, 0.05, Pose.from_quaternion(0.9, 0.1, -0.2, 0.3, (1, 2, 6))),
+        ]
+        write_frame_stream(tmp_path / "s", [
+            make_frame(np.full((48, 64), 5.0), pose=pose, frame_id=frame_id,
+                       timestamp=t_sec)
+            for frame_id, t_sec, pose in poses])
+        records = {f.frame_id: (f.timestamp, f.pose_world_from_camera)
+                   for f in read_frame_stream(tmp_path / "s", 0.05, 20.0)}
+        assert set(records) == {0, 1}
+        for frame_id, t_sec, pose in poses:
+            t_loaded, p_loaded = records[frame_id]
+            assert t_loaded == t_sec
+            assert np.allclose(p_loaded.rotation, pose.rotation, atol=1e-9)
+            assert np.allclose(p_loaded.translation, pose.translation)
+
     def test_unreadable_frame_skipped(self, tmp_path):
         frames = [render_canonical("FLAT_PAD", frame_id=i) for i in range(3)]
         stream = tmp_path / "stream"
@@ -258,6 +282,63 @@ class TestFrameStream:
         with pytest.raises(ValueError, match="frame ids in a stream must be unique"):
             write_frame_stream(tmp_path / "s", frames)
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("frame_id,timestamp,message", [
+        (0, math.inf, "timestamp inf is not finite"),
+        (0, -math.inf, "timestamp -inf is not finite"),
+        (0, math.nan, "timestamp nan is not finite"),
+        (2.0, 0.0, "frame id 2.0 is not an integer"),
+        (True, 0.0, "frame id True is not an integer"),
+    ])
+    def test_unreadable_record_rejected_before_writing(
+            self, tmp_path, make_frame, frame_id, timestamp, message):
+        # none of these would read back as written
+        frame = make_frame(np.full((48, 64), 5.0), frame_id=frame_id,
+                           timestamp=timestamp)
+        with pytest.raises(ValueError, match=message):
+            write_frame_stream(tmp_path / "s", [frame])
+        assert not (tmp_path / "s").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_written_stream_reads_back(self, data):
+        intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.5, cy=2.5, width=8,
+                                height=6)
+        ids = data.draw(st.lists(
+            st.integers(max_value=0) | st.integers(min_value=2**63 + 1),
+            min_size=1, max_size=3, unique=True), label="ids")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        component = st.floats(-1.0, 1.0)
+        frames = []
+        for frame_id in ids:
+            depth = data.draw(st.lists(st.floats(1.0, 10.0), min_size=48,
+                                       max_size=48))
+            valid = data.draw(st.lists(st.booleans(), min_size=48,
+                                       max_size=48))
+            q = data.draw(st.tuples(component, component, component,
+                                    component).filter(
+                lambda q: sum(c * c for c in q) > 1e-4))
+            pose = Pose.from_quaternion(*q, data.draw(st.tuples(
+                finite, finite, finite)))
+            frames.append(DepthFrame(
+                np.reshape(depth, (6, 8)), np.reshape(valid, (6, 8)), intr,
+                pose, frame_id=frame_id, timestamp=data.draw(finite)))
+        with tempfile.TemporaryDirectory() as stream:
+            write_frame_stream(stream, frames)
+            loaded = list(read_frame_stream(stream, 0.5, 20.0))
+        assert [f.frame_id for f in loaded] == sorted(ids)
+        for back in loaded:
+            (orig,) = (f for f in frames if f.frame_id == back.frame_id)
+            assert back.timestamp == orig.timestamp
+            assert back.intrinsics == intr
+            assert np.array_equal(back.valid, orig.valid)
+            assert np.array_equal(back.depth[back.valid],
+                                  orig.depth.astype(np.float32)[back.valid])
+            pose, orig_pose = (back.pose_world_from_camera,
+                               orig.pose_world_from_camera)
+            assert np.array_equal(pose.translation, orig_pose.translation)
+            np.testing.assert_allclose(pose.rotation, orig_pose.rotation,
+                                       rtol=0, atol=1e-12)
 
 
 class TestRunPipeline:

@@ -354,6 +354,16 @@ class TestColumns:
             with pytest.raises(ValueError):
                 column.flags.writeable = True
 
+    @pytest.mark.parametrize("position", [[1.0, 2.0, 3.0], np.ones((3, 1))])
+    def test_site_position_cannot_be_made_writeable(self, position):
+        reg = SiteRegistry(0.5)
+        insert_all(reg, [(0.0, 0.0, 0.0)])
+        for site in (LandingSite(position, 0.9, 0, 0.0), reg.sites[0]):
+            with pytest.raises(ValueError):
+                site.position[0] = 9.0
+            with pytest.raises(ValueError):
+                site.position.flags.writeable = True
+
     def test_flags_are_a_list_of_python_bools(self):
         reg = SiteRegistry(0.5)
         flags = insert_all(reg, [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0),
